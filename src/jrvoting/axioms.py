@@ -16,17 +16,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
-from .core import BallotProfile, BudgetExhausted, Committee
+from .core import BallotProfile, Committee
 
 JR = "jr"
 ELL_JR = "ell-jr"
 EJR = "ejr"
 SJR = "sjr"
 UNANIMITY = "unanimity"
-
-AXIOM_NAMES = (JR, ELL_JR, EJR, SJR, UNANIMITY)
 
 
 @dataclass(frozen=True)
@@ -81,32 +79,13 @@ def _mask_bits(mask: int) -> tuple[int, ...]:
 def check_jr(profile: BallotProfile, k: int, committee: Committee) -> AxiomReport:
     """Does the committee leave no quota-sized unrepresented cohesive group?
 
-    Polynomial check: for every candidate c, count the voters who approve c
-    and have no approved committee member at all.  The committee fails iff
-    some candidate gathers at least n/k such voters; the witness is that
-    candidate with all of its unrepresented approvers.
+    Justified representation is level-1 representation: the committee fails
+    iff some candidate is approved by at least n/k voters none of whom
+    approves a committee member; the witness is the first such candidate
+    with all of its unrepresented approvers.
     """
-    _validate(profile, k, committee)
-    wmask = committee.mask
-    n = profile.n
-    uncovered = [
-        (i, mask, mult)
-        for i, (mask, mult) in enumerate(profile.masks)
-        if mask & wmask == 0
-    ]
-    support = [0] * profile.num_candidates
-    for _i, mask, mult in uncovered:
-        for c in _mask_bits(mask):
-            support[c] += mult
-    for c in range(profile.num_candidates):
-        if k * support[c] >= n:
-            indices = tuple(i for i, mask, _ in uncovered if mask >> c & 1)
-            return AxiomReport(
-                JR,
-                passed=False,
-                witness=Witness(1, (c,), indices, support[c]),
-            )
-    return AxiomReport(JR, passed=True)
+    report = _check_level(profile, k, committee, 1)
+    return AxiomReport(JR, passed=report.passed, witness=report.witness)
 
 
 def check_ell_jr(
@@ -120,6 +99,11 @@ def check_ell_jr(
     complete.  Candidates whose support among under-represented voters is
     below quota are discarded before subset enumeration.
     """
+    return _check_level(profile, k, committee, ell)
+
+
+def _check_level(profile: BallotProfile, k: int, committee: Committee, ell: int) -> AxiomReport:
+    # shared by check_jr and check_ell_jr, so that each check is one public call
     _validate(profile, k, committee)
     if not 1 <= ell <= k:
         raise ValueError(f"level must satisfy 1 <= l <= k, got {ell} with k={k}")
@@ -309,24 +293,16 @@ def exists_sjr_committee(
 ) -> Optional[Committee]:
     """Lexicographically first committee passing `check_sjr`, or None.
 
-    Exhaustive over all C(m, k) committees; unlike the other axioms, a
-    passing committee need not exist at all.
+    Exhaustive depth-first search over the C(m, k) committees that stops at
+    the first passing one; unlike the other axioms, a passing committee need
+    not exist at all.  The budget counts search nodes.
     """
-    if not 1 <= k <= profile.num_candidates:
-        raise ValueError(f"k={k} out of range for m={profile.num_candidates}")
-    if budget is not None and budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    nodes = 0
-    for members in itertools.combinations(range(profile.num_candidates), k):
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExhausted(
-                f"node budget {budget} exhausted", nodes_explored=nodes
-            )
-        committee = Committee(members)
-        if check_sjr(profile, k, committee).passed:
-            return committee
-    return None
+    # deferred: the solver imports this module for its prefer-JR tie-break
+    from .solver import _best_accepted
+
+    return _best_accepted(
+        profile, k, lambda w: check_sjr(profile, k, w).passed, None, budget
+    )
 
 
 def replay_witness(
@@ -446,3 +422,48 @@ def oracle_check_sjr(profile: BallotProfile, k: int, committee: Committee) -> bo
             if inter != 0 and inter & wmask == 0:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The axiom table.  Entries call this module's functions by name at call time,
+# so rebinding a module attribute (a wrapper or a test double) takes effect.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Axiom:
+    """``check(profile, k, committee, ell)`` gives the fast checker's report,
+    ``oracle`` (same arguments) the brute-force verdict and ``find(profile,
+    k, ell)`` a committee with the axiom; ``ell`` is the level of a
+    ``leveled`` axiom and ignored otherwise."""
+
+    check: Callable[[BallotProfile, int, Committee, Optional[int]], AxiomReport]
+    oracle: Optional[Callable[[BallotProfile, int, Committee, Optional[int]], bool]] = None
+    find: Optional[Callable[[BallotProfile, int, Optional[int]], Committee]] = None
+    leveled: bool = False
+
+
+AXIOMS: dict[str, Axiom] = {
+    JR: Axiom(
+        lambda p, k, w, ell: check_jr(p, k, w),
+        lambda p, k, w, ell: oracle_check_jr(p, k, w),
+        lambda p, k, ell: find_jr_committee(p, k),
+    ),
+    ELL_JR: Axiom(
+        lambda p, k, w, ell: check_ell_jr(p, k, w, ell),
+        lambda p, k, w, ell: oracle_check_ell_jr(p, k, w, ell),
+        lambda p, k, ell: find_ell_jr_committee(p, k, ell),
+        leveled=True,
+    ),
+    EJR: Axiom(
+        lambda p, k, w, ell: check_ejr(p, k, w),
+        lambda p, k, w, ell: oracle_check_ejr(p, k, w),
+    ),
+    SJR: Axiom(
+        lambda p, k, w, ell: check_sjr(p, k, w),
+        lambda p, k, w, ell: oracle_check_sjr(p, k, w),
+    ),
+    UNANIMITY: Axiom(lambda p, k, w, ell: check_unanimity(p, k, w)),
+}
+
+AXIOM_NAMES = tuple(AXIOMS)

@@ -5,7 +5,8 @@ header, an optional ``k <int>`` header, then one ballot group per line as
 ``<multiplicity>: <candidate indices>`` (no indices for an empty ballot).
 
 Exit codes: 0 success / axiom passes, 1 axiom fails (or cross-check
-disagreement), 2 usage error, 3 input parse error, 4 search budget exhausted.
+disagreement), 2 usage error, 3 input parse error, 4 search budget exhausted,
+5 internal error (any other exception, reported on one stderr line).
 Machine output (``--format machine``) is line-oriented ``key=value`` with
 exact rationals rendered as ``num/den`` and committees as sorted
 comma-separated indices; it contains no timing, so identical inputs produce
@@ -36,6 +37,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_BUDGET = 4
+EXIT_INTERNAL = 5
 
 
 class ProfileParseError(ValueError):
@@ -181,9 +183,9 @@ def _parse_axiom(spec: str) -> tuple[str, Optional[int]]:
     name, sep, level = spec.partition(":")
     if name not in axioms.AXIOM_NAMES:
         raise ValueError(f"unknown axiom {name!r}")
-    if name == "ell-jr":
+    if axioms.AXIOMS[name].leveled:
         if not sep:
-            raise ValueError("axiom ell-jr needs a level, e.g. ell-jr:2")
+            raise ValueError(f"axiom {name} needs a level, e.g. {name}:2")
         return name, int(level)
     if sep:
         raise ValueError(f"axiom {name!r} takes no level")
@@ -322,16 +324,7 @@ def _cmd_check(args) -> int:
     committee = _parse_committee(args.committee)
     k = _resolve_k(args.k, file_k, fallback=committee.k)
     axiom, ell = _parse_axiom(args.axiom)
-    if axiom == "jr":
-        report = axioms.check_jr(profile, k, committee)
-    elif axiom == "ell-jr":
-        report = axioms.check_ell_jr(profile, k, committee, ell)
-    elif axiom == "ejr":
-        report = axioms.check_ejr(profile, k, committee)
-    elif axiom == "sjr":
-        report = axioms.check_sjr(profile, k, committee)
-    else:
-        report = axioms.check_unanimity(profile, k, committee)
+    report = axioms.AXIOMS[axiom].check(profile, k, committee, ell)
     fields = [
         ("command", "check"),
         ("axiom", args.axiom),
@@ -347,12 +340,10 @@ def _cmd_find(args) -> int:
     profile, file_k = parse_profile(_read_text(args.file))
     k = _resolve_k(args.k, file_k)
     axiom, ell = _parse_axiom(args.axiom)
-    if axiom == "jr":
-        committee = axioms.find_jr_committee(profile, k)
-    elif axiom == "ell-jr":
-        committee = axioms.find_ell_jr_committee(profile, k, ell)
-    else:
+    find = axioms.AXIOMS[axiom].find
+    if find is None:
         raise ValueError("find supports axioms jr and ell-jr:<level> only")
+    committee = find(profile, k, ell)
     _emit(
         [
             ("command", "find"),
@@ -441,24 +432,7 @@ def _oracle_instances(seed: int, trials: int, max_n: int, max_m: int):
         yield profile, k, committee
 
 
-_ORACLE_PAIRS = {
-    "jr": lambda p, k, w, ell: (
-        axioms.check_jr(p, k, w).passed,
-        axioms.oracle_check_jr(p, k, w),
-    ),
-    "ell-jr": lambda p, k, w, ell: (
-        axioms.check_ell_jr(p, k, w, ell).passed,
-        axioms.oracle_check_ell_jr(p, k, w, ell),
-    ),
-    "ejr": lambda p, k, w, ell: (
-        axioms.check_ejr(p, k, w).passed,
-        axioms.oracle_check_ejr(p, k, w),
-    ),
-    "sjr": lambda p, k, w, ell: (
-        axioms.check_sjr(p, k, w).passed,
-        axioms.oracle_check_sjr(p, k, w),
-    ),
-}
+_ORACLE_AXIOMS = tuple(name for name, axiom in axioms.AXIOMS.items() if axiom.oracle)
 
 
 def _cmd_oracle(args) -> int:
@@ -492,15 +466,16 @@ def _cmd_oracle(args) -> int:
         )
         return EXIT_OK
 
-    names = ("jr", "ell-jr", "ejr", "sjr") if args.axiom == "all" else (args.axiom,)
+    names = _ORACLE_AXIOMS if args.axiom == "all" else (args.axiom,)
     disagreements = 0
     for profile, k, committee in _oracle_instances(
         args.seed, args.trials, args.max_n, args.max_m
     ):
         for axiom in names:
-            levels = range(1, k + 1) if axiom == "ell-jr" else (None,)
-            for ell in levels:
-                fast, naive = _ORACLE_PAIRS[axiom](profile, k, committee, ell)
+            entry = axioms.AXIOMS[axiom]
+            for ell in range(1, k + 1) if entry.leveled else (None,):
+                fast = entry.check(profile, k, committee, ell).passed
+                naive = entry.oracle(profile, k, committee, ell)
                 if fast != naive:
                     disagreements += 1
                     sys.stderr.write(
@@ -587,7 +562,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_random)
 
     p = sub.add_parser("oracle", help="cross-check fast axiom checkers against brute force")
-    p.add_argument("--axiom", choices=("jr", "ell-jr", "ejr", "sjr", "all"), default="all")
+    p.add_argument("--axiom", choices=_ORACLE_AXIOMS + ("all",), default="all")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-n", type=int, default=8, dest="max_n")
@@ -632,6 +607,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # a fault of the program, not of the input; exit 1 means "axiom fails"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

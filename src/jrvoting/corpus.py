@@ -18,16 +18,12 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import axioms, rules
 from .core import (
-    AV,
     BallotProfile,
     Committee,
-    MAV,
-    SAV,
     ScoringObjective,
     TieBreak,
     WeightVector,
     score_committee,
-    wpav_objective,
 )
 
 
@@ -740,33 +736,6 @@ def _resolve_weights(tag, fixture: Fixture) -> Optional[WeightVector]:
     raise ValueError(f"unknown weight tag {tag!r}")
 
 
-def _objective(kind: str, weights: Optional[WeightVector]) -> ScoringObjective:
-    if kind == "av":
-        return AV
-    if kind == "sav":
-        return SAV
-    if kind == "mav":
-        return MAV
-    return wpav_objective(weights)
-
-
-def _run_axiom_check(
-    fixture: Fixture, axiom: str, committee: Committee, ell: Optional[int]
-) -> axioms.AxiomReport:
-    profile, k = fixture.profile, fixture.k
-    if axiom == "jr":
-        return axioms.check_jr(profile, k, committee)
-    if axiom == "ell-jr":
-        return axioms.check_ell_jr(profile, k, committee, ell)
-    if axiom == "ejr":
-        return axioms.check_ejr(profile, k, committee)
-    if axiom == "sjr":
-        return axioms.check_sjr(profile, k, committee)
-    if axiom == "unanimity":
-        return axioms.check_unanimity(profile, k, committee)
-    raise ValueError(f"unknown axiom {axiom!r}")
-
-
 def _check_report(report: axioms.AxiomReport, expected: Mapping[str, object]) -> tuple[bool, str]:
     verdict = "pass" if report.passed else "fail"
     if verdict != expected["verdict"]:
@@ -795,24 +764,30 @@ def replay_expectation(fixture: Fixture, expectation: Expectation) -> Expectatio
     profile = fixture.profile
     description = f"{fixture.name}: {op} {dict(inputs)}"
 
-    if op == "rule":
+    if op in ("rule", "rule-axiom"):
         weights = _resolve_weights(inputs.get("weights"), fixture)
         tiebreak = TieBreak(inputs.get("tiebreak", "lex"))
         spec = rules.RuleSpec(inputs["rule"], weights=weights, tiebreak=tiebreak)
         committee = rules.compute_rule(profile, inputs.get("k", fixture.k), spec)
-        ok = list(committee.members) == list(expected["committee"])
-        return ExpectationResult(description, ok, f"committee {list(committee.members)}")
+        detail = f"committee {list(committee.members)}"
+        if op == "rule":
+            ok = list(committee.members) == list(expected["committee"])
+            return ExpectationResult(description, ok, detail)
+        check = axioms.AXIOMS[inputs["axiom"]].check
+        report = check(profile, fixture.k, committee, inputs.get("ell"))
+        ok, verdict = _check_report(report, expected)
+        return ExpectationResult(description, ok, f"{detail}: {verdict}")
 
     if op == "score":
         weights = _resolve_weights(inputs.get("weights"), fixture)
-        committee = Committee.of(inputs["committee"])
-        actual = score_committee(profile, committee, _objective(inputs["objective"], weights))
+        objective = ScoringObjective(inputs["objective"], weights)
+        actual = score_committee(profile, Committee.of(inputs["committee"]), objective)
         ok = str(actual) == expected["score"]
         return ExpectationResult(description, ok, f"score {actual}")
 
     if op == "score-compare":
         weights = _resolve_weights(inputs.get("weights"), fixture)
-        objective = _objective(inputs["objective"], weights)
+        objective = ScoringObjective(inputs["objective"], weights)
         score_a = score_committee(profile, Committee.of(inputs["committee_a"]), objective)
         score_b = score_committee(profile, Committee.of(inputs["committee_b"]), objective)
         relation = expected["relation"]
@@ -824,26 +799,14 @@ def replay_expectation(fixture: Fixture, expectation: Expectation) -> Expectatio
         return ExpectationResult(description, ok, f"{score_a} vs {score_b}")
 
     if op == "axiom":
-        committee = Committee.of(inputs["committee"])
-        report = _run_axiom_check(fixture, inputs["axiom"], committee, inputs.get("ell"))
+        check = axioms.AXIOMS[inputs["axiom"]].check
+        report = check(profile, fixture.k, Committee.of(inputs["committee"]), inputs.get("ell"))
         ok, detail = _check_report(report, expected)
         return ExpectationResult(description, ok, detail)
 
-    if op == "rule-axiom":
-        weights = _resolve_weights(inputs.get("weights"), fixture)
-        tiebreak = TieBreak(inputs.get("tiebreak", "lex"))
-        spec = rules.RuleSpec(inputs["rule"], weights=weights, tiebreak=tiebreak)
-        committee = rules.compute_rule(profile, inputs.get("k", fixture.k), spec)
-        report = _run_axiom_check(fixture, inputs["axiom"], committee, inputs.get("ell"))
-        ok, detail = _check_report(report, expected)
-        return ExpectationResult(description, ok, f"committee {list(committee.members)}: {detail}")
-
     if op == "find":
-        k = inputs.get("k", fixture.k)
-        if inputs["axiom"] == "jr":
-            committee = axioms.find_jr_committee(profile, k)
-        else:
-            committee = axioms.find_ell_jr_committee(profile, k, inputs["ell"])
+        find = axioms.AXIOMS[inputs["axiom"]].find
+        committee = find(profile, inputs.get("k", fixture.k), inputs.get("ell"))
         ok = list(committee.members) == list(expected["committee"])
         return ExpectationResult(description, ok, f"committee {list(committee.members)}")
 

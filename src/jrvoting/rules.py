@@ -13,30 +13,24 @@ the committees providing justified representation only.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from . import axioms
 from .core import (
     AV,
     BallotProfile,
-    BudgetExhausted,
     Committee,
     MAV,
     SAV,
     ScoringObjective,
     TieBreak,
     WeightVector,
+    score_committee,
     wpav_objective,
 )
-from .solver import OptimizationRequest, optimize_committee
-
-SCORE_RULES = ("av", "sav", "mav", "pav", "cc", "wpav")
-SEQUENTIAL_RULES = ("rav", "gav", "geometric-rav", "wrav")
-FILTERED_RULES = ("ujrav", "ejrav")
-RULE_NAMES = SCORE_RULES + SEQUENTIAL_RULES + FILTERED_RULES
+from .solver import OptimizationRequest, _best_accepted, optimize_committee
 
 
 @dataclass(frozen=True)
@@ -45,7 +39,8 @@ class RuleSpec:
 
     Named families expand to explicit weight vectors of length m at
     invocation time; the geometric sequential family additionally depends on
-    the profile's voter count.
+    the profile's voter count.  Sequential rules break ties round by round,
+    so they reject the prefer-JR tie-break.
     """
 
     name: str
@@ -53,28 +48,21 @@ class RuleSpec:
     tiebreak: TieBreak = TieBreak.LEXICOGRAPHIC
 
     def __post_init__(self):
-        if self.name not in RULE_NAMES:
+        rule = _RULES.get(self.name)
+        if rule is None:
             raise ValueError(f"unknown rule {self.name!r}")
-        if self.name in ("wpav", "wrav") and self.weights is None:
+        if rule.explicit_weights and self.weights is None:
             raise ValueError(f"rule {self.name!r} requires an explicit weight vector")
-        if self.name not in ("wpav", "wrav") and self.weights is not None:
+        if not rule.explicit_weights and self.weights is not None:
             raise ValueError(f"rule {self.name!r} does not take a weight vector")
+        if self.tiebreak is TieBreak.PREFER_JR and not rule.prefer_jr:
+            raise ValueError(f"rule {self.name!r} breaks ties round by round, not by prefer-jr")
 
 
 def rule_weights(spec: RuleSpec, profile: BallotProfile) -> Optional[WeightVector]:
     """The explicit weight vector a named family uses on this profile."""
-    m = profile.num_candidates
-    if spec.name in ("wpav", "wrav"):
-        return spec.weights
-    if spec.name in ("pav", "rav"):
-        return WeightVector.harmonic(m)
-    if spec.name in ("cc", "gav"):
-        return WeightVector.coverage(m)
-    if spec.name == "geometric-rav":
-        return WeightVector.geometric(m, Fraction(1, profile.n))
-    if spec.name == "av":
-        return WeightVector.all_ones(m)
-    return None
+    family = _RULES[spec.name].family
+    return spec.weights if family is None else family(profile)
 
 
 @dataclass(frozen=True)
@@ -170,95 +158,109 @@ def compute_score_rule(
 
 
 def compute_ujrav(
-    profile: BallotProfile,
-    k: int,
-    tiebreak: TieBreak = TieBreak.LEXICOGRAPHIC,
-    budget: Optional[int] = None,
+    profile: BallotProfile, k: int, budget: Optional[int] = None
 ) -> Committee:
     """Approval-score-maximal committee among those providing justified
     representation, lexicographically smallest on ties.
 
-    Filtered enumeration over all C(m, k) committees (no better algorithm is
-    known).  At least one committee always qualifies, so this never fails.
-    The tiebreak parameter is accepted for interface symmetry; both modes
-    coincide here because every candidate committee already provides
-    justified representation.
+    Branch-and-bound over the C(m, k) committees (no polynomial algorithm is
+    known) that checks justified representation only at a committee that
+    would beat the best one so far.  At least one committee always
+    qualifies, so this never fails.  The budget counts search nodes.
     """
-    scores = profile.approval_scores
-    best: Optional[tuple[int, ...]] = None
-    best_score = -1
-    nodes = 0
-    for members in itertools.combinations(range(profile.num_candidates), k):
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExhausted(
-                f"node budget {budget} exhausted",
-                best_committee=Committee(best) if best else None,
-                best_score=Fraction(best_score) if best else None,
-                nodes_explored=nodes,
-            )
-        if not axioms.check_jr(profile, k, Committee(members)).passed:
-            continue
-        score = sum(scores[c] for c in members)
-        if score > best_score:
-            best, best_score = members, score
-    assert best is not None
-    return Committee(best)
+    return _best_accepted(
+        profile, k, lambda w: axioms.check_jr(profile, k, w).passed, "av", budget
+    )
 
 
 def compute_ejrav(
-    profile: BallotProfile,
-    k: int,
-    tiebreak: TieBreak = TieBreak.LEXICOGRAPHIC,
-    budget: Optional[int] = None,
+    profile: BallotProfile, k: int, budget: Optional[int] = None
 ) -> Committee:
     """Committee maximizing the least-represented voter's winner count, among
     committees providing justified representation; lexicographic on ties.
 
     A voter with an empty ballot pins the maximin at zero, in which case the
-    rule reduces to the lexicographically first justified committee.
+    rule reduces to the lexicographically first justified committee.  The
+    budget counts search nodes.
     """
-    best: Optional[tuple[int, ...]] = None
-    best_value = -1
-    nodes = 0
-    for members in itertools.combinations(range(profile.num_candidates), k):
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExhausted(
-                f"node budget {budget} exhausted",
-                best_committee=Committee(best) if best else None,
-                best_score=Fraction(best_value) if best else None,
-                nodes_explored=nodes,
-            )
-        committee = Committee(members)
-        if not axioms.check_jr(profile, k, committee).passed:
-            continue
-        wmask = committee.mask
-        value = min((mask & wmask).bit_count() for mask, _ in profile.masks)
-        if value > best_value:
-            best, best_value = members, value
-    assert best is not None
-    return Committee(best)
+    return _best_accepted(
+        profile, k, lambda w: axioms.check_jr(profile, k, w).passed, "maximin", budget
+    )
+
+
+# ---------------------------------------------------------------------------
+# The rule table.  Entries call this module's functions by name at call time,
+# so rebinding a module attribute (a wrapper or a test double) takes effect.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Rule:
+    compute: Callable[..., Committee]  # (profile, k, spec, budget)
+    score: Callable[..., Fraction]  # (profile, spec, committee)
+    family: Optional[Callable[[BallotProfile], WeightVector]] = None
+    explicit_weights: bool = False
+    prefer_jr: bool = True
+
+
+def _score_rule(objective: ScoringObjective, family=None) -> _Rule:
+    return _Rule(
+        lambda p, k, s, b: compute_score_rule(p, k, objective, s.tiebreak, b),
+        lambda p, s, w: score_committee(p, w, objective),
+        family,
+    )
+
+
+def _weighted_rule(family, sequential: bool = False) -> _Rule:
+    """The optimal Thiele rule of a weight family (None: the spec's explicit
+    vector) or, if ``sequential``, its round-by-round counterpart."""
+
+    def compute(p, k, s, b):
+        weights = rule_weights(s, p)
+        if sequential:
+            return compute_sequential_rule(p, k, weights)
+        return compute_score_rule(p, k, wpav_objective(weights), s.tiebreak, b)
+
+    return _Rule(
+        compute,
+        lambda p, s, w: score_committee(p, w, wpav_objective(rule_weights(s, p))),
+        family,
+        explicit_weights=family is None,
+        prefer_jr=not sequential,
+    )
+
+
+_RULES: dict[str, _Rule] = {
+    "av": _score_rule(AV, lambda p: WeightVector.all_ones(p.num_candidates)),
+    "sav": _score_rule(SAV),
+    "mav": _score_rule(MAV),
+    "pav": _weighted_rule(lambda p: WeightVector.harmonic(p.num_candidates)),
+    "cc": _weighted_rule(lambda p: WeightVector.coverage(p.num_candidates)),
+    "wpav": _weighted_rule(None),
+    "rav": _weighted_rule(lambda p: WeightVector.harmonic(p.num_candidates), sequential=True),
+    "gav": _weighted_rule(lambda p: WeightVector.coverage(p.num_candidates), sequential=True),
+    "geometric-rav": _weighted_rule(
+        lambda p: WeightVector.geometric(p.num_candidates, Fraction(1, p.n)), sequential=True
+    ),
+    "wrav": _weighted_rule(None, sequential=True),
+    # both tie-break modes coincide: every committee searched provides JR
+    "ujrav": _Rule(
+        lambda p, k, s, b: compute_ujrav(p, k, b), lambda p, s, w: score_committee(p, w, AV)
+    ),
+    "ejrav": _Rule(
+        lambda p, k, s, b: compute_ejrav(p, k, b),
+        lambda p, s, w: Fraction(min((mask & w.mask).bit_count() for mask, _ in p.masks)),
+    ),
+}
+
+RULE_NAMES = tuple(_RULES)
 
 
 def compute_rule(
     profile: BallotProfile, k: int, spec: RuleSpec, budget: Optional[int] = None
 ) -> Committee:
     """Run the rule described by ``spec`` on the profile."""
-    if spec.name == "av":
-        return compute_score_rule(profile, k, AV, spec.tiebreak, budget)
-    if spec.name == "sav":
-        return compute_score_rule(profile, k, SAV, spec.tiebreak, budget)
-    if spec.name == "mav":
-        return compute_score_rule(profile, k, MAV, spec.tiebreak, budget)
-    if spec.name in ("pav", "cc", "wpav"):
-        objective = wpav_objective(rule_weights(spec, profile))
-        return compute_score_rule(profile, k, objective, spec.tiebreak, budget)
-    if spec.name in ("rav", "gav", "geometric-rav", "wrav"):
-        return compute_sequential_rule(profile, k, rule_weights(spec, profile))
-    if spec.name == "ujrav":
-        return compute_ujrav(profile, k, spec.tiebreak, budget)
-    return compute_ejrav(profile, k, spec.tiebreak, budget)
+    return _RULES[spec.name].compute(profile, k, spec, budget)
 
 
 def report_score(
@@ -271,18 +273,4 @@ def report_score(
     vector; the representation-constrained rules report approval score and
     maximin winner count respectively.
     """
-    from .core import score_committee
-
-    if spec.name == "av":
-        return score_committee(profile, committee, AV)
-    if spec.name == "sav":
-        return score_committee(profile, committee, SAV)
-    if spec.name == "mav":
-        return score_committee(profile, committee, MAV)
-    if spec.name == "ujrav":
-        return score_committee(profile, committee, AV)
-    if spec.name == "ejrav":
-        wmask = committee.mask
-        return Fraction(min((mask & wmask).bit_count() for mask, _ in profile.masks))
-    weights = rule_weights(spec, profile)
-    return score_committee(profile, committee, wpav_objective(weights))
+    return _RULES[spec.name].score(profile, spec, committee)

@@ -1,8 +1,9 @@
 """Exact optimization over size-k committees.
 
-One engine serves every score-based rule: lexicographic depth-first search
-over candidate subsets with an admissible branch-and-bound prune, plus a
-separable fast path for plain approval scores.  All bookkeeping is done in
+One engine serves every exhaustive search: lexicographic depth-first search
+over candidate subsets with an admissible branch-and-bound prune and an
+optional leaf requirement, plus a separable fast path for plain approval
+scores.  All bookkeeping is done in
 scaled integers derived from the exact rational satisfaction tables, so
 results are exact and deterministic.  The search is sequential; since every
 input type is immutable, any number of searches may run concurrently on
@@ -15,10 +16,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from . import axioms
 from .core import (
+    AV,
     BallotProfile,
     BudgetExhausted,
     Committee,
@@ -111,18 +113,29 @@ def _candidate_groups(profile: BallotProfile) -> list[list[int]]:
     return owners
 
 
-class _Search:
-    """Shared DFS state for the branch-and-bound engines."""
+class _Stop(Exception):
+    """Ends a search at its first accepted leaf."""
 
-    def __init__(self, request: OptimizationRequest, use_pruning: bool):
-        self.profile = request.profile
-        self.m = request.profile.num_candidates
-        self.k = request.k
-        self.budget = request.budget
+
+class _Search:
+    """Shared DFS state for the branch-and-bound engines.
+
+    ``accept`` is a leaf requirement, evaluated only at a leaf that would
+    replace the incumbent; ``first`` ends the search at the first accepted leaf.
+    """
+
+    def __init__(self, profile: BallotProfile, k: int, budget: Optional[int], *,
+                 use_pruning=True, collect=False, accept=None, first=False):
+        self.profile = profile
+        self.m = profile.num_candidates
+        self.k = k
+        self.budget = budget
         self.use_pruning = use_pruning
-        self.collect = request.tiebreak is TieBreak.PREFER_JR
-        self.owners = _candidate_groups(request.profile)
-        self.counts = [0] * len(request.profile.ballots)
+        self.collect = collect
+        self.accept = accept
+        self.first = first
+        self.owners = _candidate_groups(profile)
+        self.counts = [0] * len(profile.ballots)
         self.chosen: list[int] = []
         self.nodes = 0
         self.denominator = 1
@@ -149,10 +162,14 @@ class _Search:
     def record(self, value: int, better: bool):
         members = tuple(self.chosen)
         if better:
+            if self.accept is not None and not self.accept(Committee(members)):
+                return
             self.best_value = value
             self.best_members = members
             if self.collect:
                 self.co_optima = [members]
+            if self.first:
+                raise _Stop
         elif self.collect and value == self.best_value:
             self.co_optima.append(members)
 
@@ -237,6 +254,52 @@ def _minimize_mav(search: _Search) -> None:
     visit(0)
 
 
+def _maximize_maximin(search: _Search) -> None:
+    """Maximize the least number of winners any ballot group approves, on
+    bitmasks over groups: ``hits[j]`` holds the groups approving j or more
+    members so far, ``ahead[i][c]`` those approving i or more candidates >= c.
+    """
+    k, m = search.k, search.m
+    everyone = (1 << len(search.counts)) - 1
+    masks = [sum(1 << g for g in groups) for groups in search.owners]
+    ahead = [[everyone] * (m + 1)] + [[0] * (m + 1) for _ in range(k)]
+    for c in reversed(range(m)):
+        for i in range(1, k + 1):
+            ahead[i][c] = ahead[i][c + 1] | ahead[i - 1][c + 1] & masks[c]
+    hits = [everyone] + [0] * k
+
+    def visit(start: int, depth: int) -> None:
+        search.tick()
+        if depth == k:
+            value = hits.count(everyone) - 1  # the levels are nested
+            if search.best_value is None or value > search.best_value:
+                search.record(value, better=True)
+            elif value == search.best_value:
+                search.record(value, better=False)
+            return
+        if search.use_pruning and search.best_value is not None:
+            # can every group still reach `want` hits?  It gains at most
+            # min(k - depth, its approved candidates >= start).
+            want = search.best_value + (0 if search.collect else 1)
+            if want > k or hits[max(0, want - k + depth)] != everyone:
+                return
+            reach = 0
+            for j in range(min(want, depth) + 1):
+                reach |= hits[j] & ahead[want - j][start]
+            if reach != everyone:
+                return
+        for c in range(start, m - k + depth + 1):
+            saved = hits[:]
+            for j in range(depth + 1, 0, -1):
+                hits[j] |= hits[j - 1] & masks[c]
+            search.chosen.append(c)
+            visit(c + 1, depth + 1)
+            search.chosen.pop()
+            hits[:] = saved
+
+    visit(0, 0)
+
+
 def _av_separable(profile: BallotProfile, k: int) -> OptimizationResult:
     """Approval scores are separable per candidate: sort and take the top k.
 
@@ -279,7 +342,8 @@ def optimize_committee(
     ):
         return _av_separable(profile, request.k)
 
-    search = _Search(request, use_pruning)
+    search = _Search(profile, request.k, request.budget, use_pruning=use_pruning,
+                     collect=request.tiebreak is TieBreak.PREFER_JR)
     if request.objective.kind == "mav":
         _minimize_mav(search)
         denominator = 1
@@ -306,3 +370,23 @@ def optimize_committee(
         co_optimal_count=co_count,
         nodes_explored=search.nodes,
     )
+
+
+def _best_accepted(profile: BallotProfile, k: int, accept: Callable[[Committee], bool],
+                   objective: Optional[str], budget: Optional[int] = None) -> Optional[Committee]:
+    """Lexicographically first of the committees passing ``accept`` that are
+    best under ``objective``: ``"av"`` (approval total), ``"maximin"``
+    (winners of the least-represented ballot group) or None (any: the search
+    stops at the first).  None if no committee passes.
+    """
+    OptimizationRequest(profile, k, AV, budget=budget)  # validates k and budget
+    search = _Search(profile, k, budget, accept=accept, first=objective is None)
+    try:
+        if objective == "av":
+            _maximize(search, _satisfaction_tables(profile, AV, k)[0])
+        else:
+            # with no objective the first accepted leaf ends the search
+            _maximize_maximin(search)
+    except _Stop:
+        pass
+    return Committee(search.best_members) if search.best_members else None

@@ -312,3 +312,41 @@ class TestSequentialWeightGuarantees:
             weights = WeightVector.geometric(profile.m, Fraction(1, profile.n))
             committee = compute_sequential_rule(profile, k, weights)
             assert check_jr(profile, k, committee).passed
+
+
+class TestExistsSJRSearch:
+    def test_matches_enumeration_at_every_k(self):
+        cultures = ["uniform", "urn", "fixed"]
+        for profile, _ in random_instances(
+            seed=64, count=45, max_n=6, max_m=6, cultures=cultures
+        ):
+            for k in range(1, profile.m + 1):
+                expected = next(
+                    (
+                        Committee(members)
+                        for members in itertools.combinations(range(profile.m), k)
+                        if oracle_check_sjr(profile, k, Committee(members))
+                    ),
+                    None,
+                )
+                assert exists_sjr_committee(profile, k) == expected, (k, profile)
+
+    def test_stops_at_the_first_passing_committee(self):
+        # the depth-first search visits exactly the prefixes of the committees
+        # up to the first passing one, so that many nodes always suffice
+        found = 0
+        for profile, k in random_instances(seed=65, count=40, max_n=7, max_m=7):
+            first = exists_sjr_committee(profile, k)
+            if first is None:
+                continue
+            found += 1
+            prefixes = set()
+            for members in itertools.combinations(range(profile.m), k):
+                prefixes.update(members[:depth] for depth in range(k + 1))
+                if members == first.members:
+                    break
+            assert exists_sjr_committee(profile, k, budget=len(prefixes)) == first
+            if len(prefixes) > 1:
+                with pytest.raises(BudgetExhausted):
+                    exists_sjr_committee(profile, k, budget=len(prefixes) - 1)
+        assert found > 20

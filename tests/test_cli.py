@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from jrvoting.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
@@ -301,3 +302,32 @@ class TestExitCodes:
     def test_no_command_is_usage_error(self, run):
         code, _, _ = run()
         assert code == EXIT_USAGE
+
+    def test_internal_error_is_not_an_axiom_failure(self, run, tmp_path):
+        # a 1099-seat search recurses past the interpreter's depth limit
+        path = tmp_path / "deep.profile"
+        path.write_text("m 1100\nk 1099\n1: 0 1 2\n")
+        code, out, err = run("compute", "--rule", "pav", str(path))
+        assert code == EXIT_INTERNAL and out == ""
+        assert err.startswith("internal error: RecursionError")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("rule", ["rav", "gav", "geometric-rav", "wrav"])
+    def test_prefer_jr_rejected_for_sequential_rules(self, run, tmp_path, rule):
+        path = tmp_path / "tie.profile"
+        path.write_text("m 3\nk 2\n1: 0 1\n1: 2\n")
+        weights = ["--weights", "1,1/2,1/3"] if rule == "wrav" else []
+        argv = ["compute", "--rule", rule, *weights, str(path)]
+        assert run(*argv)[0] == EXIT_OK
+        code, out, err = run(*argv[:-1], "--tiebreak", "prefer-jr", str(path))
+        assert code == EXIT_USAGE and out == "" and "prefer-jr" in err
+
+    @pytest.mark.parametrize("rule", ["ujrav", "ejrav"])
+    def test_prefer_jr_accepted_for_filtered_rules(self, run, tmp_path, rule):
+        path = tmp_path / "tie.profile"
+        path.write_text("m 3\nk 2\n1: 0 1\n1: 2\n")
+        code, out, _ = run(
+            "compute", "--rule", rule, "--tiebreak", "prefer-jr",
+            "--format", "machine", str(path),
+        )
+        assert code == EXIT_OK and "committee=0,2" in out

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from jrvoting.axioms import check_jr, find_jr_committee
+from jrvoting.axioms import check_jr, find_jr_committee, oracle_check_jr
 from jrvoting.core import (
     AV,
+    BudgetExhausted,
     Committee,
     MAV,
     WeightVector,
@@ -246,3 +247,70 @@ class TestReportScore:
         spec = RuleSpec("ejrav")
         committee = compute_rule(profile, 2, spec)
         assert report_score(profile, 2, spec, committee) == 1
+
+
+def _approvals(profile, committee):
+    return score_committee(profile, committee, AV)
+
+
+def _maximin(profile, committee):
+    """Fewest approved winners of any single voter."""
+    return min(
+        len(ballot.approved & set(committee.members))
+        for ballot in profile.expand().ballots
+    )
+
+
+def _best_justified(profile, k, value):
+    """Definition-verbatim: among all committees that brute force finds
+    justified, the first in lexicographic order of highest value."""
+    best = None
+    for members in itertools.combinations(range(profile.m), k):
+        committee = Committee(members)
+        if oracle_check_jr(profile, k, committee):
+            if best is None or value(profile, committee) > value(profile, best):
+                best = committee
+    return best
+
+
+class TestRepresentationConstrainedOptimality:
+    def test_ujrav_and_ejrav_match_enumeration_at_every_k(self):
+        cultures = ["uniform", "urn", "fixed"]
+        for profile, _ in random_instances(
+            seed=44, count=45, max_n=6, max_m=6, cultures=cultures
+        ):
+            for k in range(1, profile.m + 1):
+                for name, rule, value in (
+                    ("ujrav", compute_ujrav, _approvals),
+                    ("ejrav", compute_ejrav, _maximin),
+                ):
+                    expected = _best_justified(profile, k, value)
+                    committee = rule(profile, k)
+                    assert committee == expected, (name, k, profile)
+                    score = report_score(profile, k, RuleSpec(name), committee)
+                    assert score == value(profile, committee)
+
+    def test_ejrav_prunes_once_an_empty_ballot_pins_the_maximin(self):
+        # after the first justified committee no subtree can beat maximin 0,
+        # so the search stops far short of the C(16, 4) = 1820 committees
+        profile = profile_of(16, [], *([c] for c in range(16)))
+        assert compute_ejrav(profile, 4, budget=100) == Committee((0, 1, 2, 3))
+
+    def test_budget_exhaustion_carries_a_justified_best_so_far(self):
+        exhausted = with_incumbent = 0
+        for profile, k in random_instances(seed=45, count=40, max_n=8, max_m=7):
+            for rule, value in ((compute_ujrav, _approvals), (compute_ejrav, _maximin)):
+                for budget in (1, 2, 3, 5, 8, 13, 21, 34):
+                    try:
+                        rule(profile, k, budget=budget)
+                    except BudgetExhausted as exc:
+                        exhausted += 1
+                        best = exc.best_committee
+                        if best is None:
+                            assert exc.best_score is None
+                            continue
+                        with_incumbent += 1
+                        assert best.k == k and max(best.members) < profile.m
+                        assert check_jr(profile, k, best).passed
+                        assert exc.best_score == value(profile, best)
+        assert exhausted > 50 and with_incumbent > 20
