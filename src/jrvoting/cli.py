@@ -74,6 +74,8 @@ def parse_profile(text: str) -> tuple[BallotProfile, Optional[int]]:
                 raise ProfileParseError(f"m must be >= 1, got {m}", lineno)
             continue
         if head == "k":
+            if k is not None:
+                raise ProfileParseError("duplicate k header", lineno)
             try:
                 k = int(rest)
             except ValueError:

@@ -40,7 +40,8 @@ class RuleSpec:
     Named families expand to explicit weight vectors of length m at
     invocation time; the geometric sequential family additionally depends on
     the profile's voter count.  Sequential rules break ties round by round,
-    so they reject the prefer-JR tie-break.
+    so they reject the prefer-JR tie-break (and, in `compute_rule`, a search
+    budget).
     """
 
     name: str
@@ -55,7 +56,7 @@ class RuleSpec:
             raise ValueError(f"rule {self.name!r} requires an explicit weight vector")
         if not rule.explicit_weights and self.weights is not None:
             raise ValueError(f"rule {self.name!r} does not take a weight vector")
-        if self.tiebreak is TieBreak.PREFER_JR and not rule.prefer_jr:
+        if self.tiebreak is TieBreak.PREFER_JR and not rule.searches:
             raise ValueError(f"rule {self.name!r} breaks ties round by round, not by prefer-jr")
 
 
@@ -200,7 +201,7 @@ class _Rule:
     score: Callable[..., Fraction]  # (profile, spec, committee)
     family: Optional[Callable[[BallotProfile], WeightVector]] = None
     explicit_weights: bool = False
-    prefer_jr: bool = True
+    searches: bool = True  # honours a search budget and the prefer-jr tie-break
 
 
 def _score_rule(objective: ScoringObjective, family=None) -> _Rule:
@@ -226,7 +227,7 @@ def _weighted_rule(family, sequential: bool = False) -> _Rule:
         lambda p, s, w: score_committee(p, w, wpav_objective(rule_weights(s, p))),
         family,
         explicit_weights=family is None,
-        prefer_jr=not sequential,
+        searches=not sequential,
     )
 
 
@@ -259,8 +260,12 @@ RULE_NAMES = tuple(_RULES)
 def compute_rule(
     profile: BallotProfile, k: int, spec: RuleSpec, budget: Optional[int] = None
 ) -> Committee:
-    """Run the rule described by ``spec`` on the profile."""
-    return _RULES[spec.name].compute(profile, k, spec, budget)
+    """Run the rule described by ``spec`` on the profile; ``budget`` bounds
+    the search nodes of the rules that search."""
+    rule = _RULES[spec.name]
+    if budget is not None and not rule.searches:
+        raise ValueError(f"rule {spec.name!r} elects round by round and takes no search budget")
+    return rule.compute(profile, k, spec, budget)
 
 
 def report_score(

@@ -3,7 +3,8 @@
 One engine serves every exhaustive search: lexicographic depth-first search
 over candidate subsets with an admissible branch-and-bound prune and an
 optional leaf requirement, plus a separable fast path for plain approval
-scores.  All bookkeeping is done in
+scores.  The search keeps its open nodes on an explicit stack, so k has no
+depth limit.  All bookkeeping is done in
 scaled integers derived from the exact rational satisfaction tables, so
 results are exact and deterministic.  The search is sequential; since every
 input type is immutable, any number of searches may run concurrently on
@@ -113,72 +114,91 @@ def _candidate_groups(profile: BallotProfile) -> list[list[int]]:
     return owners
 
 
-class _Stop(Exception):
-    """Ends a search at its first accepted leaf."""
-
-
 class _Search:
-    """Shared DFS state for the branch-and-bound engines.
+    """Depth-first branch and bound over the size-k committees.
 
     ``accept`` is a leaf requirement, evaluated only at a leaf that would
     replace the incumbent; ``first`` ends the search at the first accepted leaf.
     """
 
     def __init__(self, profile: BallotProfile, k: int, budget: Optional[int], *,
-                 use_pruning=True, collect=False, accept=None, first=False):
+                 collect=False, accept=None, first=False):
         self.profile = profile
         self.m = profile.num_candidates
         self.k = k
         self.budget = budget
-        self.use_pruning = use_pruning
         self.collect = collect
         self.accept = accept
         self.first = first
         self.owners = _candidate_groups(profile)
-        self.counts = [0] * len(profile.ballots)
-        self.chosen: list[int] = []
         self.nodes = 0
-        self.denominator = 1
+        self.denominator = 1  # a leaf value over it is the score
         self.best_members: Optional[tuple[int, ...]] = None
         self.best_value: Optional[int] = None
         self.co_optima: list[tuple[int, ...]] = []
 
-    def tick(self):
-        self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
-            raise BudgetExhausted(
-                f"node budget {self.budget} exhausted",
-                best_committee=(
-                    Committee(self.best_members) if self.best_members else None
-                ),
-                best_score=(
-                    Fraction(self.best_value, self.denominator)
-                    if self.best_value is not None
-                    else None
-                ),
-                nodes_explored=self.nodes,
-            )
+    def score(self, value: int) -> Fraction:
+        return Fraction(value, self.denominator)
 
-    def record(self, value: int, better: bool):
-        members = tuple(self.chosen)
-        if better:
-            if self.accept is not None and not self.accept(Committee(members)):
-                return
-            self.best_value = value
-            self.best_members = members
-            if self.collect:
-                self.co_optima = [members]
-            if self.first:
-                raise _Stop
-        elif self.collect and value == self.best_value:
-            self.co_optima.append(members)
+    def run(self, add, undo, leaf, hopeless) -> None:
+        """Visit the committees in lexicographic order, maximizing ``leaf()``.
+
+        ``add(c)`` and ``undo(c)`` seat and unseat candidate c, ``leaf()`` is
+        the integer value of a full committee, and ``hopeless(start, depth,
+        target)`` says that no completion by candidates >= start reaches
+        ``target``.  Ties go to the first committee visited.
+        """
+        k, m = self.k, self.m
+        chosen: list[int] = []
+        stack: list[int] = []  # for each open node, the next candidate to try
+        start = 0
+        while True:
+            self.nodes += 1
+            if self.budget is not None and self.nodes > self.budget:
+                raise BudgetExhausted(
+                    f"node budget {self.budget} exhausted",
+                    best_committee=(
+                        Committee(self.best_members) if self.best_members else None
+                    ),
+                    best_score=(
+                        self.score(self.best_value) if self.best_value is not None else None
+                    ),
+                    nodes_explored=self.nodes,
+                )
+            depth = len(chosen)
+            if depth == k:
+                value = leaf()
+                if self.best_value is None or value > self.best_value:
+                    members = tuple(chosen)
+                    if self.accept is None or self.accept(Committee(members)):
+                        self.best_value, self.best_members = value, members
+                        self.co_optima = [members]
+                        if self.first:
+                            return
+                elif self.collect and value == self.best_value:
+                    self.co_optima.append(tuple(chosen))
+            elif self.best_value is None or not hopeless(
+                start, depth, self.best_value + (0 if self.collect else 1)
+            ):
+                stack.append(start)
+            while stack:  # step to the next child, closing exhausted nodes
+                if len(chosen) == len(stack):
+                    undo(chosen.pop())
+                c = stack[-1]
+                if c <= m - k + len(chosen):
+                    stack[-1] = start = c + 1
+                    chosen.append(c)
+                    add(c)
+                    break
+                stack.pop()
+            else:
+                return  # the root is closed
 
 
 def _maximize(search: _Search, tables: list[tuple[int, ...]]) -> None:
-    counts = search.counts
     owners = search.owners
-    k = search.k
-    m = search.m
+    counts = [0] * len(tables)
+    scores = [0]  # the score of each prefix of the committee
 
     def marginal(c: int) -> int:
         gain = 0
@@ -187,71 +207,52 @@ def _maximize(search: _Search, tables: list[tuple[int, ...]]) -> None:
             gain += row[counts[g] + 1] - row[counts[g]]
         return gain
 
-    def visit(start: int, score: int) -> None:
-        search.tick()
-        depth = len(search.chosen)
-        if depth == k:
-            if search.best_value is None or score > search.best_value:
-                search.record(score, better=True)
-            elif score == search.best_value:
-                search.record(score, better=False)
-            return
-        remaining = k - depth
-        if search.use_pruning and search.best_value is not None:
-            # marginal gains only shrink as the committee grows (weights are
-            # non-increasing), so this bound is admissible
-            bound = score + remaining * max(marginal(c) for c in range(start, m))
-            if bound < search.best_value or (not search.collect and bound == search.best_value):
-                return
-        for c in range(start, m - remaining + 1):
-            gain = marginal(c)
-            search.chosen.append(c)
-            for g in owners[c]:
-                counts[g] += 1
-            visit(c + 1, score + gain)
-            for g in owners[c]:
-                counts[g] -= 1
-            search.chosen.pop()
+    def add(c: int) -> None:
+        gain = 0
+        for g in owners[c]:
+            row = tables[g]
+            held = counts[g]
+            gain += row[held + 1] - row[held]
+            counts[g] = held + 1
+        scores.append(scores[-1] + gain)
 
-    visit(0, 0)
+    def undo(c: int) -> None:
+        scores.pop()
+        for g in owners[c]:
+            counts[g] -= 1
+
+    def hopeless(start: int, depth: int, target: int) -> bool:
+        # marginal gains only shrink as the committee grows (weights are
+        # non-increasing), so this bound is admissible
+        best_gain = max(marginal(c) for c in range(start, search.m))
+        return scores[-1] + (search.k - depth) * best_gain < target
+
+    search.run(add, undo, lambda: scores[-1], hopeless)
 
 
 def _minimize_mav(search: _Search) -> None:
-    counts = search.counts
-    owners = search.owners
-    k = search.k
-    m = search.m
+    owners, k = search.owners, search.k
     sizes = [len(b.approved) for b in search.profile.ballots]
+    counts = [0] * len(sizes)
+    groups = range(len(sizes))
 
-    def visit(start: int) -> None:
-        search.tick()
-        depth = len(search.chosen)
-        if depth == k:
-            worst = max(k + sizes[g] - 2 * counts[g] for g in range(len(sizes)))
-            if search.best_value is None or worst < search.best_value:
-                search.record(worst, better=True)
-            elif worst == search.best_value:
-                search.record(worst, better=False)
-            return
-        remaining = k - depth
-        if search.use_pruning and search.best_value is not None:
-            # each added candidate changes any ballot distance by exactly 1,
-            # so no ballot can end more than `remaining` below its current distance
-            lower = max(
-                depth + sizes[g] - 2 * counts[g] for g in range(len(sizes))
-            ) - remaining
-            if lower > search.best_value or (not search.collect and lower == search.best_value):
-                return
-        for c in range(start, m - remaining + 1):
-            search.chosen.append(c)
-            for g in owners[c]:
-                counts[g] += 1
-            visit(c + 1)
-            for g in owners[c]:
-                counts[g] -= 1
-            search.chosen.pop()
+    def add(c: int) -> None:
+        for g in owners[c]:
+            counts[g] += 1
 
-    visit(0)
+    def undo(c: int) -> None:
+        for g in owners[c]:
+            counts[g] -= 1
+
+    def hopeless(start: int, depth: int, target: int) -> bool:
+        # each added candidate changes any ballot distance by exactly 1, so no
+        # ballot can end more than k - depth below its current distance
+        lower = max(depth + sizes[g] - 2 * counts[g] for g in groups) - (k - depth)
+        return -lower < target
+
+    search.run(
+        add, undo, lambda: -max(k + sizes[g] - 2 * counts[g] for g in groups), hopeless
+    )
 
 
 def _maximize_maximin(search: _Search) -> None:
@@ -260,44 +261,34 @@ def _maximize_maximin(search: _Search) -> None:
     members so far, ``ahead[i][c]`` those approving i or more candidates >= c.
     """
     k, m = search.k, search.m
-    everyone = (1 << len(search.counts)) - 1
+    everyone = (1 << len(search.profile.ballots)) - 1
     masks = [sum(1 << g for g in groups) for groups in search.owners]
     ahead = [[everyone] * (m + 1)] + [[0] * (m + 1) for _ in range(k)]
     for c in reversed(range(m)):
         for i in range(1, k + 1):
             ahead[i][c] = ahead[i][c + 1] | ahead[i - 1][c + 1] & masks[c]
     hits = [everyone] + [0] * k
+    saved: list[list[int]] = []
 
-    def visit(start: int, depth: int) -> None:
-        search.tick()
-        if depth == k:
-            value = hits.count(everyone) - 1  # the levels are nested
-            if search.best_value is None or value > search.best_value:
-                search.record(value, better=True)
-            elif value == search.best_value:
-                search.record(value, better=False)
-            return
-        if search.use_pruning and search.best_value is not None:
-            # can every group still reach `want` hits?  It gains at most
-            # min(k - depth, its approved candidates >= start).
-            want = search.best_value + (0 if search.collect else 1)
-            if want > k or hits[max(0, want - k + depth)] != everyone:
-                return
-            reach = 0
-            for j in range(min(want, depth) + 1):
-                reach |= hits[j] & ahead[want - j][start]
-            if reach != everyone:
-                return
-        for c in range(start, m - k + depth + 1):
-            saved = hits[:]
-            for j in range(depth + 1, 0, -1):
-                hits[j] |= hits[j - 1] & masks[c]
-            search.chosen.append(c)
-            visit(c + 1, depth + 1)
-            search.chosen.pop()
-            hits[:] = saved
+    def add(c: int) -> None:
+        saved.append(hits[:])
+        for j in range(len(saved), 0, -1):
+            hits[j] |= hits[j - 1] & masks[c]
 
-    visit(0, 0)
+    def undo(c: int) -> None:
+        hits[:] = saved.pop()
+
+    def hopeless(start: int, depth: int, want: int) -> bool:
+        # can every group still reach `want` hits?  It gains at most
+        # min(k - depth, its approved candidates >= start).
+        if want > k or hits[max(0, want - k + depth)] != everyone:
+            return True
+        reach = 0
+        for j in range(min(want, depth) + 1):
+            reach |= hits[j] & ahead[want - j][start]
+        return reach != everyone
+
+    search.run(add, undo, lambda: hits.count(everyone) - 1, hopeless)  # the levels are nested
 
 
 def _av_separable(profile: BallotProfile, k: int) -> OptimizationResult:
@@ -318,9 +309,7 @@ def _av_separable(profile: BallotProfile, k: int) -> OptimizationResult:
     )
 
 
-def optimize_committee(
-    request: OptimizationRequest, *, use_pruning: bool = True
-) -> OptimizationResult:
+def optimize_committee(request: OptimizationRequest) -> OptimizationResult:
     """Exactly optimize the requested objective over all size-k committees.
 
     Returns the optimal committee with ties resolved per the request's
@@ -342,14 +331,13 @@ def optimize_committee(
     ):
         return _av_separable(profile, request.k)
 
-    search = _Search(profile, request.k, request.budget, use_pruning=use_pruning,
+    search = _Search(profile, request.k, request.budget,
                      collect=request.tiebreak is TieBreak.PREFER_JR)
     if request.objective.kind == "mav":
+        search.denominator = -1  # the search maximizes the negated distance
         _minimize_mav(search)
-        denominator = 1
     else:
-        tables, denominator = _satisfaction_tables(profile, request.objective, request.k)
-        search.denominator = denominator
+        tables, search.denominator = _satisfaction_tables(profile, request.objective, request.k)
         _maximize(search, tables)
 
     assert search.best_members is not None and search.best_value is not None
@@ -366,7 +354,7 @@ def optimize_committee(
 
     return OptimizationResult(
         committee=Committee(members),
-        score=Fraction(search.best_value, denominator),
+        score=search.score(search.best_value),
         co_optimal_count=co_count,
         nodes_explored=search.nodes,
     )
@@ -381,12 +369,9 @@ def _best_accepted(profile: BallotProfile, k: int, accept: Callable[[Committee],
     """
     OptimizationRequest(profile, k, AV, budget=budget)  # validates k and budget
     search = _Search(profile, k, budget, accept=accept, first=objective is None)
-    try:
-        if objective == "av":
-            _maximize(search, _satisfaction_tables(profile, AV, k)[0])
-        else:
-            # with no objective the first accepted leaf ends the search
-            _maximize_maximin(search)
-    except _Stop:
-        pass
+    if objective == "av":
+        _maximize(search, _satisfaction_tables(profile, AV, k)[0])
+    else:
+        # with no objective the first accepted leaf ends the search
+        _maximize_maximin(search)
     return Committee(search.best_members) if search.best_members else None

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jrvoting import rules
 from jrvoting.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -55,6 +56,11 @@ class TestParseProfile:
             parse_profile("m 2\nm 2\n1: 0\n")
         with pytest.raises(ProfileParseError):
             parse_profile("m 2\n")
+
+    def test_duplicate_k_header_rejected_with_line(self):
+        with pytest.raises(ProfileParseError, match="duplicate k header") as excinfo:
+            parse_profile("m 3\nk 2\nk 1\n1: 0\n")
+        assert excinfo.value.line == 3
 
     def test_bad_numbers(self):
         with pytest.raises(ProfileParseError):
@@ -303,14 +309,26 @@ class TestExitCodes:
         code, _, _ = run()
         assert code == EXIT_USAGE
 
-    def test_internal_error_is_not_an_axiom_failure(self, run, tmp_path):
-        # a 1099-seat search recurses past the interpreter's depth limit
+    def test_internal_error_is_not_an_axiom_failure(self, run, thm7_file, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken rule")
+
+        monkeypatch.setattr(rules, "compute_rule", broken)
+        code, out, err = run("compute", "--rule", "pav", "--k", "3", thm7_file)
+        assert code == EXIT_INTERNAL and out == ""
+        assert err.startswith("internal error: RuntimeError")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "rule, score", [("pav", "11/6"), ("mav", "1096"), ("ujrav", "3"), ("ejrav", "3")]
+    )
+    def test_1099_seat_search_has_no_depth_limit(self, run, tmp_path, rule, score):
         path = tmp_path / "deep.profile"
         path.write_text("m 1100\nk 1099\n1: 0 1 2\n")
-        code, out, err = run("compute", "--rule", "pav", str(path))
-        assert code == EXIT_INTERNAL and out == ""
-        assert err.startswith("internal error: RecursionError")
-        assert len(err.splitlines()) == 1
+        code, out, _ = run("compute", "--rule", rule, "--format", "machine", str(path))
+        assert code == EXIT_OK
+        assert f"committee={','.join(map(str, range(1099)))}" in out.splitlines()
+        assert f"score={score}" in out.splitlines()
 
     @pytest.mark.parametrize("rule", ["rav", "gav", "geometric-rav", "wrav"])
     def test_prefer_jr_rejected_for_sequential_rules(self, run, tmp_path, rule):
@@ -321,6 +339,14 @@ class TestExitCodes:
         assert run(*argv)[0] == EXIT_OK
         code, out, err = run(*argv[:-1], "--tiebreak", "prefer-jr", str(path))
         assert code == EXIT_USAGE and out == "" and "prefer-jr" in err
+
+    @pytest.mark.parametrize("rule", ["rav", "gav", "geometric-rav", "wrav"])
+    def test_budget_rejected_for_sequential_rules(self, run, tmp_path, rule):
+        path = tmp_path / "tie.profile"
+        path.write_text("m 3\nk 2\n1: 0 1\n1: 2\n")
+        weights = ["--weights", "1,1/2,1/3"] if rule == "wrav" else []
+        code, out, err = run("compute", "--rule", rule, *weights, "--budget", "0", str(path))
+        assert code == EXIT_USAGE and out == "" and "budget" in err
 
     @pytest.mark.parametrize("rule", ["ujrav", "ejrav"])
     def test_prefer_jr_accepted_for_filtered_rules(self, run, tmp_path, rule):

@@ -2,13 +2,16 @@
 
 import pytest
 
+from jrvoting.axioms import exists_sjr_committee
 from jrvoting.core import (
     AV,
     BudgetExhausted,
+    Committee,
     MAV,
     SAV,
     TieBreak,
     WeightVector,
+    score_committee,
     wpav_objective,
 )
 from jrvoting.corpus import build_fixture
@@ -42,9 +45,9 @@ class TestEnumerate:
             list(enumerate_committees(3, 4))
 
 
-def _solve(profile, k, objective, tiebreak=TieBreak.LEXICOGRAPHIC, budget=None, **kw):
+def _solve(profile, k, objective, tiebreak=TieBreak.LEXICOGRAPHIC, budget=None):
     request = OptimizationRequest(profile, k, objective, tiebreak, budget)
-    return optimize_committee(request, **kw)
+    return optimize_committee(request)
 
 
 class TestKnownOptima:
@@ -115,10 +118,10 @@ class TestOptimalityOracle:
                 SAV,
                 wpav_objective(WeightVector.harmonic(profile.m)),
             ):
-                pruned = _solve(profile, k, objective, use_pruning=True)
-                exhaustive = _solve(profile, k, objective, use_pruning=False)
-                assert pruned.committee == exhaustive.committee
-                assert pruned.score == exhaustive.score
+                pruned = _solve(profile, k, objective)
+                score, co = naive_optimize(profile, k, objective)
+                assert pruned.committee.members == co[0]
+                assert pruned.score == score
 
     def test_repeat_runs_identical(self):
         profile = profile_of(5, ({0, 1}, 3), ({2, 3}, 2), ({4}, 1))
@@ -173,10 +176,30 @@ class TestBudget:
         result = _solve(profile, 2, SAV, budget=10_000)
         assert result.committee.members == (0, 1)
 
+    def test_mav_best_so_far_carries_the_positive_distance(self):
+        exhausted = 0
+        for profile, k in random_instances(seed=404, count=30, max_n=8, max_m=7):
+            for budget in (2, 5, 11, 23):
+                try:
+                    _solve(profile, k, MAV, budget=budget)
+                except BudgetExhausted as err:
+                    if err.best_committee is None:
+                        continue
+                    exhausted += 1
+                    assert err.best_score == score_committee(profile, err.best_committee, MAV)
+        assert exhausted > 10
+
     def test_budget_validation(self):
         profile = profile_of(4, ({0}, 1))
         with pytest.raises(ValueError):
             OptimizationRequest(profile, 2, SAV, budget=0)
+
+
+class TestDeepSearch:
+    def test_exists_sjr_at_1099_seats(self):
+        # the open nodes live on an explicit stack, so k has no depth limit
+        profile = profile_of(1100, {0, 1, 2})
+        assert exists_sjr_committee(profile, 1099) == Committee(range(1099))
 
 
 class TestRequestValidation:
