@@ -4,7 +4,12 @@ One engine serves every exhaustive search: lexicographic depth-first search
 over candidate subsets with an admissible branch-and-bound prune and an
 optional leaf requirement, plus a separable fast path for plain approval
 scores.  The search keeps its open nodes on an explicit stack, so k has no
-depth limit.  All bookkeeping is done in
+depth limit.  It works on merged ballot groups (one per distinct approval
+set, see `core.normalize_profile`), so repeated ballots cost nothing per
+node.  The additive (Thiele) search bounds a node by its score plus the
+largest marginal gains still available, one per open seat, and every search
+ends at the first accepted committee that reaches its objective's ceiling,
+the best value any committee could have.  All bookkeeping is done in
 scaled integers derived from the exact rational satisfaction tables, so
 results are exact and deterministic.  The search is sequential; since every
 input type is immutable, any number of searches may run concurrently on
@@ -22,11 +27,13 @@ from typing import Callable, Iterator, Optional
 from . import axioms
 from .core import (
     AV,
+    Ballot,
     BallotProfile,
     BudgetExhausted,
     Committee,
     ScoringObjective,
     TieBreak,
+    normalize_profile,
 )
 
 
@@ -70,7 +77,7 @@ def enumerate_committees(m: int, k: int) -> Iterator[Committee]:
 
 
 def _satisfaction_tables(
-    profile: BallotProfile, objective: ScoringObjective, k: int
+    groups: tuple[Ballot, ...], objective: ScoringObjective, k: int
 ) -> tuple[list[tuple[int, ...]], int]:
     """Per-group cumulative score tables scaled to a common integer denominator.
 
@@ -80,7 +87,7 @@ def _satisfaction_tables(
     denominator.
     """
     fraction_tables = []
-    for ballot in profile.ballots:
+    for ballot in groups:
         size = len(ballot.approved)
         top = min(size, k)
         if objective.kind == "av":
@@ -105,10 +112,10 @@ def _satisfaction_tables(
     return tables, denominator
 
 
-def _candidate_groups(profile: BallotProfile) -> list[list[int]]:
+def _candidate_groups(m: int, groups: tuple[Ballot, ...]) -> list[list[int]]:
     """For each candidate, the indices of the ballot groups approving it."""
-    owners: list[list[int]] = [[] for _ in range(profile.num_candidates)]
-    for g, ballot in enumerate(profile.ballots):
+    owners: list[list[int]] = [[] for _ in range(m)]
+    for g, ballot in enumerate(groups):
         for c in ballot.approved:
             owners[c].append(g)
     return owners
@@ -117,20 +124,23 @@ def _candidate_groups(profile: BallotProfile) -> list[list[int]]:
 class _Search:
     """Depth-first branch and bound over the size-k committees.
 
-    ``accept`` is a leaf requirement, evaluated only at a leaf that would
-    replace the incumbent; ``first`` ends the search at the first accepted leaf.
+    ``groups`` holds one ballot group per distinct approval set.  ``accept``
+    is a leaf requirement, evaluated only at a leaf that would replace the
+    incumbent.  Unless co-optima are collected, an accepted leaf worth the
+    ceiling or more ends the search: by default the objective's ceiling,
+    otherwise the ``ceiling`` given here.
     """
 
     def __init__(self, profile: BallotProfile, k: int, budget: Optional[int], *,
-                 collect=False, accept=None, first=False):
-        self.profile = profile
+                 collect=False, accept=None, ceiling: Optional[int] = None):
+        self.groups = normalize_profile(profile).ballots
         self.m = profile.num_candidates
         self.k = k
         self.budget = budget
         self.collect = collect
         self.accept = accept
-        self.first = first
-        self.owners = _candidate_groups(profile)
+        self.ceiling = ceiling
+        self.owners = _candidate_groups(self.m, self.groups)
         self.nodes = 0
         self.denominator = 1  # a leaf value over it is the score
         self.best_members: Optional[tuple[int, ...]] = None
@@ -140,15 +150,18 @@ class _Search:
     def score(self, value: int) -> Fraction:
         return Fraction(value, self.denominator)
 
-    def run(self, add, undo, leaf, hopeless) -> None:
+    def run(self, add, undo, leaf, hopeless, ceiling: int) -> None:
         """Visit the committees in lexicographic order, maximizing ``leaf()``.
 
         ``add(c)`` and ``undo(c)`` seat and unseat candidate c, ``leaf()`` is
-        the integer value of a full committee, and ``hopeless(start, depth,
+        the integer value of a full committee, ``hopeless(start, depth,
         target)`` says that no completion by candidates >= start reaches
-        ``target``.  Ties go to the first committee visited.
+        ``target``, and no committee is worth more than ``ceiling``.  Ties go
+        to the first committee visited.
         """
         k, m = self.k, self.m
+        if self.ceiling is not None:
+            ceiling = self.ceiling
         chosen: list[int] = []
         stack: list[int] = []  # for each open node, the next candidate to try
         start = 0
@@ -173,7 +186,7 @@ class _Search:
                     if self.accept is None or self.accept(Committee(members)):
                         self.best_value, self.best_members = value, members
                         self.co_optima = [members]
-                        if self.first:
+                        if value >= ceiling and not self.collect:
                             return
                 elif self.collect and value == self.best_value:
                     self.co_optima.append(tuple(chosen))
@@ -196,7 +209,7 @@ class _Search:
 
 
 def _maximize(search: _Search, tables: list[tuple[int, ...]]) -> None:
-    owners = search.owners
+    owners, m, k = search.owners, search.m, search.k
     counts = [0] * len(tables)
     scores = [0]  # the score of each prefix of the committee
 
@@ -223,16 +236,17 @@ def _maximize(search: _Search, tables: list[tuple[int, ...]]) -> None:
 
     def hopeless(start: int, depth: int, target: int) -> bool:
         # marginal gains only shrink as the committee grows (weights are
-        # non-increasing), so this bound is admissible
-        best_gain = max(marginal(c) for c in range(start, search.m))
-        return scores[-1] + (search.k - depth) * best_gain < target
+        # non-increasing), so the k - depth largest gains on offer now bound
+        # what any completion by candidates >= start adds
+        gains = sorted(map(marginal, range(start, m)))
+        return scores[-1] + sum(gains[m - start - (k - depth):]) < target
 
-    search.run(add, undo, lambda: scores[-1], hopeless)
+    search.run(add, undo, lambda: scores[-1], hopeless, sum(row[-1] for row in tables))
 
 
 def _minimize_mav(search: _Search) -> None:
     owners, k = search.owners, search.k
-    sizes = [len(b.approved) for b in search.profile.ballots]
+    sizes = [len(b.approved) for b in search.groups]
     counts = [0] * len(sizes)
     groups = range(len(sizes))
 
@@ -251,7 +265,8 @@ def _minimize_mav(search: _Search) -> None:
         return -lower < target
 
     search.run(
-        add, undo, lambda: -max(k + sizes[g] - 2 * counts[g] for g in groups), hopeless
+        add, undo, lambda: -max(k + sizes[g] - 2 * counts[g] for g in groups), hopeless,
+        -max(abs(k - size) for size in sizes),
     )
 
 
@@ -261,7 +276,7 @@ def _maximize_maximin(search: _Search) -> None:
     members so far, ``ahead[i][c]`` those approving i or more candidates >= c.
     """
     k, m = search.k, search.m
-    everyone = (1 << len(search.profile.ballots)) - 1
+    everyone = (1 << len(search.groups)) - 1
     masks = [sum(1 << g for g in groups) for groups in search.owners]
     ahead = [[everyone] * (m + 1)] + [[0] * (m + 1) for _ in range(k)]
     for c in reversed(range(m)):
@@ -288,7 +303,10 @@ def _maximize_maximin(search: _Search) -> None:
             reach |= hits[j] & ahead[want - j][start]
         return reach != everyone
 
-    search.run(add, undo, lambda: hits.count(everyone) - 1, hopeless)  # the levels are nested
+    search.run(  # the levels are nested
+        add, undo, lambda: hits.count(everyone) - 1, hopeless,
+        min(min(len(b.approved), k) for b in search.groups),
+    )
 
 
 def _av_separable(profile: BallotProfile, k: int) -> OptimizationResult:
@@ -316,9 +334,9 @@ def optimize_committee(request: OptimizationRequest) -> OptimizationResult:
     tie-break mode.  With the default lexicographic mode the search keeps a
     single incumbent and the DFS order guarantees the lexicographically
     smallest optimum; in prefer-JR mode all co-optimal committees are
-    collected, filtered to those providing justified representation, and the
-    smallest survivor is returned (falling back to all co-optima if none
-    survives).  Raises `BudgetExhausted` (carrying the best committee found
+    collected in lexicographic order and the first one providing justified
+    representation is returned (falling back to the first co-optimum if none
+    does).  Raises `BudgetExhausted` (carrying the best committee found
     so far) if the node budget is exceeded; the separable approval fast path
     never consumes budget.
     """
@@ -337,7 +355,9 @@ def optimize_committee(request: OptimizationRequest) -> OptimizationResult:
         search.denominator = -1  # the search maximizes the negated distance
         _minimize_mav(search)
     else:
-        tables, search.denominator = _satisfaction_tables(profile, request.objective, request.k)
+        tables, search.denominator = _satisfaction_tables(
+            search.groups, request.objective, request.k
+        )
         _maximize(search, tables)
 
     assert search.best_members is not None and search.best_value is not None
@@ -345,12 +365,11 @@ def optimize_committee(request: OptimizationRequest) -> OptimizationResult:
     co_count: Optional[int] = None
     if search.collect:
         co_count = len(search.co_optima)
-        passers = [
-            w
-            for w in search.co_optima
-            if axioms.check_jr(profile, request.k, Committee(w)).passed
-        ]
-        members = min(passers) if passers else min(search.co_optima)
+        members = next(
+            (w for w in search.co_optima
+             if axioms.check_jr(profile, request.k, Committee(w)).passed),
+            search.co_optima[0],
+        )
 
     return OptimizationResult(
         committee=Committee(members),
@@ -368,10 +387,12 @@ def _best_accepted(profile: BallotProfile, k: int, accept: Callable[[Committee],
     stops at the first).  None if no committee passes.
     """
     OptimizationRequest(profile, k, AV, budget=budget)  # validates k and budget
-    search = _Search(profile, k, budget, accept=accept, first=objective is None)
+    # with no objective every leaf reaches the ceiling, so the first accepted
+    # one ends the search
+    search = _Search(profile, k, budget, accept=accept,
+                     ceiling=0 if objective is None else None)
     if objective == "av":
-        _maximize(search, _satisfaction_tables(profile, AV, k)[0])
+        _maximize(search, _satisfaction_tables(search.groups, AV, k)[0])
     else:
-        # with no objective the first accepted leaf ends the search
         _maximize_maximin(search)
     return Committee(search.best_members) if search.best_members else None

@@ -2,7 +2,7 @@
 
 import pytest
 
-from jrvoting.axioms import exists_sjr_committee
+from jrvoting.axioms import exists_sjr_committee, oracle_check_jr
 from jrvoting.core import (
     AV,
     BudgetExhausted,
@@ -11,10 +11,12 @@ from jrvoting.core import (
     SAV,
     TieBreak,
     WeightVector,
+    normalize_profile,
     score_committee,
     wpav_objective,
 )
 from jrvoting.corpus import build_fixture
+from jrvoting.rules import compute_ejrav, compute_ujrav
 from jrvoting.solver import (
     OptimizationRequest,
     enumerate_committees,
@@ -48,6 +50,16 @@ class TestEnumerate:
 def _solve(profile, k, objective, tiebreak=TieBreak.LEXICOGRAPHIC, budget=None):
     request = OptimizationRequest(profile, k, objective, tiebreak, budget)
     return optimize_committee(request)
+
+
+def _objectives(m):
+    return {
+        "av": AV,
+        "sav": SAV,
+        "mav": MAV,
+        "pav": wpav_objective(WeightVector.harmonic(m)),
+        "cc": wpav_objective(WeightVector.coverage(m)),
+    }
 
 
 class TestKnownOptima:
@@ -90,12 +102,7 @@ class TestOptimalityOracle:
     @pytest.mark.parametrize("kind", ["av", "sav", "mav", "pav", "cc"])
     def test_agrees_with_naive_enumeration(self, kind):
         for profile, k in random_instances(seed=101, count=40, max_n=8, max_m=7):
-            if kind == "pav":
-                objective = wpav_objective(WeightVector.harmonic(profile.m))
-            elif kind == "cc":
-                objective = wpav_objective(WeightVector.coverage(profile.m))
-            else:
-                objective = {"av": AV, "sav": SAV, "mav": MAV}[kind]
+            objective = _objectives(profile.m)[kind]
             score, co = naive_optimize(profile, k, objective)
             result = _solve(profile, k, objective)
             assert result.score == score
@@ -123,6 +130,19 @@ class TestOptimalityOracle:
                 assert pruned.committee.members == co[0]
                 assert pruned.score == score
 
+    def test_search_sees_only_merged_ballot_groups(self):
+        for raw, k in random_instances(seed=505, count=40, max_n=12, max_m=7, cultures=["urn"]):
+            # the stream's ballots all have multiplicity 1, repeats included
+            profile = normalize_profile(raw)
+            expanded = profile.expand()
+            for objective in _objectives(profile.m).values():
+                for tiebreak in TieBreak:
+                    assert _solve(profile, k, objective, tiebreak) == _solve(
+                        expanded, k, objective, tiebreak
+                    )
+            for search in (compute_ujrav, compute_ejrav, exists_sjr_committee):
+                assert search(profile, k) == search(expanded, k)
+
     def test_repeat_runs_identical(self):
         profile = profile_of(5, ({0, 1}, 3), ({2, 3}, 2), ({4}, 1))
         objective = wpav_objective(WeightVector.harmonic(5))
@@ -149,9 +169,29 @@ class TestTieBreak:
         assert result.committee.members == (1, 2, 3)
         assert result.co_optimal_count == 1
 
+    def test_prefer_jr_takes_the_first_co_optimum_providing_jr(self):
+        for profile, k in random_instances(seed=606, count=40, max_n=10, max_m=7, cultures=["urn"]):
+            for objective in _objectives(profile.m).values():
+                _, co = naive_optimize(profile, k, objective)
+                passing = [w for w in co if oracle_check_jr(profile, k, Committee(w))]
+                result = _solve(profile, k, objective, TieBreak.PREFER_JR)
+                assert result.committee.members == (passing or co)[0]
+                assert result.co_optimal_count == len(co)
+
     def test_lexicographic_mode_reports_no_co_optimal_count(self):
         profile = profile_of(3, ({0, 1}, 1), ({2}, 1))
         assert _solve(profile, 2, SAV).co_optimal_count is None
+
+
+class TestCeiling:
+    def test_search_ends_at_the_first_committee_covering_every_voter(self):
+        # {0, 1, 2} covers every voter: chamberlin-courant can do no better,
+        # so the search stops at its first leaf, k + 1 nodes in
+        profile = profile_of(6, ({0, 3}, 2), {1, 4}, ({2, 5}, 3), {0, 5}, {1, 3})
+        result = _solve(profile, 3, wpav_objective(WeightVector.coverage(6)))
+        assert result.committee.members == (0, 1, 2)
+        assert result.score == 8
+        assert result.nodes_explored == 4
 
 
 class TestBudget:
