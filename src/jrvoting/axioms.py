@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import BallotProfile, Committee
+from .core import BallotProfile, Committee, WeightVector
 
 JR = "jr"
 ELL_JR = "ell-jr"
@@ -170,22 +170,17 @@ def check_sjr(profile: BallotProfile, k: int, committee: Committee) -> AxiomRepo
     _validate(profile, k, committee)
     wmask = committee.mask
     n = profile.n
-    for c in range(profile.num_candidates):
-        if wmask >> c & 1:
+    masks = profile.masks
+    for c, size in enumerate(profile.approval_scores):
+        if wmask >> c & 1 or k * size < n:
             continue
-        indices = []
-        size = 0
+        group = profile.approvers[c]
         inter = -1
-        for i, (mask, mult) in enumerate(profile.masks):
-            if mask >> c & 1:
-                indices.append(i)
-                size += mult
-                inter &= mask
-        if size and k * size >= n and inter & wmask == 0:
+        for i in group:
+            inter &= masks[i][0]
+        if inter & wmask == 0:
             return AxiomReport(
-                SJR,
-                passed=False,
-                witness=Witness(1, _mask_bits(inter), tuple(indices), size),
+                SJR, passed=False, witness=Witness(1, _mask_bits(inter), group, size)
             )
     return AxiomReport(SJR, passed=True)
 
@@ -210,34 +205,16 @@ def check_unanimity(profile: BallotProfile, k: int, committee: Committee) -> Axi
 def find_jr_committee(profile: BallotProfile, k: int) -> Committee:
     """Greedy construction of a committee providing justified representation.
 
-    Repeatedly elect the candidate with the highest approval score among
-    the ballots not yet covered, then drop all ballots approving it.  Once
-    every remaining ballot is covered (or empty), fill with the lowest-index
-    unelected candidates.  The output always passes `check_jr`.
+    This is greedy approval voting, the `gav` rule: the sequential rule with
+    coverage weights (1, 0, ..., 0).  Each round elects the candidate
+    approved by the most voters who approve no winner yet, lowest index on
+    ties; once every ballot is covered (or empty) the rounds elect the
+    lowest-index unelected candidates.  The output always passes `check_jr`.
     """
-    if not 1 <= k <= profile.num_candidates:
-        raise ValueError(f"k={k} out of range for m={profile.num_candidates}")
-    active = list(profile.masks)
-    chosen: set[int] = set()
-    while len(chosen) < k:
-        support = [0] * profile.num_candidates
-        for mask, mult in active:
-            for c in _mask_bits(mask):
-                support[c] += mult
-        best = -1
-        best_support = 0
-        for c in range(profile.num_candidates):
-            if c not in chosen and support[c] > best_support:
-                best, best_support = c, support[c]
-        if best < 0:
-            break
-        chosen.add(best)
-        active = [(mask, mult) for mask, mult in active if not mask >> best & 1]
-    for c in range(profile.num_candidates):
-        if len(chosen) == k:
-            break
-        chosen.add(c)
-    return Committee.of(chosen)
+    # deferred: the rules module imports this one for its JR-constrained rules
+    from .rules import compute_sequential_rule
+
+    return compute_sequential_rule(profile, k, WeightVector.coverage(profile.num_candidates))
 
 
 def find_ell_jr_committee(profile: BallotProfile, k: int, ell: int) -> Committee:

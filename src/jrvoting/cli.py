@@ -194,8 +194,15 @@ def _parse_axiom(spec: str) -> tuple[str, Optional[int]]:
     return name, None
 
 
+def _parse_fraction(token: str) -> Fraction:
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {token!r}") from None
+
+
 def _parse_weights(spec: str) -> WeightVector:
-    return WeightVector.from_values(Fraction(tok) for tok in spec.split(","))
+    return WeightVector.from_values(_parse_fraction(tok) for tok in spec.split(","))
 
 
 def _parse_culture(spec: str) -> corpus.Culture:
@@ -222,7 +229,7 @@ def _parse_params(pairs: Sequence[str]) -> dict[str, object]:
         if value.lstrip("-").isdigit():
             params[key] = int(value)
         elif "/" in value:
-            params[key] = Fraction(value)
+            params[key] = _parse_fraction(value)
         else:
             params[key] = value
     return params

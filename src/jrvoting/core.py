@@ -136,13 +136,21 @@ class BallotProfile:
         return tuple((b.mask, b.multiplicity) for b in self.ballots)
 
     @cached_property
+    def approvers(self) -> tuple[tuple[int, ...], ...]:
+        """For each candidate, the ascending indices of the ballots approving it."""
+        approvers: list[list[int]] = [[] for _ in range(self.num_candidates)]
+        for i, ballot in enumerate(self.ballots):
+            for c in ballot.approved:
+                approvers[c].append(i)
+        return tuple(map(tuple, approvers))
+
+    @cached_property
     def approval_scores(self) -> tuple[int, ...]:
         """Multiplicity-weighted number of approvals per candidate."""
-        scores = [0] * self.num_candidates
-        for ballot in self.ballots:
-            for c in ballot.approved:
-                scores[c] += ballot.multiplicity
-        return tuple(scores)
+        ballots = self.ballots
+        return tuple(
+            sum(ballots[i].multiplicity for i in group) for group in self.approvers
+        )
 
     def expand(self) -> "BallotProfile":
         """The semantically identical profile of n unit-multiplicity ballots."""

@@ -722,17 +722,12 @@ def build_fixture(name: str, **params) -> Fixture:
 def _resolve_weights(tag, fixture: Fixture) -> Optional[WeightVector]:
     if tag is None:
         return None
-    m = fixture.profile.num_candidates
     if tag == "fixture":
         if fixture.weights is None:
             raise ValueError(f"fixture {fixture.name} carries no weight vector")
         return fixture.weights
     if tag == "harmonic":
-        return WeightVector.harmonic(m)
-    if tag == "ones":
-        return WeightVector.all_ones(m)
-    if tag == "coverage":
-        return WeightVector.coverage(m)
+        return WeightVector.harmonic(fixture.profile.num_candidates)
     raise ValueError(f"unknown weight tag {tag!r}")
 
 
@@ -812,8 +807,8 @@ def replay_expectation(fixture: Fixture, expectation: Expectation) -> Expectatio
 
     if op == "sequential-round":
         weights = _resolve_weights(inputs.get("weights", "harmonic"), fixture)
-        trace = rules.sequential_trace(profile, inputs.get("k", fixture.k), weights)
-        record = trace[inputs["round"] - 1]
+        # round r does not depend on k, so r rounds suffice
+        record = rules.sequential_trace(profile, inputs["round"], weights)[-1]
         ok = True
         details = [f"chosen {record.candidate}"]
         if "chosen" in expected and record.candidate != expected["chosen"]:

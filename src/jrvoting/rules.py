@@ -5,7 +5,12 @@ Two families:
 * score-optimizing rules (approval, satisfaction, weighted-satisfaction,
   minimax-distance) dispatch to the exact solver;
 * sequential rules elect one candidate per round, reweighting each voter's
-  contribution by how many of her approved candidates are already elected.
+  contribution by how many of their approved candidates are already elected.
+  One round loop, `sequential_trace`, serves them all; it runs on integers
+  over the profile's approver index.  With coverage weights (1, 0, ..., 0)
+  it is greedy approval voting, the `gav` rule, which is also the paper's
+  construction of a committee providing justified representation
+  (`axioms.find_jr_committee`).
 
 On top of these sit two representation-constrained rules that optimize over
 the committees providing justified representation only.
@@ -13,6 +18,7 @@ the committees providing justified representation only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional
@@ -89,9 +95,12 @@ def sequential_trace(
     In every round each unelected candidate's approval weight is the
     multiplicity-weighted sum, over ballots approving it, of the weight-vector
     entry at one past the ballot's current number of elected approvals.  The
-    maximal candidate is elected, ties broken by lowest index.  Weights are
-    maintained incrementally: electing a candidate only touches candidates
-    sharing a ballot with it.
+    maximal candidate is elected, ties broken by lowest index.  Rounds run on
+    integers: the weights are scaled by the least common multiple of their
+    denominators, and electing a candidate only updates the ballots that
+    approve it (`BallotProfile.approvers`).  A candidate's reported weight is
+    rebuilt as a fraction only when its integer weight changes, so the round
+    records share them.
     """
     m = profile.num_candidates
     if not 1 <= k <= m:
@@ -99,41 +108,34 @@ def sequential_trace(
     if len(weights) != m:
         raise ValueError(f"weight vector length {len(weights)} != m={m}")
 
-    groups = profile.masks
-    counts = [0] * len(groups)
-    current = [Fraction(0)] * m
-    members = [sorted(ballot.approved) for ballot in profile.ballots]
-    for g, ballot in enumerate(profile.ballots):
-        for c in ballot.approved:
-            current[c] += ballot.multiplicity  # w_1 = 1
+    scale = math.lcm(*(w.denominator for w in weights.weights))
+    # steps[p]: scaled weight w_{p+1} of a ballot holding p winners; the
+    # trailing 0 is that of a ballot whose m approved candidates are all elected
+    steps = [w.numerator * (scale // w.denominator) for w in weights.weights] + [0]
+    ballots = profile.ballots
+    counts = [0] * len(ballots)
+    current = [scale * score for score in profile.approval_scores]  # w_1 = 1
+    shown = [Fraction(score) for score in profile.approval_scores]
 
+    candidates = list(range(m))  # int objects shared by every round's table
     elected: set[int] = set()
     trace: list[RoundRecord] = []
     for round_index in range(1, k + 1):
-        best = -1
-        best_weight = None
-        snapshot: dict[int, Fraction] = {}
-        for c in range(m):
-            if c in elected:
-                continue
-            snapshot[c] = current[c]
-            if best_weight is None or current[c] > best_weight:
-                best, best_weight = c, current[c]
+        snapshot = {c: shown[c] for c in candidates if c not in elected}
+        best = max(snapshot, key=current.__getitem__)  # the first maximum
         elected.add(best)
-        for g, (mask, mult) in enumerate(groups):
-            if not mask >> best & 1:
-                continue
-            old = counts[g]
-            counts[g] = old + 1
-            if old + 1 < len(weights.weights):
-                delta = mult * (weights.weights[old + 1] - weights.weights[old])
-            else:
-                delta = None  # no unelected member of this ballot remains
+        touched: set[int] = set()
+        for g in profile.approvers[best]:
+            held = counts[g]
+            counts[g] = held + 1
+            delta = ballots[g].multiplicity * (steps[held + 1] - steps[held])
             if delta:
-                for c in members[g]:
-                    if c not in elected:
-                        current[c] += delta
-        trace.append(RoundRecord(round_index, best, best_weight, snapshot))
+                for c in ballots[g].approved:
+                    current[c] += delta
+                touched |= ballots[g].approved
+        for c in touched - elected:
+            shown[c] = Fraction(current[c], scale)
+        trace.append(RoundRecord(round_index, best, shown[best], snapshot))
     return trace
 
 

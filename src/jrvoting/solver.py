@@ -112,15 +112,6 @@ def _satisfaction_tables(
     return tables, denominator
 
 
-def _candidate_groups(m: int, groups: tuple[Ballot, ...]) -> list[list[int]]:
-    """For each candidate, the indices of the ballot groups approving it."""
-    owners: list[list[int]] = [[] for _ in range(m)]
-    for g, ballot in enumerate(groups):
-        for c in ballot.approved:
-            owners[c].append(g)
-    return owners
-
-
 class _Search:
     """Depth-first branch and bound over the size-k committees.
 
@@ -133,14 +124,15 @@ class _Search:
 
     def __init__(self, profile: BallotProfile, k: int, budget: Optional[int], *,
                  collect=False, accept=None, ceiling: Optional[int] = None):
-        self.groups = normalize_profile(profile).ballots
+        merged = normalize_profile(profile)
+        self.groups = merged.ballots
+        self.owners = merged.approvers  # for each candidate, the groups approving it
         self.m = profile.num_candidates
         self.k = k
         self.budget = budget
         self.collect = collect
         self.accept = accept
         self.ceiling = ceiling
-        self.owners = _candidate_groups(self.m, self.groups)
         self.nodes = 0
         self.denominator = 1  # a leaf value over it is the score
         self.best_members: Optional[tuple[int, ...]] = None

@@ -1,8 +1,11 @@
 """Shared test helpers: profile constructors, deterministic random streams,
-and the naive full-enumeration optimizer used as the solver's oracle."""
+and the naive references: the full-enumeration optimizer used as the
+solver's oracle, the ballot-deleting greedy cover and the sequential rule
+recomputed from its definition every round."""
 
 import itertools
 import random
+from fractions import Fraction
 
 from jrvoting.core import BallotProfile, Committee, ScoringObjective, score_committee
 from jrvoting.corpus import FixedSize, UniformSubsets, UrnLike, random_profile
@@ -38,6 +41,58 @@ def naive_optimize(profile, k, objective: ScoringObjective):
         elif score == best_score:
             co.append(members)
     return best_score, co
+
+
+def naive_greedy_cover(profile, k):
+    """The greedy JR construction written without weights: elect the
+    candidate approved by the most still-uncovered voters (lowest index on
+    ties), drop every ballot approving it, and once no uncovered voter
+    approves an unelected candidate fill with the lowest-index ones."""
+    m = profile.num_candidates
+    active = [(ballot.approved, ballot.multiplicity) for ballot in profile.ballots]
+    chosen = []
+    while len(chosen) < k:
+        support = [0] * m
+        for approved, mult in active:
+            for c in approved:
+                support[c] += mult
+        best, best_support = -1, 0
+        for c in range(m):
+            if c not in chosen and support[c] > best_support:
+                best, best_support = c, support[c]
+        if best < 0:
+            break
+        chosen.append(best)
+        active = [(approved, mult) for approved, mult in active if best not in approved]
+    chosen += [c for c in range(m) if c not in chosen][: k - len(chosen)]
+    return Committee.of(chosen)
+
+
+def naive_sequential_trace(profile, k, weights):
+    """k rounds of the sequential rule, straight from its definition in
+    fractions: every round recomputes each unelected candidate's weight as
+    the sum over the ballot groups g approving it of mult_g * w_{|A_g & W| + 1}
+    and elects the first maximal one.  Returns (candidate, weight, weights of
+    all unelected candidates) per round."""
+    elected = set()
+    rounds = []
+    for _ in range(k):
+        table = {
+            c: sum(
+                (
+                    ballot.multiplicity * weights.weight(len(ballot.approved & elected) + 1)
+                    for ballot in profile.ballots
+                    if c in ballot.approved
+                ),
+                Fraction(0),
+            )
+            for c in range(profile.num_candidates)
+            if c not in elected
+        }
+        best = max(table, key=table.get)
+        elected.add(best)
+        rounds.append((best, table[best], table))
+    return rounds
 
 
 def random_instances(seed, count, max_n=10, max_m=8, min_m=2, max_k=None, cultures=None):

@@ -297,6 +297,18 @@ class TestExitCodes:
         )
         assert code == EXIT_BUDGET and "budget" in err
 
+    def test_zero_denominator_in_weights_is_a_usage_error(self, run, tmp_path):
+        path = tmp_path / "p.profile"
+        path.write_text("m 3\nk 2\n1: 0 1\n1: 2\n")
+        code, out, err = run("compute", "--rule", "wpav", "--weights", "1,1/0,0", str(path))
+        assert code == EXIT_USAGE and out == "" and len(err.splitlines()) == 1
+        assert "1/0" in err
+
+    def test_zero_denominator_in_fixture_param_is_a_usage_error(self, run):
+        code, out, err = run("corpus", "--name", "thm8", "--param", "w2=1/0", "--verify")
+        assert code == EXIT_USAGE and out == "" and len(err.splitlines()) == 1
+        assert "1/0" in err
+
     def test_missing_file(self, run):
         code, _, _ = run("compute", "--rule", "av", "--k", "1", "/nope/missing")
         assert code == EXIT_USAGE

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from jrvoting import rules
 from jrvoting.axioms import check_ejr
 from jrvoting.corpus import (
     BipartiteGraph,
+    Expectation,
     FixedSize,
     FixtureParameterError,
     UniformSubsets,
@@ -17,6 +19,7 @@ from jrvoting.corpus import (
     has_balanced_biclique,
     random_profile,
     reduce_biclique,
+    replay_expectation,
     verify_fixture,
 )
 
@@ -131,6 +134,23 @@ class TestExpectationReplay:
         assert results, "fixtures must carry expectations"
         failures = [(r.description, r.detail) for r in results if not r.ok]
         assert not failures
+
+    def test_sequential_round_replay_runs_only_its_rounds(self, monkeypatch):
+        fixture = build_fixture("thm7")
+        lengths = []
+        real = rules.sequential_trace
+        monkeypatch.setattr(
+            rules, "sequential_trace", lambda p, k, w: lengths.append(k) or real(p, k, w)
+        )
+        rounds = [e for e in fixture.expectations if e.op == "sequential-round"]
+        assert all(replay_expectation(fixture, e).ok for e in rounds)
+        assert lengths == [e.inputs["round"] for e in rounds] == [1, 3, 3]
+
+    @pytest.mark.parametrize("tag", ["ones", "coverage", "nonsense"])
+    def test_unknown_weight_tag_rejected(self, tag):
+        expectation = Expectation("sequential-round", {"round": 1, "weights": tag}, {})
+        with pytest.raises(ValueError, match="unknown weight tag"):
+            replay_expectation(build_fixture("thm7"), expectation)
 
 
 class TestBiclique:

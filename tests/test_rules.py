@@ -12,6 +12,7 @@ from jrvoting.core import (
     Committee,
     MAV,
     WeightVector,
+    normalize_profile,
     score_committee,
     wpav_objective,
 )
@@ -27,7 +28,9 @@ from jrvoting.rules import (
     sequential_trace,
 )
 
-from conftest import profile_of, random_instances
+from conftest import naive_greedy_cover, naive_sequential_trace, profile_of, random_instances
+
+CULTURES = ["uniform", "urn", "fixed"]
 
 
 class TestSequential:
@@ -69,6 +72,27 @@ class TestSequential:
         trace = sequential_trace(profile, 2, WeightVector.harmonic(3))
         assert set(trace[0].weights) == {0, 1, 2}
         assert set(trace[1].weights) == {1, 2}
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            lambda p: WeightVector.harmonic(p.m),
+            lambda p: WeightVector.coverage(p.m),
+            lambda p: WeightVector.all_ones(p.m),
+            # plateaus and a zero tail: some elections change no weight
+            lambda p: WeightVector.from_values(([1, 1, Fraction(1, 3), Fraction(1, 3)] + [0] * p.m)[: p.m]),
+            # ratio 1/n: the rounds run on integers scaled by n^(m-1)
+            lambda p: WeightVector.geometric(p.m, Fraction(1, p.n)),
+        ],
+        ids=["harmonic", "coverage", "ones", "stepped", "geometric"],
+    )
+    def test_trace_matches_definition(self, family):
+        # whole traces, on merged and on expanded profiles
+        for profile, k in random_instances(seed=41, count=60, max_n=9, max_m=8, cultures=CULTURES):
+            weights = family(profile)
+            for p in (normalize_profile(profile), profile.expand()):
+                trace = [(r.candidate, r.weight, dict(r.weights)) for r in sequential_trace(p, k, weights)]
+                assert trace == naive_sequential_trace(p, k, weights)
 
     def test_weight_length_validation(self):
         profile = profile_of(3, ({0}, 1))
@@ -125,11 +149,9 @@ class TestIdentities:
     def test_greedy_cover_equals_coverage_sequential(self):
         # independent implementations: ballot-deleting greedy vs reweighting
         for profile, k in random_instances(seed=40, count=60, max_n=8, max_m=7):
-            greedy = find_jr_committee(profile, k)
-            sequential = compute_sequential_rule(
-                profile, k, WeightVector.coverage(profile.m)
-            )
-            assert greedy == sequential
+            greedy = naive_greedy_cover(profile, k)
+            assert find_jr_committee(profile, k) == greedy
+            assert compute_rule(profile, k, RuleSpec("gav")) == greedy
 
 
 class TestDensityCounterexamples:
