@@ -3,6 +3,7 @@
 Profile documents are plain text: ``#`` comment lines, a required ``m <int>``
 header, an optional ``k <int>`` header, then one ballot group per line as
 ``<multiplicity>: <candidate indices>`` (no indices for an empty ballot).
+Every number is ASCII decimal digits with an optional leading ``-``.
 
 Exit codes: 0 success / axiom passes, 1 axiom fails (or cross-check
 disagreement), 2 usage error, 3 input parse error, 4 search budget exhausted,
@@ -53,6 +54,14 @@ class ProfileParseError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _plain_integers(text: str) -> bool:
+    """Whether `int` reads every whitespace-free token of ``text`` only if it
+    is ASCII decimal digits with an optional leading ``-``: on its own `int`
+    also takes ``+1``, ``0_1`` and non-ASCII digits such as Arabic-Indic
+    ones."""
+    return text.isascii() and "_" not in text and "+" not in text
+
+
 def parse_profile(text: str) -> tuple[BallotProfile, Optional[int]]:
     """Parse a profile document; returns the profile and the optional k header."""
     m: Optional[int] = None
@@ -62,6 +71,8 @@ def parse_profile(text: str) -> tuple[BallotProfile, Optional[int]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        if not _plain_integers(line):
+            raise ProfileParseError(f"numbers must be ASCII decimal digits in {line!r}", lineno)
         head, _, rest = line.partition(" ")
         if head == "m":
             if m is not None:
@@ -135,6 +146,8 @@ def parse_graph(text: str) -> corpus.BipartiteGraph:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        if not _plain_integers(line):
+            raise ProfileParseError(f"numbers must be ASCII decimal digits in {line!r}", lineno)
         tokens = line.split()
         if tokens[0] == "L":
             if len(tokens) != 4 or tokens[2] != "R":
@@ -173,6 +186,8 @@ def parse_graph(text: str) -> corpus.BipartiteGraph:
 
 def _parse_committee(spec: str) -> Committee:
     try:
+        if not _plain_integers(spec):
+            raise ValueError(spec)
         members = [int(tok) for tok in spec.split(",") if tok != ""]
     except ValueError:
         raise ValueError(f"bad committee spec {spec!r}") from None

@@ -7,13 +7,16 @@ scores.  The search keeps its open nodes on an explicit stack, so k has no
 depth limit.  It works on merged ballot groups (one per distinct approval
 set, see `core.normalize_profile`), so repeated ballots cost nothing per
 node.  The additive (Thiele) search bounds a node by its score plus the
-largest marginal gains still available, one per open seat, and every search
-ends at the first accepted committee that reaches its objective's ceiling,
-the best value any committee could have.  All bookkeeping is done in
-scaled integers derived from the exact rational satisfaction tables, so
-results are exact and deterministic.  The search is sequential; since every
-input type is immutable, any number of searches may run concurrently on
-shared profiles.
+largest marginal gains still available, one per open seat.  MAV and
+maximin share one demand search on bitmasks over the groups: a node is
+hopeless once some group can no longer reach the winners the target asks of
+it, counting only its approved candidates still to come (MAV asks each
+ballot size for its own number).  Every search ends at the first accepted
+committee that reaches its objective's ceiling, the best value any
+committee could have.  All bookkeeping is done in scaled integers derived
+from the exact rational satisfaction tables, so results are exact and
+deterministic.  The search is sequential; since every input type is
+immutable, any number of searches may run concurrently on shared profiles.
 """
 
 from __future__ import annotations
@@ -236,69 +239,86 @@ def _maximize(search: _Search, tables: list[tuple[int, ...]]) -> None:
     search.run(add, undo, lambda: scores[-1], hopeless, sum(row[-1] for row in tables))
 
 
-def _minimize_mav(search: _Search) -> None:
-    owners, k = search.owners, search.k
-    sizes = [len(b.approved) for b in search.groups]
-    counts = [0] * len(sizes)
-    groups = range(len(sizes))
-
-    def add(c: int) -> None:
-        for g in owners[c]:
-            counts[g] += 1
-
-    def undo(c: int) -> None:
-        for g in owners[c]:
-            counts[g] -= 1
-
-    def hopeless(start: int, depth: int, target: int) -> bool:
-        # each added candidate changes any ballot distance by exactly 1, so no
-        # ballot can end more than k - depth below its current distance
-        lower = max(depth + sizes[g] - 2 * counts[g] for g in groups) - (k - depth)
-        return -lower < target
-
-    search.run(
-        add, undo, lambda: -max(k + sizes[g] - 2 * counts[g] for g in groups), hopeless,
-        -max(abs(k - size) for size in sizes),
-    )
-
-
-def _maximize_maximin(search: _Search) -> None:
-    """Maximize the least number of winners any ballot group approves, on
-    bitmasks over groups: ``hits[j]`` holds the groups approving j or more
-    members so far, ``ahead[i][c]`` those approving i or more candidates >= c.
+def _demand_state(search: _Search):
+    """Bitmask state of a search that demands winners of every ballot group:
+    ``hits[j]`` holds the groups approving j or more members so far,
+    ``ahead[i][c]`` those approving i or more candidates >= c.  Returns
+    ``hits`` with the ``add``/``undo`` pair that maintains it and
+    ``short(start, depth, want, mask)``: whether some group in ``mask`` can
+    no longer end with ``want`` winners.
     """
     k, m = search.k, search.m
     everyone = (1 << len(search.groups)) - 1
     masks = [sum(1 << g for g in groups) for groups in search.owners]
-    ahead = [[everyone] * (m + 1)] + [[0] * (m + 1) for _ in range(k)]
+    # no group approves more than `top` candidates, so the levels above it
+    # stay empty and their rows are one shared row of zeros
+    top = min(k, max(len(b.approved) for b in search.groups))
+    ahead = [[everyone] * (m + 1)] + [[0] * (m + 1) for _ in range(top)]
+    ahead += [[0] * (m + 1)] * (k - top)
     for c in reversed(range(m)):
-        for i in range(1, k + 1):
+        for i in range(1, top + 1):
             ahead[i][c] = ahead[i][c + 1] | ahead[i - 1][c + 1] & masks[c]
     hits = [everyone] + [0] * k
     saved: list[list[int]] = []
 
     def add(c: int) -> None:
         saved.append(hits[:])
-        for j in range(len(saved), 0, -1):
+        for j in range(min(len(saved), top), 0, -1):
             hits[j] |= hits[j - 1] & masks[c]
 
     def undo(c: int) -> None:
         hits[:] = saved.pop()
 
-    def hopeless(start: int, depth: int, want: int) -> bool:
-        # can every group still reach `want` hits?  It gains at most
-        # min(k - depth, its approved candidates >= start).
-        if want > k or hits[max(0, want - k + depth)] != everyone:
+    def short(start: int, depth: int, want: int, mask: int) -> bool:
+        # a group gains at most min(k - depth, its approved candidates >= start)
+        if want > k or hits[max(0, want - k + depth)] & mask != mask:
             return True
         reach = 0
         for j in range(min(want, depth) + 1):
             reach |= hits[j] & ahead[want - j][start]
-        return reach != everyone
+        return reach & mask != mask
 
+    return hits, add, undo, short
+
+
+def _maximize_maximin(search: _Search) -> None:
+    """Maximize the least number of winners any ballot group approves."""
+    k = search.k
+    hits, add, undo, short = _demand_state(search)
+    everyone = hits[0]
     search.run(  # the levels are nested
-        add, undo, lambda: hits.count(everyone) - 1, hopeless,
+        add, undo, lambda: hits.count(everyone) - 1,
+        lambda start, depth, want: short(start, depth, want, everyone),
         min(min(len(b.approved), k) for b in search.groups),
     )
+
+
+def _maximize_mav(search: _Search) -> None:
+    """Maximize the negated largest distance k + s - 2 * winners from a
+    ballot of s candidates to the committee, one demand per ballot size."""
+    k = search.k
+    hits, add, undo, short = _demand_state(search)
+    classes: dict[int, int] = {}  # ballot size -> its groups
+    for g, ballot in enumerate(search.groups):
+        size = len(ballot.approved)
+        classes[size] = classes.get(size, 0) | 1 << g
+
+    def leaf() -> int:
+        # the levels are nested: a class's fewest winners is the number of
+        # levels holding all of it, minus one
+        return -max(k + size - 2 * (sum(h & mask == mask for h in hits) - 1)
+                    for size, mask in classes.items())
+
+    def hopeless(start: int, depth: int, target: int) -> bool:
+        # ending at distance -target or less needs (k + s + target) / 2
+        # winners, rounded up, from each group whose ballot has s candidates
+        for size, mask in classes.items():
+            want = (k + size + target + 1) // 2
+            if want > 0 and (want > size or short(start, depth, want, mask)):
+                return True
+        return False
+
+    search.run(add, undo, leaf, hopeless, -max(abs(k - size) for size in classes))
 
 
 def _av_separable(profile: BallotProfile, k: int) -> OptimizationResult:
@@ -345,7 +365,7 @@ def optimize_committee(request: OptimizationRequest) -> OptimizationResult:
                      collect=request.tiebreak is TieBreak.PREFER_JR)
     if request.objective.kind == "mav":
         search.denominator = -1  # the search maximizes the negated distance
-        _minimize_mav(search)
+        _maximize_mav(search)
     else:
         tables, search.denominator = _satisfaction_tables(
             search.groups, request.objective, request.k

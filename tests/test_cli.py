@@ -1,5 +1,7 @@
 """Profile document grammar, command exit codes, machine output stability."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +21,8 @@ from jrvoting.cli import (
 )
 from jrvoting.core import BallotProfile, normalize_profile
 from jrvoting.corpus import build_fixture
+
+from conftest import random_instances
 
 
 class TestParseProfile:
@@ -70,6 +74,33 @@ class TestParseProfile:
         with pytest.raises(ProfileParseError):
             parse_profile("m 2\n0: 0\n")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("m 3\n1: 0_1 2\n", 2),  # int() would read candidates {1, 2}
+            ("m 4\n# Arabic-Indic three\n1: \u0663\n", 3),
+            ("m 3\n1: +1\n", 2),
+            ("m +3\n1: 1\n", 1),
+            ("m 1_0\n1: 1\n", 1),
+            ("m 3\nk \uff12\n1: 1\n", 2),  # fullwidth two
+            ("m 3\n1_0: 1\n", 2),
+            ("m 3\n+2: 1\n", 2),
+        ],
+    )
+    def test_numbers_are_ascii_decimal_digits(self, text, line):
+        with pytest.raises(ProfileParseError) as excinfo:
+            parse_profile(text)
+        assert excinfo.value.line == line
+
+    def test_negative_index_keeps_its_range_message(self):
+        with pytest.raises(ProfileParseError, match="out of range") as excinfo:
+            parse_profile("m 3\n1: 0 -1\n")
+        assert excinfo.value.line == 2
+
+    def test_non_ascii_comments_are_ignored(self):
+        profile, _ = parse_profile("# \u00fcber_alles + \u0663\nm 2\n1: 1\n")
+        assert profile.ballots[0].approved == {1}
+
     def test_comments_and_blank_lines_ignored(self):
         profile, _ = parse_profile("# header\n\nm 2\n# ballots\n2: 1\n")
         assert profile.n == 2
@@ -111,6 +142,14 @@ class TestParseGraph:
             parse_graph("L 2 R 2\nedge 0 5\n")
         with pytest.raises(ProfileParseError):
             parse_graph("L 2 Q 2\n")
+
+    @pytest.mark.parametrize(
+        "text, line", [("L 2 R \u0663\n", 1), ("L 2 R 2\nedge 0 0_1\n", 2), ("L 2 R 2\nedge +1 0\n", 2)]
+    )
+    def test_numbers_are_ascii_decimal_digits(self, text, line):
+        with pytest.raises(ProfileParseError) as excinfo:
+            parse_graph(text)
+        assert excinfo.value.line == line
 
 
 @pytest.fixture()
@@ -288,6 +327,19 @@ class TestExitCodes:
         code, _, err = run("check", "--axiom", "jr", "--committee", "0", str(path))
         assert code == EXIT_PARSE and "line 2" in err
 
+    @pytest.mark.parametrize("spec", ["0_1", "+1", "\u0660"])
+    def test_committee_numbers_are_ascii_decimal_digits(self, run, tmp_path, spec):
+        path = tmp_path / "p.profile"
+        path.write_text("m 12\nk 1\n1: 0\n")
+        code, out, err = run("check", "--axiom", "jr", "--committee", spec, str(path))
+        assert code == EXIT_USAGE and out == "" and "committee" in err
+
+    def test_graph_parse_error(self, run, tmp_path):
+        path = tmp_path / "bad.graph"
+        path.write_text("L 2 R 2\nedge 0 \u0661\n")
+        code, out, err = run("reduce", "--graph", str(path), "--ell", "1")
+        assert code == EXIT_PARSE and out == "" and "line 2" in err
+
     def test_budget_exhausted(self, run, tmp_path):
         fixture = build_fixture("sec4_intro")
         path = tmp_path / "intro.profile"
@@ -369,3 +421,48 @@ class TestExitCodes:
             "--format", "machine", str(path),
         )
         assert code == EXIT_OK and "committee=0,2" in out
+
+
+class TestParseErrorLines:
+    # one token of a valid document changed to each kind of bad number or
+    # index: the error names the changed line, and the command exits 3
+    MUTATIONS = ("non-integer", "underscore", "out-of-range", "duplicate", "zero multiplicity")
+
+    def test_one_bad_token_is_reported_on_its_line(self, run, tmp_path):
+        rng = random.Random("parse-error-lines")
+        path = tmp_path / "mutated.profile"
+        tried = dict.fromkeys(self.MUTATIONS, 0)
+        for profile, k in random_instances(seed=909, count=40, max_n=8, max_m=9):
+            m = profile.num_candidates
+            lines = serialize_profile(profile, k, comments=["seeded"]).splitlines()
+            ballots = [i for i, text in enumerate(lines) if ":" in text]
+            for kind in self.MUTATIONS:
+                # the ballot lines with enough candidate indices to change
+                need = {"duplicate": 2, "zero multiplicity": 0}.get(kind, 1)
+                fits = [i for i in ballots if len(lines[i].split()) > need]
+                if not fits:
+                    continue
+                index = rng.choice(fits)
+                mult, _, rest = lines[index].partition(":")
+                indices = rest.split()
+                spot = rng.randrange(len(indices)) if indices else 0
+                if kind == "non-integer":
+                    indices[spot] = rng.choice(["x", "1.5", "\u0663", "+1", "0x1"])
+                elif kind == "underscore":
+                    indices[spot] = "0_1"
+                elif kind == "out-of-range":
+                    indices[spot] = str(m + rng.randrange(3))
+                elif kind == "duplicate":
+                    indices[spot] = indices[spot - 1]
+                else:
+                    mult = "0"
+                mutated = lines[:index] + [f"{mult}: {' '.join(indices)}"] + lines[index + 1:]
+                text = "\n".join(mutated) + "\n"
+                with pytest.raises(ProfileParseError) as excinfo:
+                    parse_profile(text)
+                assert excinfo.value.line == index + 1, (kind, text)
+                path.write_text(text)
+                code, out, err = run("compute", "--rule", "av", "--format", "machine", str(path))
+                assert code == EXIT_PARSE and out == "" and f"line {index + 1}:" in err
+                tried[kind] += 1
+        assert min(tried.values()) >= 10, tried

@@ -215,10 +215,15 @@ class TestRepresentationConstrainedRules:
         assert compute_ejrav(profile, 1).members == (0,)
 
     def test_outputs_always_pass_jr(self):
-        for profile, k in random_instances(seed=41, count=30, max_n=7, max_m=6):
-            for rule in (compute_ujrav, compute_ejrav):
-                committee = rule(profile, k)
-                assert check_jr(profile, k, committee).passed
+        cultures = ["uniform", "urn", "fixed"]
+        for profile, _ in random_instances(
+            seed=41, count=45, max_n=9, max_m=7, cultures=cultures
+        ):
+            for k in range(1, profile.m + 1):
+                for rule in (compute_ujrav, compute_ejrav):
+                    committee = rule(profile, k)
+                    assert check_jr(profile, k, committee).passed
+                    assert oracle_check_jr(profile, k, committee)
 
 
 class TestConservativeWeightGuarantee:

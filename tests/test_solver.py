@@ -1,10 +1,13 @@
 """Exact solver: enumeration, optimality against naive search, pruning, budget."""
 
+import random
+
 import pytest
 
 from jrvoting.axioms import exists_sjr_committee, oracle_check_jr
 from jrvoting.core import (
     AV,
+    BallotProfile,
     BudgetExhausted,
     Committee,
     MAV,
@@ -143,6 +146,30 @@ class TestOptimalityOracle:
             for search in (compute_ujrav, compute_ejrav, exists_sjr_committee):
                 assert search(profile, k) == search(expanded, k)
 
+    def test_mav_agrees_with_naive_enumeration_on_mixed_ballot_sizes(self):
+        # one demand per ballot size: mix the sizes, from empty ballots to
+        # ballots approving every candidate, and fill every seat now and then
+        rng = random.Random("mav-sizes")
+        for raw, k in random_instances(seed=808, count=60, max_n=7, max_m=7,
+                                       cultures=["uniform", "fixed", "urn"]):
+            m = raw.num_candidates
+            groups = [(b.approved, b.multiplicity) for b in raw.ballots]
+            if rng.random() < 0.5:
+                groups.append(((), rng.randint(1, 2)))
+            if rng.random() < 0.5:
+                groups.append((range(m), 1))
+            profile = BallotProfile.from_groups(m, groups)
+            if rng.random() < 0.25:
+                k = m
+            score, co = naive_optimize(profile, k, MAV)
+            passing = [w for w in co if oracle_check_jr(profile, k, Committee(w))]
+            lex = _solve(profile, k, MAV)
+            assert (lex.committee.members, lex.score) == (co[0], score)
+            preferred = _solve(profile, k, MAV, TieBreak.PREFER_JR)
+            assert preferred.committee.members == (passing or co)[0]
+            assert preferred.score == score
+            assert preferred.co_optimal_count == len(co)
+
     def test_repeat_runs_identical(self):
         profile = profile_of(5, ({0, 1}, 3), ({2, 3}, 2), ({4}, 1))
         objective = wpav_objective(WeightVector.harmonic(5))
@@ -192,6 +219,18 @@ class TestCeiling:
         assert result.committee.members == (0, 1, 2)
         assert result.score == 8
         assert result.nodes_explored == 4
+
+
+class TestMinimaxBound:
+    def test_mav_counts_only_the_approved_candidates_left(self):
+        # {0, 1} is at distance 2 from both ballots.  Under {1} ballot {0} is
+        # at distance 2 with one seat open but none of its candidates left,
+        # so the search prunes there instead of visiting {1, 2}
+        profile = profile_of(3, {0}, {1, 2})
+        result = _solve(profile, 2, MAV)
+        assert result.committee.members == (0, 1)
+        assert result.score == 2
+        assert result.nodes_explored == 5  # root, {0}, {0, 1}, {0, 2}, {1}
 
 
 class TestBudget:
