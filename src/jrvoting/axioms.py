@@ -93,11 +93,11 @@ def check_ell_jr(
 ) -> AxiomReport:
     """Does every l-cohesive quota group contain a voter with >= l winners?
 
-    Enumerates candidate l-subsets rather than voter groups: any violating
-    voter group can be replaced by the set of *all* under-represented voters
-    approving the same l candidates, so candidate-side enumeration is
-    complete.  Candidates whose support among under-represented voters is
-    below quota are discarded before subset enumeration.
+    Searches candidate l-sets rather than voter groups: any violating voter
+    group can be replaced by the set of *all* under-represented voters
+    approving the same l candidates, so the candidate side is complete.  The
+    witness is the lexicographically first violating l-set, found by the
+    pruned depth-first search of `_cohesive_set`.
     """
     return _check_level(profile, k, committee, ell)
 
@@ -107,38 +107,54 @@ def _check_level(profile: BallotProfile, k: int, committee: Committee, ell: int)
     _validate(profile, k, committee)
     if not 1 <= ell <= k:
         raise ValueError(f"level must satisfy 1 <= l <= k, got {ell} with k={k}")
-    wmask = committee.mask
-    n = profile.n
-    restricted = [
-        (i, mask, mult)
-        for i, (mask, mult) in enumerate(profile.masks)
-        if (mask & wmask).bit_count() < ell
-    ]
-    if k * sum(mult for *_, mult in restricted) < ell * n:
+    found = _cohesive_set(profile, k, ell, committee.mask)
+    if found is None:
         return AxiomReport(ELL_JR, passed=True, level=ell)
-    support = [0] * profile.num_candidates
-    for _i, mask, mult in restricted:
-        for c in _mask_bits(mask):
-            support[c] += mult
-    eligible = [c for c in range(profile.num_candidates) if k * support[c] >= ell * n]
-    for combo in itertools.combinations(eligible, ell):
-        cmask = 0
-        for c in combo:
-            cmask |= 1 << c
-        indices = []
-        size = 0
-        for i, mask, mult in restricted:
-            if mask & cmask == cmask:
-                indices.append(i)
-                size += mult
-        if k * size >= ell * n:
-            return AxiomReport(
-                ELL_JR,
-                passed=False,
-                witness=Witness(ell, combo, tuple(indices), size),
-                level=ell,
-            )
-    return AxiomReport(ELL_JR, passed=True, level=ell)
+    return AxiomReport(ELL_JR, passed=False, witness=Witness(ell, *found), level=ell)
+
+
+def _cohesive_set(
+    profile: BallotProfile, k: int, ell: int, wmask: int, skip: int = 0
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """The lexicographically first l-set of candidates outside ``skip`` whose
+    common approvers among the active ballots, those holding fewer than l
+    members of ``wmask``, reach the level-l quota, as ``(candidates, ballot
+    indices, voters)``; None if there is none.
+
+    Depth-first over the candidates that reach quota on their own, in index
+    order, carrying the common approvers of the chosen prefix.  A prefix below
+    quota is pruned, since support only shrinks as the set grows (Eclat's
+    itemset search).  The stack is explicit because l can exceed Python's
+    recursion limit.
+    """
+    quota = ell * profile.n
+    mults = [
+        mult if (mask & wmask).bit_count() < ell else 0 for mask, mult in profile.masks
+    ]
+    if k * sum(mults) < quota:
+        return None
+    active = frozenset(i for i, mult in enumerate(mults) if mult)
+    columns = [
+        (c, active.intersection(group))
+        for c, group in enumerate(profile.approvers)
+        if not skip >> c & 1 and k * sum(map(mults.__getitem__, group)) >= quota
+    ]
+    # (next column, chosen candidates, their common active approvers)
+    stack = [(0, (), active)]
+    while stack:
+        j, chosen, common = stack.pop()
+        if len(columns) - j < ell - len(chosen):
+            continue
+        c, column = columns[j]
+        stack.append((j + 1, chosen, common))
+        common &= column
+        size = sum(map(mults.__getitem__, common))
+        if k * size >= quota:
+            chosen += (c,)
+            if len(chosen) == ell:
+                return chosen, tuple(sorted(common)), size
+            stack.append((j + 1, chosen, common))
+    return None
 
 
 def check_ejr(profile: BallotProfile, k: int, committee: Committee) -> AxiomReport:
@@ -221,48 +237,27 @@ def find_ell_jr_committee(profile: BallotProfile, k: int, ell: int) -> Committee
     """Greedy construction of a committee providing level-l representation.
 
     While at least l seats remain, elect the lexicographically first l-set of
-    unelected candidates unanimously approved by a level-l quota of the still
-    active ballots, then deactivate every ballot holding >= l winners.  When
-    no such set exists (or fewer than l seats remain), fill with the
-    lowest-index unelected candidates.  The output passes `check_ell_jr` at
-    level l.
+    unelected candidates unanimously approved by a level-l quota of the
+    active ballots, those holding fewer than l winners; this is the search
+    behind `check_ell_jr`, with the winners so far both as the committee and
+    as the excluded candidates.  When no such set exists (or fewer than l
+    seats remain), fill with the lowest-index unelected candidates.  The
+    output passes `check_ell_jr` at level l.
     """
     if not 1 <= k <= profile.num_candidates:
         raise ValueError(f"k={k} out of range for m={profile.num_candidates}")
     if not 1 <= ell <= k:
         raise ValueError(f"level must satisfy 1 <= l <= k, got {ell} with k={k}")
-    n = profile.n
-    active = list(profile.masks)
-    chosen: list[int] = []
     wmask = 0
-    while len(chosen) <= k - ell:
-        unchosen = [c for c in range(profile.num_candidates) if not wmask >> c & 1]
-        found = None
-        for combo in itertools.combinations(unchosen, ell):
-            cmask = 0
-            for c in combo:
-                cmask |= 1 << c
-            size = sum(mult for mask, mult in active if mask & cmask == cmask)
-            if k * size >= ell * n:
-                found = combo
-                break
+    for _ in range(k // ell):
+        found = _cohesive_set(profile, k, ell, wmask, wmask)
         if found is None:
             break
-        chosen.extend(found)
-        for c in found:
+        for c in found[0]:
             wmask |= 1 << c
-        active = [
-            (mask, mult)
-            for mask, mult in active
-            if (mask & wmask).bit_count() < ell
-        ]
-    for c in range(profile.num_candidates):
-        if len(chosen) == k:
-            break
-        if not wmask >> c & 1:
-            chosen.append(c)
-            wmask |= 1 << c
-    return Committee.of(chosen)
+    chosen = list(_mask_bits(wmask))
+    rest = [c for c in range(profile.num_candidates) if not wmask >> c & 1]
+    return Committee.of(chosen + rest[: k - len(chosen)])
 
 
 def exists_sjr_committee(

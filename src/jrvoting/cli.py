@@ -62,6 +62,14 @@ def _plain_integers(text: str) -> bool:
     return text.isascii() and "_" not in text and "+" not in text
 
 
+def _integer(text: str) -> int:
+    """`int` held to the documents' spelling of numbers, for command-line
+    arguments and the integer fields of axiom, culture and parameter specs."""
+    if not _plain_integers(text):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def parse_profile(text: str) -> tuple[BallotProfile, Optional[int]]:
     """Parse a profile document; returns the profile and the optional k header."""
     m: Optional[int] = None
@@ -203,7 +211,7 @@ def _parse_axiom(spec: str) -> tuple[str, Optional[int]]:
     if axioms.AXIOMS[name].leveled:
         if not sep:
             raise ValueError(f"axiom {name} needs a level, e.g. {name}:2")
-        return name, int(level)
+        return name, _integer(level)
     if sep:
         raise ValueError(f"axiom {name!r} takes no level")
     return name, None
@@ -226,10 +234,10 @@ def _parse_culture(spec: str) -> corpus.Culture:
         if kind == "uniform":
             return corpus.UniformSubsets(float(rest))
         if kind == "fixed":
-            return corpus.FixedSize(int(rest))
+            return corpus.FixedSize(_integer(rest))
         if kind == "urn":
             groups, _, cohesion = rest.partition(":")
-            return corpus.UrnLike(int(groups), float(cohesion))
+            return corpus.UrnLike(_integer(groups), float(cohesion))
     except ValueError as exc:
         raise ValueError(f"bad culture spec {spec!r}: {exc}") from None
     raise ValueError(f"unknown culture {kind!r} (use uniform:P, fixed:S, urn:G:C)")
@@ -242,7 +250,7 @@ def _parse_params(pairs: Sequence[str]) -> dict[str, object]:
         if not sep:
             raise ValueError(f"bad --param {pair!r}, expected key=value")
         if value.lstrip("-").isdigit():
-            params[key] = int(value)
+            params[key] = _integer(value)
         elif "/" in value:
             params[key] = _parse_fraction(value)
         else:
@@ -540,10 +548,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="run a voting rule on a profile file")
     p.add_argument("--rule", required=True, choices=rules.RULE_NAMES)
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_integer)
     p.add_argument("--weights", help="comma-separated rationals for wpav/wrav")
     p.add_argument("--tiebreak", choices=("lex", "prefer-jr"), default="lex")
-    p.add_argument("--budget", type=int, help="search node limit")
+    p.add_argument("--budget", type=_integer, help="search node limit")
     add_format(p)
     p.add_argument("file", help="profile document path, or - for stdin")
     p.set_defaults(handler=_cmd_compute)
@@ -551,14 +559,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="check an axiom for a given committee")
     p.add_argument("--axiom", required=True, help="jr | ell-jr:<level> | ejr | sjr | unanimity")
     p.add_argument("--committee", required=True, help="comma-separated candidate indices")
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_integer)
     add_format(p)
     p.add_argument("file")
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("find", help="construct a committee satisfying an axiom")
     p.add_argument("--axiom", required=True, help="jr | ell-jr:<level>")
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_integer)
     add_format(p)
     p.add_argument("file")
     p.set_defaults(handler=_cmd_find)
@@ -573,30 +581,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="build the committee instance for a bipartite graph")
     p.add_argument("--graph", required=True, help="graph document path, or - for stdin")
-    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--ell", type=_integer, required=True)
     add_format(p)
     p.set_defaults(handler=_cmd_reduce)
 
     p = sub.add_parser("random", help="emit a random profile")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--seed", type=_integer, required=True)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--m", type=_integer, required=True)
+    p.add_argument("--k", type=_integer, required=True)
     p.add_argument("--culture", required=True, help="uniform:P | fixed:S | urn:G:C")
     p.set_defaults(handler=_cmd_random)
 
     p = sub.add_parser("oracle", help="cross-check fast axiom checkers against brute force")
     p.add_argument("--axiom", choices=_ORACLE_AXIOMS + ("all",), default="all")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-n", type=int, default=8, dest="max_n")
-    p.add_argument("--max-m", type=int, default=7, dest="max_m")
+    p.add_argument("--trials", type=_integer, default=100)
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--max-n", type=_integer, default=8, dest="max_n")
+    p.add_argument("--max-m", type=_integer, default=7, dest="max_m")
     p.add_argument(
         "--rav-jr-search",
         action="store_true",
         help="instead search random profiles for sequential-rule representation failures",
     )
-    p.add_argument("--k", type=int, help="committee size for --rav-jr-search")
+    p.add_argument("--k", type=_integer, help="committee size for --rav-jr-search")
     add_format(p)
     p.set_defaults(handler=_cmd_oracle)
 

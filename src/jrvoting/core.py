@@ -279,10 +279,6 @@ class WeightVector:
         """w_j (1-based)."""
         return self.weights[j - 1]
 
-    def marginal(self, reps: int) -> Fraction:
-        """Weight gained by the (reps+1)-th approved winner, i.e. w_{reps+1}."""
-        return self.weights[reps]
-
     @cached_property
     def satisfaction_table(self) -> tuple[Fraction, ...]:
         """Partial sums: entry p is w_1 + ... + w_p (entry 0 is 0)."""
@@ -290,10 +286,6 @@ class WeightVector:
         for w in self.weights:
             sums.append(sums[-1] + w)
         return tuple(sums)
-
-    def satisfaction(self, reps: int) -> Fraction:
-        """Total satisfaction of a voter with ``reps`` approved winners."""
-        return self.satisfaction_table[reps]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Shared test helpers: profile constructors, deterministic random streams,
 and the naive references: the full-enumeration optimizer used as the
-solver's oracle, the ballot-deleting greedy cover and the sequential rule
-recomputed from its definition every round."""
+solver's oracle, the ballot-deleting greedy cover, the sequential rule
+recomputed from its definition every round and the l-subset scan for the
+first cohesive candidate set."""
 
 import itertools
 import random
@@ -93,6 +94,27 @@ def naive_sequential_trace(profile, k, weights):
         elected.add(best)
         rounds.append((best, table[best], table))
     return rounds
+
+
+def naive_first_cohesive_set(profile, k, ell, wmask, skip=0):
+    """Scan every l-subset of the candidates outside ``skip`` in
+    lexicographic order and return the first whose common approvers among
+    the ballots holding fewer than l members of ``wmask`` meet the level-l
+    quota k * size >= l * n, as (candidates, ballot indices, voters); None
+    if no l-subset does."""
+    active = [
+        (i, mask, mult)
+        for i, (mask, mult) in enumerate(profile.masks)
+        if (mask & wmask).bit_count() < ell
+    ]
+    outside = [c for c in range(profile.num_candidates) if not skip >> c & 1]
+    for combo in itertools.combinations(outside, ell):
+        cmask = sum(1 << c for c in combo)
+        group = [(i, mult) for i, mask, mult in active if mask & cmask == cmask]
+        size = sum(mult for _, mult in group)
+        if k * size >= ell * profile.n:
+            return combo, tuple(i for i, _ in group), size
+    return None
 
 
 def random_instances(seed, count, max_n=10, max_m=8, min_m=2, max_k=None, cultures=None):

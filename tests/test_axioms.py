@@ -20,12 +20,24 @@ from jrvoting.axioms import (
     oracle_check_jr,
     oracle_check_sjr,
     replay_witness,
+    Witness,
 )
-from jrvoting.core import BudgetExhausted, Committee, WeightVector
-from jrvoting.corpus import build_fixture, complete_bipartite, reduce_biclique
+from jrvoting.core import BallotProfile, BudgetExhausted, Committee, WeightVector
+from jrvoting.corpus import (
+    BipartiteGraph,
+    build_fixture,
+    complete_bipartite,
+    has_balanced_biclique,
+    reduce_biclique,
+)
 from jrvoting.rules import compute_sequential_rule
 
-from conftest import profile_of, random_committee, random_instances
+from conftest import (
+    naive_first_cohesive_set,
+    profile_of,
+    random_committee,
+    random_instances,
+)
 
 
 class TestCheckJR:
@@ -201,6 +213,73 @@ class TestFindEllJRCommittee:
                     continue
                 committee = find_ell_jr_committee(profile, k, ell)
                 assert check_ell_jr(profile, k, committee, ell).passed
+
+
+class TestCohesiveSetSearch:
+    """The pruned search behind check_ell_jr, check_ejr and
+    find_ell_jr_committee finds what the plain l-subset scan finds."""
+
+    @staticmethod
+    def naive_ell_greedy(profile, k, ell):
+        chosen = ()
+        while len(chosen) <= k - ell:
+            wmask = sum(1 << c for c in chosen)
+            found = naive_first_cohesive_set(profile, k, ell, wmask, wmask)
+            if found is None:
+                break
+            chosen += found[0]
+        rest = [c for c in range(profile.m) if c not in chosen]
+        return Committee.of(chosen + tuple(rest[: k - len(chosen)]))
+
+    def test_matches_the_subset_scan_at_every_level(self):
+        rng = random.Random(12)
+        cultures = ["uniform", "fixed", "urn"]
+        deep_failures = 0
+        for profile, k in random_instances(
+            seed=66, count=1000, max_n=12, max_m=8, cultures=cultures
+        ):
+            committee = random_committee(rng, profile.m, k)
+            first = None
+            for ell in range(1, k + 1):
+                found = naive_first_cohesive_set(profile, k, ell, committee.mask)
+                expected = None if found is None else Witness(ell, *found)
+                assert check_ell_jr(profile, k, committee, ell).witness == expected
+                first = first or expected
+                deep_failures += ell > 1 and found is not None
+                assert find_ell_jr_committee(profile, k, ell) == self.naive_ell_greedy(
+                    profile, k, ell
+                )
+            assert check_ejr(profile, k, committee).witness == first
+        assert deep_failures > 50  # the stream must reach failures above level one
+
+    def test_biclique_reduction_sweep(self):
+        rng = random.Random(13)
+        verdicts = set()
+        for size in (4, 6, 8, 10):
+            for ell in (3, 4, 5):
+                for density in (0.5, 0.7, 0.9):
+                    edges = frozenset(
+                        (u, v)
+                        for u in range(size)
+                        for v in range(size)
+                        if rng.random() < density
+                    )
+                    graph = BipartiteGraph(size, size, edges)
+                    instance = reduce_biclique(graph, ell)
+                    expected = has_balanced_biclique(graph, ell)
+                    report = check_ell_jr(
+                        instance.profile, instance.k, instance.committee, ell
+                    )
+                    assert report.failed == expected, (size, ell, sorted(edges))
+                    verdicts.add(expected)
+        assert verdicts == {False, True}
+
+    def test_level_beyond_the_recursion_limit(self):
+        profile = BallotProfile.from_approval_sets(1100, [range(1, 1100)])
+        report = check_ell_jr(profile, 1099, Committee.of(range(1099)), 1099)
+        assert report.witness == Witness(1099, tuple(range(1, 1100)), (0,), 1)
+        committee = find_ell_jr_committee(profile, 1099, 1099)
+        assert committee.members == tuple(range(1, 1100))
 
 
 class TestExistsSJR:

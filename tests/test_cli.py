@@ -334,6 +334,35 @@ class TestExitCodes:
         code, out, err = run("check", "--axiom", "jr", "--committee", spec, str(path))
         assert code == EXIT_USAGE and out == "" and "committee" in err
 
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (("check", "--axiom", "ell-jr:{}", "--committee", "0", "FILE"), "\u0661"),
+            (("check", "--axiom", "ell-jr:{}", "--committee", "0", "FILE"), "+1"),
+            (("compute", "--rule", "av", "--k", "{}", "FILE"), "\u0661"),
+            (("compute", "--rule", "pav", "--budget", "{}", "FILE"), "\u0665\u0660"),
+            (("find", "--axiom", "jr", "--k", "{}", "FILE"), "0_1"),
+            (("random", "--seed", "{}", "--n", "3", "--m", "3", "--k", "1",
+              "--culture", "uniform:0.5"), "\u0661"),
+            (("random", "--seed", "1", "--n", "3", "--m", "3", "--k", "1",
+              "--culture", "fixed:{}"), "\u0662"),
+            (("random", "--seed", "1", "--n", "3", "--m", "3", "--k", "1",
+              "--culture", "urn:{}:0.5"), "\u0662"),
+            (("corpus", "--name", "thm7_extended", "--param", "k={}", "--emit"),
+             "\u0661\u0662"),
+        ],
+    )
+    def test_integer_arguments_are_ascii_decimal_digits(self, run, tmp_path, argv, bad):
+        path = tmp_path / "p.profile"
+        path.write_text("m 3\nk 1\n1: 0 1\n")
+
+        def spell(number):
+            return [str(path) if a == "FILE" else a.format(number) for a in argv]
+
+        assert run(*spell(int(bad)))[0] == EXIT_OK
+        code, out, _ = run(*spell(bad))
+        assert code == EXIT_USAGE and out == ""
+
     def test_graph_parse_error(self, run, tmp_path):
         path = tmp_path / "bad.graph"
         path.write_text("L 2 R 2\nedge 0 \u0661\n")

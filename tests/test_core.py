@@ -131,8 +131,6 @@ class TestWeightVector:
     def test_satisfaction_table(self):
         harmonic = WeightVector.harmonic(3)
         assert harmonic.satisfaction_table == (0, 1, Fraction(3, 2), Fraction(11, 6))
-        assert harmonic.satisfaction(2) == Fraction(3, 2)
-        assert harmonic.marginal(1) == Fraction(1, 2)
 
 
 class TestHamming:
