@@ -217,9 +217,17 @@ def _parse_axiom(spec: str) -> tuple[str, Optional[int]]:
     return name, None
 
 
+def _plain_number(token: str) -> str:
+    """``token``, if it is ASCII with no ``_``: `Fraction` and `float` also
+    read non-ASCII digits and ``_`` separators (``1_0/2`` is 5)."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"invalid number {token!r}: use ASCII digits without '_'")
+    return token
+
+
 def _parse_fraction(token: str) -> Fraction:
     try:
-        return Fraction(token)
+        return Fraction(_plain_number(token))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {token!r}") from None
 
@@ -232,12 +240,12 @@ def _parse_culture(spec: str) -> corpus.Culture:
     kind, _, rest = spec.partition(":")
     try:
         if kind == "uniform":
-            return corpus.UniformSubsets(float(rest))
+            return corpus.UniformSubsets(float(_plain_number(rest)))
         if kind == "fixed":
             return corpus.FixedSize(_integer(rest))
         if kind == "urn":
             groups, _, cohesion = rest.partition(":")
-            return corpus.UrnLike(_integer(groups), float(cohesion))
+            return corpus.UrnLike(_integer(groups), float(_plain_number(cohesion)))
     except ValueError as exc:
         raise ValueError(f"bad culture spec {spec!r}: {exc}") from None
     raise ValueError(f"unknown culture {kind!r} (use uniform:P, fixed:S, urn:G:C)")
@@ -249,12 +257,12 @@ def _parse_params(pairs: Sequence[str]) -> dict[str, object]:
         key, sep, value = pair.partition("=")
         if not sep:
             raise ValueError(f"bad --param {pair!r}, expected key=value")
-        if value.lstrip("-").isdigit():
+        if value.lstrip("+-").isdigit():
             params[key] = _integer(value)
         elif "/" in value:
             params[key] = _parse_fraction(value)
         else:
-            params[key] = value
+            params[key] = _plain_number(value)
     return params
 
 

@@ -7,13 +7,20 @@ scores.  The search keeps its open nodes on an explicit stack, so k has no
 depth limit.  It works on merged ballot groups (one per distinct approval
 set, see `core.normalize_profile`), so repeated ballots cost nothing per
 node.  The additive (Thiele) search bounds a node by its score plus the
-largest marginal gains still available, one per open seat.  MAV and
-maximin share one demand search on bitmasks over the groups: a node is
-hopeless once some group can no longer reach the winners the target asks of
-it, counting only its approved candidates still to come (MAV asks each
-ballot size for its own number).  Every search ends at the first accepted
-committee that reaches its objective's ceiling, the best value any
-committee could have.  All bookkeeping is done in scaled integers derived
+largest marginal gains still available, one per open seat, and until it
+holds an incumbent prunes against the exact score of the greedy committee:
+with non-increasing weights the score is monotone submodular, so greedy is
+within 1 - 1/e of the optimum (Nemhauser, Wolsey & Fisher 1978), and every
+optimum reaches its score.  MAV and maximin share one demand search on
+bitmasks over the groups: a node is hopeless once some group can no longer
+reach the winners the target asks of it, counting only its approved
+candidates still to come (MAV asks each ballot size for its own number).
+Ties go to the first committee in lexicographic order, or, for prefer-JR,
+to the first optimum that provides JR: that search walks ties only until it
+holds such an optimum, checking an incumbent only once a committee ties with
+it or it reaches the ceiling.  Every search ends once its answer is settled
+at its objective's ceiling, the best value any committee could have.  All
+bookkeeping is done in scaled integers derived
 from the exact rational satisfaction tables, so results are exact and
 deterministic.  The search is sequential; since every input type is
 immutable, any number of searches may run concurrently on shared profiles.
@@ -120,57 +127,65 @@ class _Search:
 
     ``groups`` holds one ballot group per distinct approval set.  ``accept``
     is a leaf requirement, evaluated only at a leaf that would replace the
-    incumbent.  Unless co-optima are collected, an accepted leaf worth the
-    ceiling or more ends the search: by default the objective's ceiling,
-    otherwise the ``ceiling`` given here.
+    incumbent.  ``prefer`` settles ties: among the committees worth the best
+    value, the first that passes it wins, or else the first of them.  The
+    incumbent is *settled* once no leaf tying with it can change the answer:
+    always without ``prefer``, and with it once a committee passing it is
+    held at the best value.  A settled search prunes every subtree that
+    cannot beat the incumbent (an unsettled one, every subtree that cannot
+    tie with it), and ends at a settled incumbent worth the ceiling or more:
+    by default the objective's ceiling, otherwise the ``ceiling`` given here.
     """
 
     def __init__(self, profile: BallotProfile, k: int, budget: Optional[int], *,
-                 collect=False, accept=None, ceiling: Optional[int] = None):
+                 prefer=None, accept=None, ceiling: Optional[int] = None):
         merged = normalize_profile(profile)
         self.groups = merged.ballots
         self.owners = merged.approvers  # for each candidate, the groups approving it
         self.m = profile.num_candidates
         self.k = k
         self.budget = budget
-        self.collect = collect
+        self.prefer = prefer
         self.accept = accept
         self.ceiling = ceiling
         self.nodes = 0
         self.denominator = 1  # a leaf value over it is the score
         self.best_members: Optional[tuple[int, ...]] = None
         self.best_value: Optional[int] = None
-        self.co_optima: list[tuple[int, ...]] = []
+        self.settled = True
+        self.checked = False  # whether prefer has seen the incumbent
 
     def score(self, value: int) -> Fraction:
         return Fraction(value, self.denominator)
 
-    def run(self, add, undo, leaf, hopeless, ceiling: int) -> None:
+    def run(self, add, undo, leaf, hopeless, ceiling: int, floor: Optional[int] = None) -> None:
         """Visit the committees in lexicographic order, maximizing ``leaf()``.
 
         ``add(c)`` and ``undo(c)`` seat and unseat candidate c, ``leaf()`` is
         the integer value of a full committee, ``hopeless(start, depth,
         target)`` says that no completion by candidates >= start reaches
-        ``target``, and no committee is worth more than ``ceiling``.  Ties go
-        to the first committee visited.
+        ``target``, and no committee is worth more than ``ceiling``.  Every
+        optimum is worth ``floor`` or more, if given: until the first
+        incumbent, subtrees that cannot reach it are pruned and leaves below
+        it are passed over.  Ties go to the first committee visited, or as
+        ``prefer`` settles them.
         """
         k, m = self.k, self.m
         if self.ceiling is not None:
             ceiling = self.ceiling
+        if floor is not None:
+            self.best_value = floor - 1  # no incumbent yet: the settled target is the floor
         chosen: list[int] = []
         stack: list[int] = []  # for each open node, the next candidate to try
         start = 0
         while True:
             self.nodes += 1
             if self.budget is not None and self.nodes > self.budget:
+                best = self.best_members
                 raise BudgetExhausted(
                     f"node budget {self.budget} exhausted",
-                    best_committee=(
-                        Committee(self.best_members) if self.best_members else None
-                    ),
-                    best_score=(
-                        self.score(self.best_value) if self.best_value is not None else None
-                    ),
+                    best_committee=Committee(best) if best else None,
+                    best_score=self.score(self.best_value) if best else None,
                     nodes_explored=self.nodes,
                 )
             depth = len(chosen)
@@ -180,13 +195,24 @@ class _Search:
                     members = tuple(chosen)
                     if self.accept is None or self.accept(Committee(members)):
                         self.best_value, self.best_members = value, members
-                        self.co_optima = [members]
-                        if value >= ceiling and not self.collect:
+                        # nothing beats an incumbent at the ceiling: check it
+                        # now, not at a tie
+                        self.checked = self.prefer is None or value >= ceiling
+                        self.settled = self.prefer is None or self.checked and self.prefer(members)
+                        if self.settled and value >= ceiling:
                             return
-                elif self.collect and value == self.best_value:
-                    self.co_optima.append(tuple(chosen))
+                elif value == self.best_value and not self.settled:
+                    members = tuple(chosen)
+                    # offer the incumbent once, at its first tie, then each tie
+                    if not self.checked:
+                        self.checked = True
+                        self.settled = self.prefer(self.best_members)
+                    if not self.settled and self.prefer(members):
+                        self.best_members, self.settled = members, True
+                    if self.settled and value >= ceiling:
+                        return
             elif self.best_value is None or not hopeless(
-                start, depth, self.best_value + (0 if self.collect else 1)
+                start, depth, self.best_value + (1 if self.settled else 0)
             ):
                 stack.append(start)
             while stack:  # step to the next child, closing exhausted nodes
@@ -236,7 +262,21 @@ def _maximize(search: _Search, tables: list[tuple[int, ...]]) -> None:
         gains = sorted(map(marginal, range(start, m)))
         return scores[-1] + sum(gains[m - start - (k - depth):]) < target
 
-    search.run(add, undo, lambda: scores[-1], hopeless, sum(row[-1] for row in tables))
+    floor = None
+    if search.accept is None:
+        # the greedy committee's score: every optimum reaches it
+        picked: set[int] = set()
+        while len(picked) < k:
+            c = max((c for c in range(m) if c not in picked), key=marginal)
+            if marginal(c) == 0:
+                break  # gains only shrink: the remaining seats add nothing
+            picked.add(c)
+            add(c)
+        floor = scores[-1]
+        for c in picked:
+            undo(c)
+
+    search.run(add, undo, lambda: scores[-1], hopeless, sum(row[-1] for row in tables), floor)
 
 
 def _demand_state(search: _Search):
@@ -343,50 +383,46 @@ def optimize_committee(request: OptimizationRequest) -> OptimizationResult:
     """Exactly optimize the requested objective over all size-k committees.
 
     Returns the optimal committee with ties resolved per the request's
-    tie-break mode.  With the default lexicographic mode the search keeps a
-    single incumbent and the DFS order guarantees the lexicographically
-    smallest optimum; in prefer-JR mode all co-optimal committees are
-    collected in lexicographic order and the first one providing justified
-    representation is returned (falling back to the first co-optimum if none
-    does).  Raises `BudgetExhausted` (carrying the best committee found
-    so far) if the node budget is exceeded; the separable approval fast path
-    never consumes budget.
+    tie-break mode.  With the default lexicographic mode the DFS order
+    guarantees the lexicographically smallest optimum.  In prefer-JR mode the
+    answer is the first optimum in lexicographic order that provides
+    justified representation, or the first optimum if none does; the search
+    checks an incumbent only once a committee ties with it (or at once, if it
+    reaches the ceiling), and stops walking ties once it holds an optimum
+    that provides JR.  The Thiele searches start from the exact score of the
+    greedy committee, which every optimum reaches.  Co-optima are not counted (``co_optimal_count`` is None).  Raises
+    `BudgetExhausted` (carrying the best committee found so far) if the node
+    budget is exceeded; the separable approval fast path never consumes
+    budget.
     """
-    profile = request.profile
+    profile, k = request.profile, request.k
 
     if (
         request.objective.kind == "av"
         and request.tiebreak is TieBreak.LEXICOGRAPHIC
         and request.budget is None
     ):
-        return _av_separable(profile, request.k)
+        return _av_separable(profile, k)
 
-    search = _Search(profile, request.k, request.budget,
-                     collect=request.tiebreak is TieBreak.PREFER_JR)
+    def provides_jr(members: tuple[int, ...]) -> bool:
+        return axioms.check_jr(profile, k, Committee(members)).passed
+
+    prefer = provides_jr if request.tiebreak is TieBreak.PREFER_JR else None
+    search = _Search(profile, k, request.budget, prefer=prefer)
     if request.objective.kind == "mav":
         search.denominator = -1  # the search maximizes the negated distance
         _maximize_mav(search)
     else:
         tables, search.denominator = _satisfaction_tables(
-            search.groups, request.objective, request.k
+            search.groups, request.objective, k
         )
         _maximize(search, tables)
 
     assert search.best_members is not None and search.best_value is not None
-    members = search.best_members
-    co_count: Optional[int] = None
-    if search.collect:
-        co_count = len(search.co_optima)
-        members = next(
-            (w for w in search.co_optima
-             if axioms.check_jr(profile, request.k, Committee(w)).passed),
-            search.co_optima[0],
-        )
-
     return OptimizationResult(
-        committee=Committee(members),
+        committee=Committee(search.best_members),
         score=search.score(search.best_value),
-        co_optimal_count=co_count,
+        co_optimal_count=None,
         nodes_explored=search.nodes,
     )
 

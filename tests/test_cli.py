@@ -363,6 +363,34 @@ class TestExitCodes:
         code, out, _ = run(*spell(bad))
         assert code == EXIT_USAGE and out == ""
 
+    @pytest.mark.parametrize(
+        "argv, good, bad",
+        [
+            (("compute", "--rule", "wpav", "--weights", "1,{},0", "FILE"), "1/2", "\u0661/2"),
+            (("compute", "--rule", "wpav", "--weights", "{},1/2,0", "FILE"), "10/10", "1_0/10"),
+            (("corpus", "--name", "thm8", "--param", "w2={}", "--emit"), "1/2", "\u0661/2"),
+            (("random", "--seed", "1", "--n", "3", "--m", "3", "--k", "1",
+              "--culture", "uniform:{}"), "0.5", "\u0660.5"),
+            (("random", "--seed", "1", "--n", "3", "--m", "3", "--k", "1",
+              "--culture", "urn:2:{}"), "0.5", "\u0660.5"),
+            (("corpus", "--name", "thm7_extended", "--param", "k={}", "--emit"), "12", "+12"),
+            (("corpus", "--name", "thm7_extended", "--param", "k={}", "--emit"), "12", "1_2"),
+        ],
+    )
+    def test_rationals_and_probabilities_are_ascii(self, run, tmp_path, argv, good, bad):
+        # `Fraction`, `float` and `int` read non-ASCII digits and `_`
+        # separators, and `1_0/10` would be read as 1
+        path = tmp_path / "p.profile"
+        path.write_text("m 3\nk 1\n1: 0 1\n")
+
+        def spell(number):
+            return [str(path) if a == "FILE" else a.format(number) for a in argv]
+
+        assert run(*spell(good))[0] == EXIT_OK
+        code, out, err = run(*spell(bad))
+        assert code == EXIT_USAGE and out == "" and len(err.splitlines()) == 1
+        assert bad in err
+
     def test_graph_parse_error(self, run, tmp_path):
         path = tmp_path / "bad.graph"
         path.write_text("L 2 R 2\nedge 0 \u0661\n")
@@ -495,3 +523,4 @@ class TestParseErrorLines:
                 assert code == EXIT_PARSE and out == "" and f"line {index + 1}:" in err
                 tried[kind] += 1
         assert min(tried.values()) >= 10, tried
+

@@ -4,8 +4,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from jrvoting.axioms import check_jr, find_jr_committee, oracle_check_jr
+from jrvoting.axioms import check_ejr, check_jr, find_jr_committee, oracle_check_jr
 from jrvoting.core import (
     AV,
     BudgetExhausted,
@@ -16,7 +17,7 @@ from jrvoting.core import (
     score_committee,
     wpav_objective,
 )
-from jrvoting.corpus import build_fixture
+from jrvoting.corpus import UrnLike, build_fixture, random_profile
 from jrvoting.rules import (
     RuleSpec,
     compute_ejrav,
@@ -341,3 +342,21 @@ class TestRepresentationConstrainedOptimality:
                         assert check_jr(profile, k, best).passed
                         assert exc.best_score == value(profile, best)
         assert exhausted > 50 and with_incumbent > 20
+
+
+class TestProportionality:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32),
+        n=st.integers(1, 60),
+        shape=st.sampled_from([(m, k) for m in range(8, 15) for k in range(2, 7)]),
+        groups=st.integers(1, 4),
+        cohesion=st.sampled_from([0.5, 0.8, 0.95]),
+    )
+    def test_pav_winner_provides_ejr(self, seed, n, shape, groups, cohesion):
+        # the paper's positive result for the harmonic weights, on urn
+        # profiles larger than the acceptance suite's m <= 8, k <= 4
+        m, k = shape
+        profile = random_profile(seed, n, m, k, UrnLike(groups, cohesion))
+        winner = compute_rule(profile, k, RuleSpec("pav"))
+        assert check_ejr(profile, k, winner).passed

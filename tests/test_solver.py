@@ -1,10 +1,12 @@
 """Exact solver: enumeration, optimality against naive search, pruning, budget."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from jrvoting.axioms import exists_sjr_committee, oracle_check_jr
+from jrvoting.axioms import exists_sjr_committee, oracle_check_jr, oracle_check_sjr
 from jrvoting.core import (
     AV,
     BallotProfile,
@@ -168,7 +170,6 @@ class TestOptimalityOracle:
             preferred = _solve(profile, k, MAV, TieBreak.PREFER_JR)
             assert preferred.committee.members == (passing or co)[0]
             assert preferred.score == score
-            assert preferred.co_optimal_count == len(co)
 
     def test_repeat_runs_identical(self):
         profile = profile_of(5, ({0, 1}, 3), ({2, 3}, 2), ({4}, 1))
@@ -187,14 +188,12 @@ class TestTieBreak:
         assert lex.committee.members == (0, 1)
         preferred = _solve(profile, 2, AV, tiebreak=TieBreak.PREFER_JR)
         assert preferred.committee.members == (0, 2)
-        assert preferred.co_optimal_count == 3
 
     def test_prefer_jr_falls_back_when_no_co_optimum_qualifies(self):
         # unique approval optimum {1,2,3} fails representation: fall back to it
         fixture = build_fixture("thm4")
         result = _solve(fixture.profile, 3, AV, tiebreak=TieBreak.PREFER_JR)
         assert result.committee.members == (1, 2, 3)
-        assert result.co_optimal_count == 1
 
     def test_prefer_jr_takes_the_first_co_optimum_providing_jr(self):
         for profile, k in random_instances(seed=606, count=40, max_n=10, max_m=7, cultures=["urn"]):
@@ -203,11 +202,117 @@ class TestTieBreak:
                 passing = [w for w in co if oracle_check_jr(profile, k, Committee(w))]
                 result = _solve(profile, k, objective, TieBreak.PREFER_JR)
                 assert result.committee.members == (passing or co)[0]
-                assert result.co_optimal_count == len(co)
 
     def test_lexicographic_mode_reports_no_co_optimal_count(self):
         profile = profile_of(3, ({0, 1}, 1), ({2}, 1))
         assert _solve(profile, 2, SAV).co_optimal_count is None
+
+    def test_prefer_jr_mode_reports_no_co_optimal_count(self):
+        # the one-pass search stops walking ties once an optimum providing
+        # JR is held, so it does not count them
+        profile = profile_of(3, ({0, 1}, 1), ({2}, 1))
+        assert _solve(profile, 2, SAV, TieBreak.PREFER_JR).co_optimal_count is None
+
+
+class TestGreedyFloorAndOnePassTies:
+    @staticmethod
+    def _instances():
+        cultures = ["uniform", "urn", "fixed"]
+        yield from random_instances(seed=909, count=60, max_n=9, min_m=4, max_m=9,
+                                    cultures=cultures)
+        # disjoint blocs of consecutive candidates with tied approval counts:
+        # the first optimum seats the early blocs and often leaves a later
+        # bloc, a quota, unrepresented, so prefer-JR settles further on
+        rng = random.Random("one-pass ties")
+        for _ in range(80):
+            m = rng.randint(4, 9)
+            cuts = sorted(rng.sample(range(1, m), rng.randint(1, min(3, m - 1))))
+            groups = [(range(a, b), rng.randint(1, 2)) for a, b in zip([0] + cuts, cuts + [m])]
+            if rng.random() < 0.5:
+                groups.append((rng.sample(range(m), rng.randint(1, m)), 1))
+            yield BallotProfile.from_groups(m, groups), rng.randint(2, m - 1)
+
+    def test_both_tie_breaks_agree_with_naive_enumeration(self):
+        # the greedy floor must prune no optimum, and the one-pass prefer-JR
+        # search must settle on the first optimum providing JR, or else the
+        # first optimum
+        for profile, k in self._instances():
+            m = profile.m
+            stepped = WeightVector.from_values(([1, 1, Fraction(1, 3), Fraction(1, 3)] + [0] * m)[:m])
+            for objective in (
+                SAV,
+                wpav_objective(WeightVector.harmonic(m)),
+                wpav_objective(WeightVector.coverage(m)),
+                wpav_objective(stepped),
+                wpav_objective(WeightVector.all_ones(m)),
+            ):
+                score, co = naive_optimize(profile, k, objective)
+                passing = next(
+                    (w for w in co if oracle_check_jr(profile, k, Committee(w))), co[0]
+                )
+                lex = _solve(profile, k, objective)
+                assert (lex.committee.members, lex.score) == (co[0], score)
+                preferred = _solve(profile, k, objective, TieBreak.PREFER_JR)
+                assert (preferred.committee.members, preferred.score) == (passing, score)
+
+    def test_no_floor_under_a_leaf_requirement(self):
+        # 1 voter on c0, two on {c1, c2, c3}: the greedy approval committee
+        # {1, 2, 3} scores 6 and leaves the lone voter, a quota at k = 3,
+        # unrepresented; every JR committee holds c0 and scores 5 at most.
+        # A floor at 6 would reject every JR committee.
+        profile = build_fixture("thm4").profile
+        k = 3
+        assert _solve(profile, k, AV).committee.members == (1, 2, 3)
+        assert not oracle_check_jr(profile, k, Committee((1, 2, 3)))
+        justified = [
+            w for w in itertools.combinations(range(profile.m), k)
+            if oracle_check_jr(profile, k, Committee(w))
+        ]
+        assert max(score_committee(profile, Committee(w), AV) for w in justified) == 5
+        approvals = {w: score_committee(profile, Committee(w), AV) for w in justified}
+        best = max(approvals.values())
+        assert compute_ujrav(profile, k).members == next(w for w in justified if approvals[w] == best)
+        strong = next(
+            w for w in itertools.combinations(range(profile.m), k)
+            if oracle_check_sjr(profile, k, Committee(w))
+        )
+        assert exists_sjr_committee(profile, k).members == strong
+
+    def test_prefer_jr_stops_on_the_plateau_once_jr_is_held(self):
+        # every committee with one candidate from each bloc covers all four
+        # voters: nine co-optima.  The first, {0, 3}, reaches the ceiling, so
+        # it is checked at once, provides JR, and the search ends there.
+        # Walking the whole plateau took 18 nodes
+        profile = profile_of(6, ({0, 1, 2}, 2), ({3, 4, 5}, 2))
+        objective = wpav_objective(WeightVector.coverage(6))
+        assert len(naive_optimize(profile, 2, objective)[1]) == 9
+        result = _solve(profile, 2, objective, TieBreak.PREFER_JR)
+        assert result.committee.members == (0, 3)
+        assert result.score == 4
+        assert result.nodes_explored == 5  # root, {0}, {0, 1}, {0, 2}, {0, 3}
+
+    def test_prefer_jr_stops_at_a_tie_on_the_ceiling(self):
+        # MAV's ceiling is distance 3, set by the five-candidate ballot.  The
+        # first committee there, {1, 2}, leaves the voter on {3}, a quota at
+        # k = 2, unrepresented; it is checked at once and fails.  The tie
+        # {1, 3} provides JR and ends the search
+        profile = profile_of(6, {1, 2, 3, 4, 5}, {3})
+        score, co = naive_optimize(profile, 2, MAV)
+        assert co[:2] == [(1, 2), (1, 3)]
+        assert not oracle_check_jr(profile, 2, Committee(co[0]))
+        result = _solve(profile, 2, MAV, TieBreak.PREFER_JR)
+        assert (result.committee.members, result.score) == ((1, 3), score)
+        assert result.nodes_explored == 10
+
+    def test_greedy_floor_prunes_before_the_first_incumbent(self):
+        # the greedy committee {1, 2} scores 3/2; under {0} the best
+        # completion scores 1, so {0} is pruned before any leaf is seen.
+        # Without the floor the search took 6 nodes
+        profile = profile_of(3, {1, 2})
+        result = _solve(profile, 2, wpav_objective(WeightVector.harmonic(3)))
+        assert result.committee.members == (1, 2)
+        assert result.score == Fraction(3, 2)
+        assert result.nodes_explored == 4  # root, {0}, {1}, {1, 2}
 
 
 class TestCeiling:
