@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 
 from . import axioms, corpus, rules
 from .core import (
+    Ballot,
     BallotProfile,
     BudgetExhausted,
     Committee,
@@ -70,13 +71,44 @@ def _integer(text: str) -> int:
     return int(text)
 
 
+def _read_indices(tokens: list[str], m: int, lineno: int) -> frozenset[int]:
+    """A ballot line's candidate indices, token by token: accepts what the
+    one-call read in `parse_profile` cannot (``01``, ``-0``, an index beyond
+    its table) and names the first bad token of a line it rejects."""
+    approved: set[int] = set()
+    for token in tokens:
+        try:
+            c = int(token)
+        except ValueError:
+            raise ProfileParseError(f"bad candidate index {token!r}", lineno) from None
+        if c in approved:
+            raise ProfileParseError(f"duplicate candidate index {c}", lineno)
+        if not 0 <= c < m:
+            raise ProfileParseError(f"candidate index {c} out of range for m={m}", lineno)
+        approved.add(c)
+    return frozenset(approved)
+
+
 def parse_profile(text: str) -> tuple[BallotProfile, Optional[int]]:
-    """Parse a profile document; returns the profile and the optional k header."""
+    """Parse a profile document; returns the profile and the optional k header.
+
+    A ballot line is read once: a later identical line (after stripping)
+    adds the same `Ballot` again.  Its indices are read in one call through
+    a table of the plain spellings of the indices below m (at most one per
+    character of the document); a line holding another spelling, an index
+    outside the table or one index twice is read again by `_read_indices`.
+    """
     m: Optional[int] = None
     k: Optional[int] = None
-    groups: list[tuple[set[int], int]] = []
+    index: dict[str, int] = {}
+    read: dict[str, Ballot] = {}
+    ballots: list[Ballot] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
+        ballot = read.get(line)
+        if ballot is not None:
+            ballots.append(ballot)
+            continue
         if not line or line.startswith("#"):
             continue
         if not _plain_integers(line):
@@ -91,6 +123,7 @@ def parse_profile(text: str) -> tuple[BallotProfile, Optional[int]]:
                 raise ProfileParseError(f"bad m header {rest!r}", lineno) from None
             if m < 1:
                 raise ProfileParseError(f"m must be >= 1, got {m}", lineno)
+            index = {str(c): c for c in range(min(m, len(text)))}
             continue
         if head == "k":
             if k is not None:
@@ -111,25 +144,20 @@ def parse_profile(text: str) -> tuple[BallotProfile, Optional[int]]:
             raise ProfileParseError(f"multiplicity must be >= 1, got {mult}", lineno)
         if m is None:
             raise ProfileParseError("ballot line before m header", lineno)
-        approved: set[int] = set()
-        for token in indices_text.split():
-            try:
-                c = int(token)
-            except ValueError:
-                raise ProfileParseError(f"bad candidate index {token!r}", lineno) from None
-            if c in approved:
-                raise ProfileParseError(f"duplicate candidate index {c}", lineno)
-            if not 0 <= c < m:
-                raise ProfileParseError(
-                    f"candidate index {c} out of range for m={m}", lineno
-                )
-            approved.add(c)
-        groups.append((approved, mult))
+        tokens = indices_text.split()
+        try:
+            approved = frozenset(map(index.__getitem__, tokens))
+        except KeyError:
+            approved = None
+        if approved is None or len(approved) != len(tokens):
+            approved = _read_indices(tokens, m, lineno)
+        ballot = read[line] = Ballot(approved, mult)
+        ballots.append(ballot)
     if m is None:
         raise ProfileParseError("missing m header")
-    if not groups:
+    if not ballots:
         raise ProfileParseError("profile contains no ballots")
-    return BallotProfile.from_groups(m, groups), k
+    return BallotProfile(m, tuple(ballots)), k
 
 
 def serialize_profile(

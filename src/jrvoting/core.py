@@ -13,6 +13,7 @@ functions of their inputs, so they can safely be shared across threads.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -95,12 +96,16 @@ class BallotProfile:
             raise ProfileError(f"num_candidates must be >= 1, got {self.num_candidates}")
         if not self.ballots:
             raise ProfileError("profile must contain at least one voter")
-        for ballot in self.ballots:
-            for c in ballot.approved:
-                if not 0 <= c < self.num_candidates:
-                    raise ProfileError(
-                        f"candidate index {c} out of range for m={self.num_candidates}"
-                    )
+        # one range test over every approved index; only a profile that fails
+        # it is scanned ballot by ballot, for the index the error names
+        approved = frozenset().union(*(ballot.approved for ballot in self.ballots))
+        if approved and not 0 <= min(approved) <= max(approved) < self.num_candidates:
+            for ballot in self.ballots:
+                for c in ballot.approved:
+                    if not 0 <= c < self.num_candidates:
+                        raise ProfileError(
+                            f"candidate index {c} out of range for m={self.num_candidates}"
+                        )
 
     @classmethod
     def from_groups(
@@ -341,9 +346,11 @@ def score_committee(
 ) -> Fraction:
     """Exact score of a committee under the given objective.
 
-    This is the straightforward reference evaluation (pure rational
-    arithmetic over ballot groups); the solver uses an equivalent scaled
-    integer form internally and is cross-checked against this function.
+    The additive objectives count in integers: ``av`` sums winners, ``sav``
+    and ``wpav`` tally the voters by their number of approved winners (for
+    ``sav`` also by ballot size) and sum exact rationals over those few
+    levels only.  The solver uses an equivalent scaled integer form
+    internally and is cross-checked against this function.
     """
     _check_committee(profile, committee)
     wmask = committee.mask
@@ -353,14 +360,15 @@ def score_committee(
         )
         return Fraction(total)
     if objective.kind == "sav":
-        total = Fraction(0)
-        for ballot in profile.ballots:
-            size = len(ballot.approved)
-            if size == 0:
-                continue
-            reps = (ballot.mask & wmask).bit_count()
-            total += ballot.multiplicity * Fraction(reps, size)
-        return total
+        levels: Counter[tuple[int, int]] = Counter()
+        for mask, mult in profile.masks:
+            size = mask.bit_count()
+            if size:  # an empty ballot contributes 0
+                levels[(mask & wmask).bit_count(), size] += mult
+        return sum(
+            (Fraction(hits * voters, size) for (hits, size), voters in levels.items()),
+            Fraction(0),
+        )
     if objective.kind == "wpav":
         weights = objective.weights
         assert weights is not None
@@ -369,10 +377,10 @@ def score_committee(
                 f"weight vector length {len(weights)} != number of candidates {profile.num_candidates}"
             )
         table = weights.satisfaction_table
-        total = Fraction(0)
+        voters_by_hits: Counter[int] = Counter()
         for mask, mult in profile.masks:
-            total += mult * table[(mask & wmask).bit_count()]
-        return total
+            voters_by_hits[(mask & wmask).bit_count()] += mult
+        return sum((voters * table[hits] for hits, voters in voters_by_hits.items()), Fraction(0))
     # mav: maximum symmetric-difference distance over distinct ballots
     k = committee.k
     worst = 0

@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union, get_args, get_type_hints
 
 from . import axioms, rules
 from .core import (
@@ -708,6 +708,13 @@ def build_fixture(name: str, **params) -> Fixture:
         raise FixtureParameterError(
             f"unknown fixture {name!r}; available: {', '.join(fixture_names())}"
         ) from None
+    hints = get_type_hints(builder) if params else {}
+    for key, value in params.items():
+        kinds = get_args(hints.get(key)) or (hints.get(key),)
+        if set(kinds) <= {int, type(None)} and type(value) is not int:
+            raise FixtureParameterError(
+                f"fixture {name}: parameter {key} takes an integer, got '{value}'"
+            )
     try:
         return builder(**params)
     except TypeError as exc:

@@ -6,11 +6,12 @@ Two families:
   minimax-distance) dispatch to the exact solver;
 * sequential rules elect one candidate per round, reweighting each voter's
   contribution by how many of their approved candidates are already elected.
-  One round loop, `sequential_trace`, serves them all; it runs on integers
-  over the profile's approver index.  With coverage weights (1, 0, ..., 0)
-  it is greedy approval voting, the `gav` rule, which is also the paper's
-  construction of a committee providing justified representation
-  (`axioms.find_jr_committee`).
+  One round loop, `_rounds`, serves them all; it runs on integers over the
+  profile's approver index.  `sequential_trace` also keeps every round's
+  weight table, `compute_sequential_rule` only the winners.  With coverage
+  weights (1, 0, ..., 0) it is greedy approval voting, the `gav` rule, which
+  is also the paper's construction of a committee providing justified
+  representation (`axioms.find_jr_committee`).
 
 On top of these sit two representation-constrained rules that optimize over
 the committees providing justified representation only.
@@ -87,20 +88,16 @@ class RoundRecord:
     weights: Mapping[int, Fraction]
 
 
-def sequential_trace(
-    profile: BallotProfile, k: int, weights: WeightVector
-) -> list[RoundRecord]:
-    """Run k rounds of the sequential rule, keeping each round's weight table.
+def _rounds(profile: BallotProfile, k: int, weights: WeightVector):
+    """The sequential rule's round loop, on integers.
 
-    In every round each unelected candidate's approval weight is the
-    multiplicity-weighted sum, over ballots approving it, of the weight-vector
-    entry at one past the ballot's current number of elected approvals.  The
-    maximal candidate is elected, ties broken by lowest index.  Rounds run on
-    integers: the weights are scaled by the least common multiple of their
-    denominators, and electing a candidate only updates the ballots that
-    approve it (`BallotProfile.approvers`).  A candidate's reported weight is
-    rebuilt as a fraction only when its integer weight changes, so the round
-    records share them.
+    Yields ``(best, unelected, current, scale)`` at the start of each of the
+    k rounds, before ``best`` is elected: ``unelected`` lists the unelected
+    candidates in index order and ``current[c]`` is candidate c's approval
+    weight times ``scale``, the least common multiple of the weights'
+    denominators.  Both lists change when the generator resumes.  Electing a
+    candidate only updates the ballots that approve it
+    (`BallotProfile.approvers`).
     """
     m = profile.num_candidates
     if not 1 <= k <= m:
@@ -115,16 +112,11 @@ def sequential_trace(
     ballots = profile.ballots
     counts = [0] * len(ballots)
     current = [scale * score for score in profile.approval_scores]  # w_1 = 1
-    shown = [Fraction(score) for score in profile.approval_scores]
-
-    candidates = list(range(m))  # int objects shared by every round's table
-    elected: set[int] = set()
-    trace: list[RoundRecord] = []
-    for round_index in range(1, k + 1):
-        snapshot = {c: shown[c] for c in candidates if c not in elected}
-        best = max(snapshot, key=current.__getitem__)  # the first maximum
-        elected.add(best)
-        touched: set[int] = set()
+    unelected = list(range(m))
+    for _ in range(k):
+        best = max(unelected, key=current.__getitem__)  # the first maximum
+        yield best, unelected, current, scale
+        unelected.remove(best)
         for g in profile.approvers[best]:
             held = counts[g]
             counts[g] = held + 1
@@ -132,18 +124,41 @@ def sequential_trace(
             if delta:
                 for c in ballots[g].approved:
                     current[c] += delta
-                touched |= ballots[g].approved
-        for c in touched - elected:
-            shown[c] = Fraction(current[c], scale)
-        trace.append(RoundRecord(round_index, best, shown[best], snapshot))
+
+
+def sequential_trace(
+    profile: BallotProfile, k: int, weights: WeightVector
+) -> list[RoundRecord]:
+    """Run k rounds of the sequential rule, keeping each round's weight table.
+
+    In every round each unelected candidate's approval weight is the
+    multiplicity-weighted sum, over ballots approving it, of the weight-vector
+    entry at one past the ballot's current number of elected approvals.  The
+    maximal candidate is elected, ties broken by lowest index.  The rounds
+    run on integers (`_rounds`); a candidate's reported weight is rebuilt as
+    a fraction only when its integer weight changes, so the round records
+    share them.
+    """
+    scaled: list[Optional[int]] = [None] * profile.num_candidates
+    shown: list[Optional[Fraction]] = [None] * profile.num_candidates
+    trace: list[RoundRecord] = []
+    for index, (best, unelected, current, scale) in enumerate(
+        _rounds(profile, k, weights), start=1
+    ):
+        for c in unelected:
+            if scaled[c] != current[c]:
+                scaled[c] = current[c]
+                shown[c] = Fraction(current[c], scale)
+        trace.append(RoundRecord(index, best, shown[best], {c: shown[c] for c in unelected}))
     return trace
 
 
 def compute_sequential_rule(
     profile: BallotProfile, k: int, weights: WeightVector
 ) -> Committee:
-    """The committee accumulated over k sequential rounds."""
-    return Committee.of(r.candidate for r in sequential_trace(profile, k, weights))
+    """The committee accumulated over k sequential rounds; unlike
+    `sequential_trace` it builds no weight tables."""
+    return Committee.of(best for best, _, _, _ in _rounds(profile, k, weights))
 
 
 def compute_score_rule(

@@ -1,5 +1,6 @@
 """Shared test helpers: profile constructors, deterministic random streams,
-and the naive references: the full-enumeration optimizer used as the
+and the naive references: the token-by-token document parser, the
+per-ballot rational scorer, the full-enumeration optimizer used as the
 solver's oracle, the ballot-deleting greedy cover, the sequential rule
 recomputed from its definition every round and the l-subset scan for the
 first cohesive candidate set."""
@@ -7,8 +8,10 @@ first cohesive candidate set."""
 import itertools
 import random
 from fractions import Fraction
+from typing import Optional
 
-from jrvoting.core import BallotProfile, Committee, ScoringObjective, score_committee
+from jrvoting.cli import ProfileParseError, _plain_integers
+from jrvoting.core import BallotProfile, Committee, ScoringObjective, _check_committee
 from jrvoting.corpus import FixedSize, UniformSubsets, UrnLike, random_profile
 
 
@@ -23,16 +26,122 @@ def profile_of(m, *groups):
     return BallotProfile.from_groups(m, normalized)
 
 
+def naive_parse_profile(text: str) -> tuple[BallotProfile, Optional[int]]:
+    """Parse a profile document; returns the profile and the optional k header.
+
+    The parser as it was before ballot lines were read in one call: every
+    line, repeated or not, token by token."""
+    m: Optional[int] = None
+    k: Optional[int] = None
+    groups: list[tuple[set[int], int]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not _plain_integers(line):
+            raise ProfileParseError(f"numbers must be ASCII decimal digits in {line!r}", lineno)
+        head, _, rest = line.partition(" ")
+        if head == "m":
+            if m is not None:
+                raise ProfileParseError("duplicate m header", lineno)
+            try:
+                m = int(rest)
+            except ValueError:
+                raise ProfileParseError(f"bad m header {rest!r}", lineno) from None
+            if m < 1:
+                raise ProfileParseError(f"m must be >= 1, got {m}", lineno)
+            continue
+        if head == "k":
+            if k is not None:
+                raise ProfileParseError("duplicate k header", lineno)
+            try:
+                k = int(rest)
+            except ValueError:
+                raise ProfileParseError(f"bad k header {rest!r}", lineno) from None
+            continue
+        mult_text, sep, indices_text = line.partition(":")
+        if not sep:
+            raise ProfileParseError(f"unrecognized line {line!r}", lineno)
+        try:
+            mult = int(mult_text.strip())
+        except ValueError:
+            raise ProfileParseError(f"bad multiplicity {mult_text.strip()!r}", lineno) from None
+        if mult < 1:
+            raise ProfileParseError(f"multiplicity must be >= 1, got {mult}", lineno)
+        if m is None:
+            raise ProfileParseError("ballot line before m header", lineno)
+        approved: set[int] = set()
+        for token in indices_text.split():
+            try:
+                c = int(token)
+            except ValueError:
+                raise ProfileParseError(f"bad candidate index {token!r}", lineno) from None
+            if c in approved:
+                raise ProfileParseError(f"duplicate candidate index {c}", lineno)
+            if not 0 <= c < m:
+                raise ProfileParseError(
+                    f"candidate index {c} out of range for m={m}", lineno
+                )
+            approved.add(c)
+        groups.append((approved, mult))
+    if m is None:
+        raise ProfileParseError("missing m header")
+    if not groups:
+        raise ProfileParseError("profile contains no ballots")
+    return BallotProfile.from_groups(m, groups), k
+
+
+def naive_score(profile, committee, objective: ScoringObjective) -> Fraction:
+    """Exact score of a committee, one rational per ballot group."""
+    _check_committee(profile, committee)
+    wmask = committee.mask
+    if objective.kind == "av":
+        total = sum(
+            mult * (mask & wmask).bit_count() for mask, mult in profile.masks
+        )
+        return Fraction(total)
+    if objective.kind == "sav":
+        total = Fraction(0)
+        for ballot in profile.ballots:
+            size = len(ballot.approved)
+            if size == 0:
+                continue
+            reps = (ballot.mask & wmask).bit_count()
+            total += ballot.multiplicity * Fraction(reps, size)
+        return total
+    if objective.kind == "wpav":
+        weights = objective.weights
+        assert weights is not None
+        if len(weights) != profile.num_candidates:
+            raise ValueError(
+                f"weight vector length {len(weights)} != number of candidates {profile.num_candidates}"
+            )
+        table = weights.satisfaction_table
+        total = Fraction(0)
+        for mask, mult in profile.masks:
+            total += mult * table[(mask & wmask).bit_count()]
+        return total
+    # mav: maximum symmetric-difference distance over distinct ballots
+    k = committee.k
+    worst = 0
+    for mask, _mult in profile.masks:
+        dist = k + mask.bit_count() - 2 * (mask & wmask).bit_count()
+        if dist > worst:
+            worst = dist
+    return Fraction(worst)
+
+
 def naive_optimize(profile, k, objective: ScoringObjective):
     """Full enumeration with explicit tie-break: returns (score, co-optima).
 
     Independent of the solver: scores every committee with the reference
-    rational scorer.  Co-optima come out in lexicographic order.
+    rational scorer `naive_score`.  Co-optima come out in lexicographic
+    order.
     """
     best_score = None
     co = []
     for members in itertools.combinations(range(profile.num_candidates), k):
-        score = score_committee(profile, Committee(members), objective)
+        score = naive_score(profile, Committee(members), objective)
         if best_score is None:
             best_score, co = score, [members]
             continue

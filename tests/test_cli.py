@@ -1,6 +1,8 @@
 """Profile document grammar, command exit codes, machine output stability."""
 
+import io
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,7 @@ from jrvoting.cli import (
 from jrvoting.core import BallotProfile, normalize_profile
 from jrvoting.corpus import build_fixture
 
-from conftest import random_instances
+from conftest import naive_parse_profile, random_instances
 
 
 class TestParseProfile:
@@ -127,6 +129,68 @@ class TestParseProfile:
         assert serialize_profile(reparsed, k=1) == serialize_profile(normalized, k=1)
 
 
+    @staticmethod
+    def _valid_documents(seed, count):
+        """Valid documents in the spellings the grammar allows: repeated
+        ballot lines, ``01`` and ``-0``, tabs and runs of spaces, CRLF
+        endings, comments and blank lines between ballots, a k header before
+        or after the ballots, and empty ballots."""
+        rng = random.Random(f"documents|{seed}")
+
+        def gap():
+            return rng.choice([" ", "  ", "\t", " \t "])
+
+        def spell(c):
+            return rng.choice([str(c), str(c), f"0{c}", "-0" if c == 0 else str(c)])
+
+        for _ in range(count):
+            m = rng.randint(1, 12)
+            body, written = [], []
+            for _ in range(rng.randint(1, 12)):
+                if written and rng.random() < 0.4:
+                    body.append(rng.choice(written))
+                else:
+                    approved = rng.sample(range(m), rng.randint(0, m))
+                    line = rng.choice(["", " ", "\t"]) + f"{rng.randint(1, 5)}:"
+                    line += "".join(gap() + spell(c) for c in approved)
+                    written.append(line)
+                    body.append(line)
+                if rng.random() < 0.25:
+                    body.append(rng.choice(["", "   ", "# between ballots", "\t# indented"]))
+            k_line = f"k {rng.randint(1, m)}"
+            if rng.random() < 0.5:
+                body.append(k_line)
+            elif rng.random() < 0.8:
+                body.insert(0, k_line)
+            newline = rng.choice(["\n", "\r\n"])
+            yield newline.join(["# seeded", f"m {m}"] + body) + newline
+
+    def test_documents_parse_as_the_token_by_token_reference(self):
+        repeated = 0
+        for text in self._valid_documents(seed=5, count=300):
+            profile, k = parse_profile(text)
+            assert (profile, k) == naive_parse_profile(text), text
+            repeated += len(profile.ballots) - len(set(map(id, profile.ballots)))
+        assert repeated > 100
+
+    def test_repeated_lines_share_one_ballot(self):
+        profile, _ = parse_profile("m 3\n2: 0 1\n1: 2\n 2: 0 1\t\n2: 1 0\n")
+        first, _, again, swapped = profile.ballots
+        assert again is first and swapped == first and swapped is not first
+        assert profile.n == 7 and len(profile.ballots) == 4
+
+    def test_huge_m_header_allocates_by_document_size(self):
+        tracemalloc.start()
+        try:
+            profile, _ = parse_profile("m 100000000\n1: 99999999 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert profile.num_candidates == 100_000_000
+        assert profile.ballots[0].approved == {0, 99_999_999}
+        assert peak < 1_000_000
+
+
 class TestParseGraph:
     def test_good_document(self):
         graph = parse_graph("# graph\nL 2 R 3\nedge 0 0\nedge 1 2\n")
@@ -171,6 +235,20 @@ def run(capsys):
 
 
 class TestCommands:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", "--rule", "pav", "--format", "machine"),
+            ("check", "--axiom", "ejr", "--committee", "0,1,2,3,4,5,6,7,8,9", "--format", "machine"),
+        ],
+    )
+    def test_document_from_stdin(self, run, thm7_file, monkeypatch, argv):
+        with open(thm7_file) as handle:
+            monkeypatch.setattr("sys.stdin", io.StringIO(handle.read()))
+        piped = run(*argv, "-")
+        assert piped[0] in (EXIT_OK, EXIT_FAIL) and piped[1]
+        assert piped == run(*argv, thm7_file)
+
     def test_compute_sequential_on_1199_voters(self, run, thm7_file):
         code, out, _ = run(
             "compute", "--rule", "rav", "--k", "10", "--format", "machine", thm7_file
@@ -391,6 +469,24 @@ class TestExitCodes:
         assert code == EXIT_USAGE and out == "" and len(err.splitlines()) == 1
         assert bad in err
 
+    @pytest.mark.parametrize(
+        "argv, good, bad",
+        [
+            (("corpus", "--name", "thm7_extended", "--param", "k={}", "--emit"), "12", "1.5"),
+            (("corpus", "--name", "thm7_extended", "--param", "k={}", "--emit"), "12", "abc"),
+            (("corpus", "--name", "thm8", "--param", "s={}", "--verify"), "8", "abc"),
+        ],
+    )
+    def test_integer_fixture_params_name_a_non_integer(self, run, argv, good, bad):
+        def spell(value):
+            return [a.format(value) for a in argv]
+
+        assert run(*spell(good))[0] == EXIT_OK
+        code, out, err = run(*spell(bad))
+        name = next(a for a in argv if "=" in a).partition("=")[0]
+        assert code == EXIT_USAGE and out == "" and len(err.splitlines()) == 1
+        assert f"parameter {name} " in err and repr(bad) in err
+
     def test_graph_parse_error(self, run, tmp_path):
         path = tmp_path / "bad.graph"
         path.write_text("L 2 R 2\nedge 0 \u0661\n")
@@ -518,6 +614,9 @@ class TestParseErrorLines:
                 with pytest.raises(ProfileParseError) as excinfo:
                     parse_profile(text)
                 assert excinfo.value.line == index + 1, (kind, text)
+                with pytest.raises(ProfileParseError) as reference:
+                    naive_parse_profile(text)
+                assert str(excinfo.value) == str(reference.value), (kind, text)
                 path.write_text(text)
                 code, out, err = run("compute", "--rule", "av", "--format", "machine", str(path))
                 assert code == EXIT_PARSE and out == "" and f"line {index + 1}:" in err

@@ -1,5 +1,6 @@
 """Core types, normalization, exact scoring."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from jrvoting.core import (
 )
 from jrvoting.corpus import build_fixture
 
-from conftest import profile_of
+from conftest import naive_score, profile_of, random_committee, random_instances
 
 
 @st.composite
@@ -76,6 +77,19 @@ class TestProfile:
     def test_index_out_of_range_rejected(self):
         with pytest.raises(ProfileError):
             profile_of(2, ({0, 2}, 1))
+
+    @pytest.mark.parametrize(
+        "groups, bad",
+        [
+            ([({0}, 1), ({0, 2}, 1)], 2),
+            ([({1}, 2), ({-1, 1}, 1)], -1),
+            ([({1, 7}, 1), ({-3}, 1)], 7),  # the first ballot's index is named
+            ([(set(), 1), ({10**12}, 1)], 10**12),
+        ],
+    )
+    def test_index_out_of_range_names_the_index(self, groups, bad):
+        with pytest.raises(ProfileError, match=f"^candidate index {bad} out of range for m=2$"):
+            BallotProfile.from_groups(2, groups)
 
     def test_bad_multiplicity_rejected(self):
         with pytest.raises(ProfileError):
@@ -211,6 +225,32 @@ class TestScoreCommittee:
             score_committee(
                 profile, Committee((0,)), wpav_objective(WeightVector.harmonic(2))
             )
+
+    def test_matches_per_ballot_reference(self):
+        # integer tallies against one rational per ballot group, on grouped,
+        # merged and expanded profiles with empty ballots and random weights
+        rng = random.Random("score-reference")
+        for profile, k in random_instances(
+            seed=61, count=120, max_n=12, max_m=9, cultures=["uniform", "urn", "fixed"]
+        ):
+            m = profile.num_candidates
+            committee = random_committee(rng, m, k)
+            tail = []
+            for _ in range(m - 1):
+                den = rng.randint(1, 7)
+                tail.append(Fraction(rng.randint(0, den), den))
+            objectives = [
+                AV,
+                SAV,
+                MAV,
+                wpav_objective(WeightVector.harmonic(m)),
+                wpav_objective(WeightVector.from_values([1] + sorted(tail, reverse=True))),
+            ]
+            for p in (profile, normalize_profile(profile), profile.expand()):
+                for objective in objectives:
+                    assert score_committee(p, committee, objective) == naive_score(
+                        p, committee, objective
+                    ), (p, committee, objective)
 
     @settings(max_examples=60, deadline=None)
     @given(profile_and_committee())

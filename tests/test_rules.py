@@ -94,6 +94,8 @@ class TestSequential:
             for p in (normalize_profile(profile), profile.expand()):
                 trace = [(r.candidate, r.weight, dict(r.weights)) for r in sequential_trace(p, k, weights)]
                 assert trace == naive_sequential_trace(p, k, weights)
+                winners = Committee.of(candidate for candidate, _, _ in trace)
+                assert compute_sequential_rule(p, k, weights) == winners
 
     def test_weight_length_validation(self):
         profile = profile_of(3, ({0}, 1))
