@@ -715,6 +715,13 @@ def build_fixture(name: str, **params) -> Fixture:
             raise FixtureParameterError(
                 f"fixture {name}: parameter {key} takes an integer, got '{value}'"
             )
+        if Fraction in kinds and not isinstance(value, (int, Fraction)):
+            try:
+                Fraction(value)
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise FixtureParameterError(
+                    f"fixture {name}: parameter {key} takes a rational number, got '{value}'"
+                ) from None
     try:
         return builder(**params)
     except TypeError as exc:

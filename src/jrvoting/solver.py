@@ -6,10 +6,19 @@ optional leaf requirement, plus a separable fast path for plain approval
 scores.  The search keeps its open nodes on an explicit stack, so k has no
 depth limit.  It works on merged ballot groups (one per distinct approval
 set, see `core.normalize_profile`), so repeated ballots cost nothing per
-node.  The additive (Thiele) search bounds a node by its score plus the
-largest marginal gains still available, one per open seat, and until it
-holds an incumbent prunes against the exact score of the greedy committee:
-with non-increasing weights the score is monotone submodular, so greedy is
+node.  The additive (Thiele) search runs on bitsets: a group owns one bit
+per unit of each base-64 digit of its multiplicity, so a profile whose
+multiplicities are all below 64 gets one bit per voter and a multiplicity
+of a billion at most 63 bits per digit.  ``levels[j]`` holds the bits of
+the groups with exactly j winners, and a candidate's marginal gain is a
+short sum of unit gain times popcount, over terms built once per node from
+the levels and one integer gain row per ballot size.  A node is bounded by
+its score plus the largest marginal gains still available, one per open
+seat; since gains only shrink as the committee grows, the node bounds each
+child the same way from its own gains, and a child below the target is
+skipped without being visited.  Until it holds an incumbent the search
+prunes against the exact score of the greedy committee: with
+non-increasing weights the score is monotone submodular, so greedy is
 within 1 - 1/e of the optimum (Nemhauser, Wolsey & Fisher 1978), and every
 optimum reaches its score.  MAV and maximin share one demand search on
 bitmasks over the groups: a node is hopeless once some group can no longer
@@ -19,17 +28,18 @@ Ties go to the first committee in lexicographic order, or, for prefer-JR,
 to the first optimum that provides JR: that search walks ties only until it
 holds such an optimum, checking an incumbent only once a committee ties with
 it or it reaches the ceiling.  Every search ends once its answer is settled
-at its objective's ceiling, the best value any committee could have.  All
-bookkeeping is done in scaled integers derived
-from the exact rational satisfaction tables, so results are exact and
-deterministic.  The search is sequential; since every input type is
-immutable, any number of searches may run concurrently on shared profiles.
+at its objective's ceiling, the best value any committee could have.  A
+node budget counts visited nodes only.  All bookkeeping is done in scaled
+integers derived from the exact rational satisfaction rows, so results are
+exact and deterministic.  The search is sequential; since every input type
+is immutable, any number of searches may run concurrently on shared
+profiles.
 """
-
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
@@ -88,38 +98,33 @@ def enumerate_committees(m: int, k: int) -> Iterator[Committee]:
 
 def _satisfaction_tables(
     groups: tuple[Ballot, ...], objective: ScoringObjective, k: int
-) -> tuple[list[tuple[int, ...]], int]:
-    """Per-group cumulative score tables scaled to a common integer denominator.
+) -> tuple[dict[int, tuple[int, ...]], int]:
+    """Per-voter gain rows scaled to a common integer denominator, one per
+    distinct ballot size.
 
-    Entry p of a group's table is multiplicity * satisfaction(p) * denominator,
-    for p up to min(|ballot|, k).  The total committee score is the sum of
-    table entries at the group's intersection counts, divided by the
-    denominator.
+    Entry j of ballot size s's row is what one voter approving s candidates
+    adds to the score with its (j + 1)-th approved winner, times the
+    denominator, for j < min(s, k).  A committee's score is the sum over the
+    voters of the entries below their number of approved winners, divided by
+    the denominator.
     """
-    fraction_tables = []
+    rows: dict[int, list[Fraction]] = {}
     for ballot in groups:
         size = len(ballot.approved)
-        top = min(size, k)
-        if objective.kind == "av":
-            row = [Fraction(p) for p in range(top + 1)]
-        elif objective.kind == "sav":
-            if size == 0:
-                row = [Fraction(0)]
-            else:
-                row = [Fraction(p, size) for p in range(top + 1)]
-        else:  # wpav
-            table = objective.weights.satisfaction_table
-            row = [table[p] for p in range(top + 1)]
-        fraction_tables.append((ballot.multiplicity, row))
-
-    denominator = math.lcm(
-        1, *(value.denominator for _, row in fraction_tables for value in row)
-    )
-    tables = [
-        tuple(int(value * denominator) * mult for value in row)
-        for mult, row in fraction_tables
-    ]
-    return tables, denominator
+        if size not in rows:
+            top = min(size, k)
+            if objective.kind == "av":
+                rows[size] = [Fraction(1)] * top
+            elif objective.kind == "sav":
+                rows[size] = [Fraction(1, size)] * top if size else []
+            else:  # wpav
+                rows[size] = list(objective.weights.weights[:top])
+    denominator = math.lcm(1, *(value.denominator for row in rows.values() for value in row))
+    scaled = {
+        size: tuple(value.numerator * (denominator // value.denominator) for value in row)
+        for size, row in rows.items()
+    }
+    return scaled, denominator
 
 
 class _Search:
@@ -158,14 +163,18 @@ class _Search:
     def score(self, value: int) -> Fraction:
         return Fraction(value, self.denominator)
 
-    def run(self, add, undo, leaf, hopeless, ceiling: int, floor: Optional[int] = None) -> None:
+    def run(self, add, undo, leaf, bound, ceiling: int, floor: Optional[int] = None) -> None:
         """Visit the committees in lexicographic order, maximizing ``leaf()``.
 
         ``add(c)`` and ``undo(c)`` seat and unseat candidate c, ``leaf()`` is
-        the integer value of a full committee, ``hopeless(start, depth,
-        target)`` says that no completion by candidates >= start reaches
-        ``target``, and no committee is worth more than ``ceiling``.  Every
-        optimum is worth ``floor`` or more, if given: until the first
+        the integer value of a full committee, and no committee is worth more
+        than ``ceiling``.  ``bound(start, depth, target)`` is None when no
+        completion by candidates >= start reaches ``target``; otherwise it
+        bounds the node's children, as a pair ``(worth, best)`` where
+        ``worth[c]`` bounds every committee below the child seating c and
+        ``best[c]`` is the largest ``worth`` from c onward, or as ``()`` when
+        it bounds none.  Children below the target are skipped unvisited.
+        Every optimum is worth ``floor`` or more, if given: until the first
         incumbent, subtrees that cannot reach it are pruned and leaves below
         it are passed over.  Ties go to the first committee visited, or as
         ``prefer`` settles them.
@@ -177,6 +186,7 @@ class _Search:
             self.best_value = floor - 1  # no incumbent yet: the settled target is the floor
         chosen: list[int] = []
         stack: list[int] = []  # for each open node, the next candidate to try
+        bounds: list[tuple] = []  # for each open node, the bounds on its children
         start = 0
         while True:
             self.nodes += 1
@@ -211,72 +221,164 @@ class _Search:
                         self.best_members, self.settled = members, True
                     if self.settled and value >= ceiling:
                         return
-            elif self.best_value is None or not hopeless(
-                start, depth, self.best_value + (1 if self.settled else 0)
-            ):
+            elif self.best_value is None:
                 stack.append(start)
-            while stack:  # step to the next child, closing exhausted nodes
+                bounds.append(())
+            else:
+                children = bound(start, depth, self.best_value + (1 if self.settled else 0))
+                if children is not None:
+                    stack.append(start)
+                    bounds.append(children)
+            while stack:  # step to the next child worth seating, closing exhausted nodes
                 if len(chosen) == len(stack):
                     undo(chosen.pop())
-                c = stack[-1]
-                if c <= m - k + len(chosen):
+                c, last = stack[-1], m - k + len(chosen)
+                if bounds[-1] and c <= last:
+                    worth, best = bounds[-1]
+                    target = self.best_value + (1 if self.settled else 0)
+                    if best[c] < target:
+                        c = last + 1
+                    else:
+                        while worth[c] < target:
+                            c += 1
+                if c <= last:
                     stack[-1] = start = c + 1
                     chosen.append(c)
                     add(c)
                     break
                 stack.pop()
+                bounds.pop()
             else:
                 return  # the root is closed
 
 
-def _maximize(search: _Search, tables: list[tuple[int, ...]]) -> None:
-    owners, m, k = search.owners, search.m, search.k
-    counts = [0] * len(tables)
+def _maximize(search: _Search, objective: ScoringObjective) -> None:
+    """Maximize an additive (Thiele) score.
+
+    A group owns one bit per unit of each base-64 digit of its multiplicity,
+    worth 64 ** d for digit d, so a profile whose multiplicities are all
+    below 64 gets one bit per voter.  ``levels[j]`` holds the bits of the
+    groups with exactly j winners so far; seating a candidate moves its bits
+    up one level.  A class is the bits that share one row of per-voter gains
+    and one digit.  A candidate's gain is the sum of unit * popcount(its bits
+    & mask) over the node's terms, one (mask, unit) per class and run of
+    levels with equal unit gain.
+    """
+    groups, owners, m, k = search.groups, search.owners, search.m, search.k
+    rows, search.denominator = _satisfaction_tables(groups, objective, k)
+    ceiling = sum(ballot.multiplicity * sum(rows[len(ballot.approved)]) for ballot in groups)
+    # a row that begins a longer one joins its class: a voter's bits never
+    # reach the levels past the end of its own row while it can still gain
+    longest = sorted(set(rows.values()), key=len, reverse=True)
+    share = {row: next(r for r in longest if r[:len(row)] == row) for row in longest}
+    masks: dict[tuple[tuple[int, ...], int], int] = {}  # (row, digit) -> its bits
+    owned = []  # for each group, its bits
+    width = 0
+    for ballot in groups:
+        mine = 0
+        if ballot.approved:  # an empty ballot never gains
+            row = share[rows[len(ballot.approved)]]
+            mult, digit = ballot.multiplicity, 0
+            while mult:
+                mult, count = divmod(mult, 64)
+                if count:
+                    span = ((1 << count) - 1) << width
+                    width += count
+                    mine |= span
+                    masks[row, digit] = masks.get((row, digit), 0) | span
+                digit += 1
+        owned.append(mine)
+    bits = [sum(owned[g] for g in groups_of_c) for groups_of_c in owners]
+    classes = [(mask, [unit << 6 * digit for unit in row]) for (row, digit), mask in masks.items()]
+    levels = [(1 << width) - 1] + [0] * k
+    saved: list[tuple[list[int], list[tuple[int, int]]]] = []
+    terms: Optional[list[tuple[int, int]]] = None  # the node's, once built
     scores = [0]  # the score of each prefix of the committee
 
-    def marginal(c: int) -> int:
-        gain = 0
-        for g in owners[c]:
-            row = tables[g]
-            gain += row[counts[g] + 1] - row[counts[g]]
-        return gain
+    def gains_of(candidates: list[int], here: list[tuple[int, int]]) -> list[int]:
+        total = [0] * len(candidates)
+        for held, unit in here:
+            total = [gain + unit * (mine & held).bit_count() for gain, mine in zip(total, candidates)]
+        return total
+
+    def node_terms() -> list[tuple[int, int]]:
+        nonlocal terms
+        if terms is None:
+            terms = []
+            depth = len(saved)
+            for mask, row in classes:
+                j, top = 0, min(depth + 1, len(row))
+                while j < top:
+                    unit, held = row[j], levels[j]
+                    j += 1
+                    while j < top and row[j] == unit:
+                        held |= levels[j]
+                        j += 1
+                    if unit:
+                        terms.append((held & mask, unit))
+        return terms
 
     def add(c: int) -> None:
-        gain = 0
-        for g in owners[c]:
-            row = tables[g]
-            held = counts[g]
-            gain += row[held + 1] - row[held]
-            counts[g] = held + 1
-        scores.append(scores[-1] + gain)
+        nonlocal levels, terms
+        mine = bits[c]
+        here = node_terms()
+        scores.append(scores[-1] + sum(unit * (mine & held).bit_count() for held, unit in here))
+        saved.append((levels, here))
+        levels = levels[:]
+        for j in range(len(saved) - 1, -1, -1):
+            moved = levels[j] & mine
+            if moved:
+                levels[j] ^= moved
+                levels[j + 1] |= moved
+        terms = None
 
     def undo(c: int) -> None:
+        nonlocal levels, terms
         scores.pop()
-        for g in owners[c]:
-            counts[g] -= 1
+        levels, terms = saved.pop()
 
-    def hopeless(start: int, depth: int, target: int) -> bool:
+    def bound(start: int, depth: int, target: int):
         # marginal gains only shrink as the committee grows (weights are
-        # non-increasing), so the k - depth largest gains on offer now bound
-        # what any completion by candidates >= start adds
-        gains = sorted(map(marginal, range(start, m)))
-        return scores[-1] + sum(gains[m - start - (k - depth):]) < target
+        # non-increasing), so a child's score plus the largest gains on offer
+        # after it, one per seat still open below it, bounds its subtree
+        here = node_terms()
+        score = scores[-1]
+        gains = gains_of(bits[start:], here)
+        last = m - k + depth  # the last child with room for the seats after it
+        top = sorted(gains[last + 1 - start:])  # the largest gains after the child
+        tail = sum(top)
+        worth = [0] * (last + 1)
+        best = [0] * (last + 1)
+        most = 0
+        for c in range(last, start - 1, -1):
+            gain = gains[c - start]
+            worth[c] = value = score + gain + tail
+            if value > most:
+                most = value
+            best[c] = most
+            if top and gain > top[0]:
+                tail += gain - top[0]
+                del top[0]
+                insort(top, gain)
+        # best[start] is the node's score plus its k - depth largest gains
+        return None if best[start] < target else (worth, best)
 
     floor = None
     if search.accept is None:
         # the greedy committee's score: every optimum reaches it
-        picked: set[int] = set()
+        picked: list[int] = []
         while len(picked) < k:
-            c = max((c for c in range(m) if c not in picked), key=marginal)
-            if marginal(c) == 0:
+            gains = gains_of(bits, node_terms())
+            c = max((c for c in range(m) if c not in picked), key=gains.__getitem__)
+            if gains[c] == 0:
                 break  # gains only shrink: the remaining seats add nothing
-            picked.add(c)
+            picked.append(c)
             add(c)
         floor = scores[-1]
-        for c in picked:
+        for c in reversed(picked):
             undo(c)
 
-    search.run(add, undo, lambda: scores[-1], hopeless, sum(row[-1] for row in tables), floor)
+    search.run(add, undo, lambda: scores[-1], bound, ceiling, floor)
 
 
 def _demand_state(search: _Search):
@@ -328,7 +430,7 @@ def _maximize_maximin(search: _Search) -> None:
     everyone = hits[0]
     search.run(  # the levels are nested
         add, undo, lambda: hits.count(everyone) - 1,
-        lambda start, depth, want: short(start, depth, want, everyone),
+        lambda start, depth, want: None if short(start, depth, want, everyone) else (),
         min(min(len(b.approved), k) for b in search.groups),
     )
 
@@ -349,16 +451,16 @@ def _maximize_mav(search: _Search) -> None:
         return -max(k + size - 2 * (sum(h & mask == mask for h in hits) - 1)
                     for size, mask in classes.items())
 
-    def hopeless(start: int, depth: int, target: int) -> bool:
+    def bound(start: int, depth: int, target: int) -> Optional[tuple]:
         # ending at distance -target or less needs (k + s + target) / 2
         # winners, rounded up, from each group whose ballot has s candidates
         for size, mask in classes.items():
             want = (k + size + target + 1) // 2
             if want > 0 and (want > size or short(start, depth, want, mask)):
-                return True
-        return False
+                return None
+        return ()  # no bound on the children
 
-    search.run(add, undo, leaf, hopeless, -max(abs(k - size) for size in classes))
+    search.run(add, undo, leaf, bound, -max(abs(k - size) for size in classes))
 
 
 def _av_separable(profile: BallotProfile, k: int) -> OptimizationResult:
@@ -390,10 +492,11 @@ def optimize_committee(request: OptimizationRequest) -> OptimizationResult:
     checks an incumbent only once a committee ties with it (or at once, if it
     reaches the ceiling), and stops walking ties once it holds an optimum
     that provides JR.  The Thiele searches start from the exact score of the
-    greedy committee, which every optimum reaches.  Co-optima are not counted (``co_optimal_count`` is None).  Raises
-    `BudgetExhausted` (carrying the best committee found so far) if the node
-    budget is exceeded; the separable approval fast path never consumes
-    budget.
+    greedy committee, which every optimum reaches.  Co-optima are not counted
+    (``co_optimal_count`` is None).  Raises `BudgetExhausted` (carrying the
+    best committee found so far) once the search visits more nodes than the
+    budget; a child skipped at its parent is not visited, and the separable
+    approval fast path never consumes budget.
     """
     profile, k = request.profile, request.k
 
@@ -413,10 +516,7 @@ def optimize_committee(request: OptimizationRequest) -> OptimizationResult:
         search.denominator = -1  # the search maximizes the negated distance
         _maximize_mav(search)
     else:
-        tables, search.denominator = _satisfaction_tables(
-            search.groups, request.objective, k
-        )
-        _maximize(search, tables)
+        _maximize(search, request.objective)
 
     assert search.best_members is not None and search.best_value is not None
     return OptimizationResult(
@@ -440,7 +540,7 @@ def _best_accepted(profile: BallotProfile, k: int, accept: Callable[[Committee],
     search = _Search(profile, k, budget, accept=accept,
                      ceiling=0 if objective is None else None)
     if objective == "av":
-        _maximize(search, _satisfaction_tables(search.groups, AV, k)[0])
+        _maximize(search, AV)
     else:
         _maximize_maximin(search)
     return Committee(search.best_members) if search.best_members else None

@@ -487,6 +487,23 @@ class TestExitCodes:
         assert code == EXIT_USAGE and out == "" and len(err.splitlines()) == 1
         assert f"parameter {name} " in err and repr(bad) in err
 
+    @pytest.mark.parametrize(
+        "argv, good, bad",
+        [
+            (("corpus", "--name", "thm8", "--param", "w2={}", "--emit"), "1/2", "abc"),
+            (("corpus", "--name", "lemma1", "--param", "epsilon={}", "--emit"), "0.25", "abc"),
+        ],
+    )
+    def test_rational_fixture_params_name_a_non_number(self, run, argv, good, bad):
+        def spell(value):
+            return [a.format(value) for a in argv]
+
+        assert run(*spell(good))[0] == EXIT_OK
+        code, out, err = run(*spell(bad))
+        name = next(a for a in argv if "=" in a).partition("=")[0]
+        assert code == EXIT_USAGE and out == "" and len(err.splitlines()) == 1
+        assert f"fixture {argv[2]}: parameter {name} " in err and repr(bad) in err
+
     def test_graph_parse_error(self, run, tmp_path):
         path = tmp_path / "bad.graph"
         path.write_text("L 2 R 2\nedge 0 \u0661\n")

@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from jrvoting.axioms import exists_sjr_committee, oracle_check_jr, oracle_check_sjr
+from jrvoting.axioms import check_jr, exists_sjr_committee, oracle_check_jr, oracle_check_sjr
+from jrvoting.cli import main
 from jrvoting.core import (
     AV,
     BallotProfile,
@@ -280,8 +282,10 @@ class TestGreedyFloorAndOnePassTies:
 
     def test_prefer_jr_stops_on_the_plateau_once_jr_is_held(self):
         # every committee with one candidate from each bloc covers all four
-        # voters: nine co-optima.  The first, {0, 3}, reaches the ceiling, so
-        # it is checked at once, provides JR, and the search ends there.
+        # voters: nine co-optima.  The greedy floor, {0, 3}, is the ceiling 4.
+        # Under {0} (score 2) seating 1 or 2 gains 0, so {0} bounds both
+        # children at 2 and skips them unvisited; {0, 3} reaches the ceiling,
+        # is checked at once, provides JR, and the search ends there.
         # Walking the whole plateau took 18 nodes
         profile = profile_of(6, ({0, 1, 2}, 2), ({3, 4, 5}, 2))
         objective = wpav_objective(WeightVector.coverage(6))
@@ -289,7 +293,7 @@ class TestGreedyFloorAndOnePassTies:
         result = _solve(profile, 2, objective, TieBreak.PREFER_JR)
         assert result.committee.members == (0, 3)
         assert result.score == 4
-        assert result.nodes_explored == 5  # root, {0}, {0, 1}, {0, 2}, {0, 3}
+        assert result.nodes_explored == 3  # root, {0}, {0, 3}
 
     def test_prefer_jr_stops_at_a_tie_on_the_ceiling(self):
         # MAV's ceiling is distance 3, set by the five-candidate ballot.  The
@@ -305,14 +309,93 @@ class TestGreedyFloorAndOnePassTies:
         assert result.nodes_explored == 10
 
     def test_greedy_floor_prunes_before_the_first_incumbent(self):
-        # the greedy committee {1, 2} scores 3/2; under {0} the best
-        # completion scores 1, so {0} is pruned before any leaf is seen.
-        # Without the floor the search took 6 nodes
+        # the greedy committee {1, 2} scores 3/2.  At the root, c0 gains 0
+        # and the largest gain after it is 1, so the root bounds {0} at 1 and
+        # skips it before any leaf is seen.  Without the floor the search
+        # took 6 nodes
         profile = profile_of(3, {1, 2})
         result = _solve(profile, 2, wpav_objective(WeightVector.harmonic(3)))
         assert result.committee.members == (1, 2)
         assert result.score == Fraction(3, 2)
-        assert result.nodes_explored == 4  # root, {0}, {1}, {1, 2}
+        assert result.nodes_explored == 3  # root, {1}, {1, 2}
+
+
+class TestBitsetSearch:
+    # each bit stands for one unit of a base-64 digit of its group's
+    # multiplicity: these carry into a new digit, or sit just below one
+    MULTIPLICITIES = (1, 63, 64, 65, 4095, 4096, 10**9)
+
+    @classmethod
+    def _carrying(cls, seed, count, max_m=7):
+        rng = random.Random(f"carrying|{seed}")
+        for raw, k in random_instances(seed=seed, count=count, max_n=8, max_m=max_m,
+                                       cultures=["uniform", "urn", "fixed"]):
+            groups = [(b.approved, rng.choice(cls.MULTIPLICITIES))
+                      for b in normalize_profile(raw).ballots]
+            yield BallotProfile.from_groups(raw.m, groups), k
+
+    @staticmethod
+    def _additive(m):
+        stepped = WeightVector.from_values(([1, 1, Fraction(1, 3), Fraction(1, 3)] + [0] * m)[:m])
+        return (AV, SAV, wpav_objective(WeightVector.harmonic(m)),
+                wpav_objective(WeightVector.coverage(m)), wpav_objective(stepped))
+
+    def test_both_tie_breaks_agree_with_naive_enumeration(self):
+        for profile, k in self._carrying(1111, 40):
+            for objective in self._additive(profile.m):
+                score, co = naive_optimize(profile, k, objective)
+                # the unit-ballot oracle cannot expand a billion voters;
+                # check_jr agrees with it on every small stream
+                passing = next((w for w in co if check_jr(profile, k, Committee(w)).passed), co[0])
+                # a budget keeps approval voting off its separable fast path
+                lex = _solve(profile, k, objective, budget=10**6)
+                assert (lex.committee.members, lex.score) == (co[0], score)
+                preferred = _solve(profile, k, objective, TieBreak.PREFER_JR)
+                assert (preferred.committee.members, preferred.score) == (passing, score)
+
+    def test_multiplicities_near_a_billion_stay_small(self, tmp_path, capsys):
+        # one bit per voter would take four billion bits here; base-64 digits
+        # take at most 63 bits per digit and group
+        path = tmp_path / "big.profile"
+        path.write_text("m 6\nk 3\n999999999: 0 1 2\n1000000000: 2 3\n"
+                        "999999937: 4 5\n1000000007: 0 5\n")
+        profile = profile_of(6, ({0, 1, 2}, 999999999), ({2, 3}, 1000000000),
+                             ({4, 5}, 999999937), ({0, 5}, 1000000007))
+        for rule, objective, tiebreak in (
+            ("pav", wpav_objective(WeightVector.harmonic(6)), "lex"),
+            ("cc", wpav_objective(WeightVector.coverage(6)), "lex"),
+            ("sav", SAV, "prefer-jr"),
+        ):
+            argv = ["compute", "--rule", rule, "--tiebreak", tiebreak, "--format", "machine", str(path)]
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            out = dict(line.split("=", 1) for line in capsys.readouterr().out.split())
+            assert code == 0 and peak < 1 << 20
+            score, co = naive_optimize(profile, 3, objective)
+            assert out["committee"] == ",".join(map(str, co[0]))
+            assert Fraction(out["score"]) == score
+
+    def test_budget_best_so_far_scores_as_reported(self):
+        # the budget counts visited nodes only: a search that visits N nodes
+        # runs out under every budget below N, and not at N
+        exhausted = 0
+        for profile, k in self._carrying(1212, 80, max_m=9):
+            for objective in self._additive(profile.m)[1:]:
+                full = _solve(profile, k, objective).nodes_explored
+                assert _solve(profile, k, objective, budget=full).nodes_explored == full
+                for budget in range(1, full):
+                    with pytest.raises(BudgetExhausted) as excinfo:
+                        _solve(profile, k, objective, budget=budget)
+                    err = excinfo.value
+                    assert err.nodes_explored == budget + 1
+                    if err.best_committee is not None:
+                        exhausted += 1
+                        assert err.best_score == score_committee(profile, err.best_committee, objective)
+        assert exhausted > 50
 
 
 class TestCeiling:
@@ -340,14 +423,20 @@ class TestMinimaxBound:
 
 class TestBudget:
     def test_budget_carries_best_so_far(self):
+        # the greedy floor {0, 1, 2} scores 5, the optimum.  The search
+        # visits the root, {0}, {0, 1} and the leaf {0, 1, 2}, the incumbent
+        # at 5; {0, 1} closes, since seating 3, 4 or 5 there adds 1 at most,
+        # and {0} seats 2.  {0, 2} is the fifth node, and the sixth, {1},
+        # runs out of the budget of 5.  The whole search takes 7 nodes
         profile = profile_of(6, ({0, 1}, 2), ({2, 3}, 2), ({4, 5}, 1))
         objective = wpav_objective(WeightVector.harmonic(6))
+        assert _solve(profile, 3, objective).nodes_explored == 7
         with pytest.raises(BudgetExhausted) as excinfo:
-            _solve(profile, 3, objective, budget=12)
+            _solve(profile, 3, objective, budget=5)
         err = excinfo.value
-        assert err.nodes_explored == 13
-        assert err.best_committee is not None
-        assert err.best_score is not None
+        assert err.nodes_explored == 6
+        assert err.best_committee == Committee((0, 1, 2))
+        assert err.best_score == 5 == score_committee(profile, err.best_committee, objective)
 
     def test_tiny_budget_may_have_no_incumbent(self):
         profile = profile_of(4, ({0}, 1))
