@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -319,30 +318,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class RunResult:
-    """Structured command output: ordered key/value fields plus wall time.
-
-    Renders as human-readable `key: value` lines (with timing) or as the
-    machine format `key=value` (timing omitted so that identical inputs give
-    byte-identical output).  Rationals are always rendered as `num/den`,
-    committees as sorted comma-separated indices.
-    """
-
-    fields: tuple[tuple[str, str], ...]
-    elapsed_seconds: float
-
-    def render(self, fmt: str) -> str:
-        if fmt == "machine":
-            return "".join(f"{key}={value}\n" for key, value in self.fields)
-        lines = [f"{key}: {value}" for key, value in self.fields]
-        lines.append(f"time: {self.elapsed_seconds * 1000:.1f} ms")
-        return "\n".join(lines) + "\n"
-
-
 def _emit(fields: list[tuple[str, str]], fmt: str, started: float) -> None:
-    result = RunResult(tuple(fields), time.perf_counter() - started)
-    sys.stdout.write(result.render(fmt))
+    """Write a command's ordered key/value fields.
+
+    Renders as human-readable `key: value` lines (with the wall time since
+    ``started``) or as the machine format `key=value` (timing omitted so that
+    identical inputs give byte-identical output).  Rationals are always
+    rendered as `num/den`, committees as sorted comma-separated indices.
+    """
+    if fmt == "machine":
+        sys.stdout.write("".join(f"{key}={value}\n" for key, value in fields))
+        return
+    lines = [f"{key}: {value}" for key, value in fields]
+    lines.append(f"time: {(time.perf_counter() - started) * 1000:.1f} ms")
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _witness_fields(report: axioms.AxiomReport) -> list[tuple[str, str]]:
@@ -505,6 +494,10 @@ _ORACLE_AXIOMS = tuple(name for name, axiom in axioms.AXIOMS.items() if axiom.or
 
 def _cmd_oracle(args) -> int:
     started = time.perf_counter()
+    if args.max_n < 1:
+        raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
+    if args.max_m < 2:
+        raise ValueError(f"--max-m must be >= 2, got {args.max_m}")
     if args.rav_jr_search:
         # exploratory only: no verdict is asserted either way
         k = args.k if args.k is not None else 3

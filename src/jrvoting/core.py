@@ -13,7 +13,7 @@ functions of their inputs, so they can safely be shared across threads.
 from __future__ import annotations
 
 import enum
-from collections import Counter
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -341,51 +341,68 @@ def _check_committee(profile: BallotProfile, committee: Committee) -> None:
         )
 
 
+def _gain_rows(
+    objective: ScoringObjective, sizes: Iterable[int], k: int
+) -> tuple[dict[int, tuple[int, ...]], int]:
+    """Per-voter gain rows of an additive objective, scaled to a common
+    integer denominator, one per ballot size in ``sizes``.
+
+    Entry j of ballot size s's row is what one voter approving s candidates
+    adds to the score with its (j + 1)-th approved winner, times the
+    denominator, for j < min(s, k): 1 for ``av``, 1/s for ``sav`` and w_{j+1}
+    for ``wpav``.  A committee's score is the sum over the voters of the
+    entries below their number of approved winners, divided by the
+    denominator.
+    """
+    rows: dict[int, list[Fraction]] = {}
+    for size in sizes:
+        top = min(size, k)
+        if objective.kind == "av":
+            rows[size] = [Fraction(1)] * top
+        elif objective.kind == "sav":
+            rows[size] = [Fraction(1, size)] * top if size else []
+        else:  # wpav
+            rows[size] = list(objective.weights.weights[:top])
+    denominator = math.lcm(1, *(value.denominator for row in rows.values() for value in row))
+    scaled = {
+        size: tuple(value.numerator * (denominator // value.denominator) for value in row)
+        for size, row in rows.items()
+    }
+    return scaled, denominator
+
+
 def score_committee(
     profile: BallotProfile, committee: Committee, objective: ScoringObjective
 ) -> Fraction:
     """Exact score of a committee under the given objective.
 
-    The additive objectives count in integers: ``av`` sums winners, ``sav``
-    and ``wpav`` tally the voters by their number of approved winners (for
-    ``sav`` also by ballot size) and sum exact rationals over those few
-    levels only.  The solver uses an equivalent scaled integer form
-    internally and is cross-checked against this function.
+    The additive objectives tally the voters in integers by ballot size and
+    approved winners, then sum the integer gain rows of `_gain_rows` (the
+    ones the Thiele search reads) over those few classes, for one exact
+    rational.
     """
     _check_committee(profile, committee)
-    wmask = committee.mask
-    if objective.kind == "av":
-        total = sum(
-            mult * (mask & wmask).bit_count() for mask, mult in profile.masks
+    wmask, k = committee.mask, committee.k
+    if objective.kind == "mav":
+        # maximum symmetric-difference distance over distinct ballots
+        worst = 0
+        for mask, _mult in profile.masks:
+            dist = k + mask.bit_count() - 2 * (mask & wmask).bit_count()
+            if dist > worst:
+                worst = dist
+        return Fraction(worst)
+    if objective.kind == "wpav" and len(objective.weights) != profile.num_candidates:
+        raise ValueError(
+            f"weight vector length {len(objective.weights)} != number of candidates {profile.num_candidates}"
         )
-        return Fraction(total)
-    if objective.kind == "sav":
-        levels: Counter[tuple[int, int]] = Counter()
-        for mask, mult in profile.masks:
-            size = mask.bit_count()
-            if size:  # an empty ballot contributes 0
-                levels[(mask & wmask).bit_count(), size] += mult
-        return sum(
-            (Fraction(hits * voters, size) for (hits, size), voters in levels.items()),
-            Fraction(0),
-        )
-    if objective.kind == "wpav":
-        weights = objective.weights
-        assert weights is not None
-        if len(weights) != profile.num_candidates:
-            raise ValueError(
-                f"weight vector length {len(weights)} != number of candidates {profile.num_candidates}"
-            )
-        table = weights.satisfaction_table
-        voters_by_hits: Counter[int] = Counter()
-        for mask, mult in profile.masks:
-            voters_by_hits[(mask & wmask).bit_count()] += mult
-        return sum((voters * table[hits] for hits, voters in voters_by_hits.items()), Fraction(0))
-    # mav: maximum symmetric-difference distance over distinct ballots
-    k = committee.k
-    worst = 0
-    for mask, _mult in profile.masks:
-        dist = k + mask.bit_count() - 2 * (mask & wmask).bit_count()
-        if dist > worst:
-            worst = dist
-    return Fraction(worst)
+    width = k + 1  # a voter holds at most k winners
+    voters: dict[int, int] = {}  # ballot size * width + winners -> voters
+    for mask, mult in profile.masks:
+        key = mask.bit_count() * width + (mask & wmask).bit_count()
+        voters[key] = voters.get(key, 0) + mult
+    rows, denominator = _gain_rows(objective, {key // width for key in voters}, k)
+    total = 0
+    for key, count in voters.items():
+        size, hits = divmod(key, width)
+        total += count * sum(rows[size][:hits])
+    return Fraction(total, denominator)

@@ -10,6 +10,7 @@ construction's reading order and are documented per fixture via
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -708,6 +709,13 @@ def build_fixture(name: str, **params) -> Fixture:
         raise FixtureParameterError(
             f"unknown fixture {name!r}; available: {', '.join(fixture_names())}"
         ) from None
+    takes = inspect.signature(builder).parameters
+    for key in params:
+        if key not in takes:
+            raise FixtureParameterError(
+                f"fixture {name}: unknown parameter {key}; it takes "
+                + (", ".join(takes) if takes else "no parameters")
+            )
     hints = get_type_hints(builder) if params else {}
     for key, value in params.items():
         kinds = get_args(hints.get(key)) or (hints.get(key),)

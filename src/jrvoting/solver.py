@@ -12,7 +12,8 @@ multiplicities are all below 64 gets one bit per voter and a multiplicity
 of a billion at most 63 bits per digit.  ``levels[j]`` holds the bits of
 the groups with exactly j winners, and a candidate's marginal gain is a
 short sum of unit gain times popcount, over terms built once per node from
-the levels and one integer gain row per ballot size.  A node is bounded by
+the levels and one integer gain row per ballot size (`core._gain_rows`, the
+rows `core.score_committee` sums too).  A node is bounded by
 its score plus the largest marginal gains still available, one per open
 seat; since gains only shrink as the committee grows, the node bounds each
 child the same way from its own gains, and a child below the target is
@@ -28,9 +29,10 @@ Ties go to the first committee in lexicographic order, or, for prefer-JR,
 to the first optimum that provides JR: that search walks ties only until it
 holds such an optimum, checking an incumbent only once a committee ties with
 it or it reaches the ceiling.  Every search ends once its answer is settled
-at its objective's ceiling, the best value any committee could have.  A
-node budget counts visited nodes only.  All bookkeeping is done in scaled
-integers derived from the exact rational satisfaction rows, so results are
+at its objective's ceiling, the best value any committee could have; the
+search for any committee passing a leaf requirement values every committee
+at 0, so it ends at the first that passes.  A node budget counts visited
+nodes only.  All bookkeeping is done in scaled integers, so results are
 exact and deterministic.  The search is sequential; since every input type
 is immutable, any number of searches may run concurrently on shared
 profiles.
@@ -38,7 +40,6 @@ profiles.
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,12 +48,12 @@ from typing import Callable, Iterator, Optional
 from . import axioms
 from .core import (
     AV,
-    Ballot,
     BallotProfile,
     BudgetExhausted,
     Committee,
     ScoringObjective,
     TieBreak,
+    _gain_rows,
     normalize_profile,
 )
 
@@ -96,37 +97,6 @@ def enumerate_committees(m: int, k: int) -> Iterator[Committee]:
         yield Committee(members)
 
 
-def _satisfaction_tables(
-    groups: tuple[Ballot, ...], objective: ScoringObjective, k: int
-) -> tuple[dict[int, tuple[int, ...]], int]:
-    """Per-voter gain rows scaled to a common integer denominator, one per
-    distinct ballot size.
-
-    Entry j of ballot size s's row is what one voter approving s candidates
-    adds to the score with its (j + 1)-th approved winner, times the
-    denominator, for j < min(s, k).  A committee's score is the sum over the
-    voters of the entries below their number of approved winners, divided by
-    the denominator.
-    """
-    rows: dict[int, list[Fraction]] = {}
-    for ballot in groups:
-        size = len(ballot.approved)
-        if size not in rows:
-            top = min(size, k)
-            if objective.kind == "av":
-                rows[size] = [Fraction(1)] * top
-            elif objective.kind == "sav":
-                rows[size] = [Fraction(1, size)] * top if size else []
-            else:  # wpav
-                rows[size] = list(objective.weights.weights[:top])
-    denominator = math.lcm(1, *(value.denominator for row in rows.values() for value in row))
-    scaled = {
-        size: tuple(value.numerator * (denominator // value.denominator) for value in row)
-        for size, row in rows.items()
-    }
-    return scaled, denominator
-
-
 class _Search:
     """Depth-first branch and bound over the size-k committees.
 
@@ -138,12 +108,11 @@ class _Search:
     always without ``prefer``, and with it once a committee passing it is
     held at the best value.  A settled search prunes every subtree that
     cannot beat the incumbent (an unsettled one, every subtree that cannot
-    tie with it), and ends at a settled incumbent worth the ceiling or more:
-    by default the objective's ceiling, otherwise the ``ceiling`` given here.
+    tie with it), and ends at a settled incumbent worth the ceiling or more.
     """
 
     def __init__(self, profile: BallotProfile, k: int, budget: Optional[int], *,
-                 prefer=None, accept=None, ceiling: Optional[int] = None):
+                 prefer=None, accept=None):
         merged = normalize_profile(profile)
         self.groups = merged.ballots
         self.owners = merged.approvers  # for each candidate, the groups approving it
@@ -152,7 +121,6 @@ class _Search:
         self.budget = budget
         self.prefer = prefer
         self.accept = accept
-        self.ceiling = ceiling
         self.nodes = 0
         self.denominator = 1  # a leaf value over it is the score
         self.best_members: Optional[tuple[int, ...]] = None
@@ -180,8 +148,6 @@ class _Search:
         ``prefer`` settles them.
         """
         k, m = self.k, self.m
-        if self.ceiling is not None:
-            ceiling = self.ceiling
         if floor is not None:
             self.best_value = floor - 1  # no incumbent yet: the settled target is the floor
         chosen: list[int] = []
@@ -265,7 +231,7 @@ def _maximize(search: _Search, objective: ScoringObjective) -> None:
     levels with equal unit gain.
     """
     groups, owners, m, k = search.groups, search.owners, search.m, search.k
-    rows, search.denominator = _satisfaction_tables(groups, objective, k)
+    rows, search.denominator = _gain_rows(objective, {len(b.approved) for b in groups}, k)
     ceiling = sum(ballot.multiplicity * sum(rows[len(ballot.approved)]) for ballot in groups)
     # a row that begins a longer one joins its class: a voter's bits never
     # reach the levels past the end of its own row while it can still gain
@@ -535,12 +501,14 @@ def _best_accepted(profile: BallotProfile, k: int, accept: Callable[[Committee],
     stops at the first).  None if no committee passes.
     """
     OptimizationRequest(profile, k, AV, budget=budget)  # validates k and budget
-    # with no objective every leaf reaches the ceiling, so the first accepted
-    # one ends the search
-    search = _Search(profile, k, budget, accept=accept,
-                     ceiling=0 if objective is None else None)
+    search = _Search(profile, k, budget, accept=accept)
     if objective == "av":
         _maximize(search, AV)
-    else:
+    elif objective == "maximin":
         _maximize_maximin(search)
+    else:
+        # no state to keep: every committee is worth the ceiling, 0, so the
+        # first accepted one ends the search
+        search.run(lambda c: None, lambda c: None, lambda: 0,
+                   lambda start, depth, target: (), 0)
     return Committee(search.best_members) if search.best_members else None

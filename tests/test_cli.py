@@ -387,6 +387,29 @@ class TestCommands:
         assert code == EXIT_OK
         assert "mode=rav-jr-search" in out
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("--max-n", "0"), "--max-n must be >= 1"),
+            (("--max-m", "1"), "--max-m must be >= 2"),
+            (("--rav-jr-search", "--k", "1", "--max-m", "1"), "--max-m must be >= 2"),
+        ],
+    )
+    def test_oracle_ranges_name_their_flag(self, run, argv, flag):
+        assert run("oracle", "--max-n", "1", "--max-m", "2", "--trials", "5")[0] == EXIT_OK
+        code, out, err = run("oracle", *argv)
+        assert code == EXIT_USAGE and out == "" and len(err.splitlines()) == 1
+        assert flag in err and "randrange" not in err
+
+    @pytest.mark.parametrize(
+        "name, takes", [("thm4", "k"), ("lemma1", "j, epsilon, k"), ("thm7", "no parameters")]
+    )
+    def test_unknown_fixture_param_names_the_ones_it_takes(self, run, name, takes):
+        code, out, err = run("corpus", "--name", name, "--param", "q=1", "--emit")
+        assert code == EXIT_USAGE and out == "" and len(err.splitlines()) == 1
+        assert f"fixture {name}: unknown parameter q; it takes {takes}" in err
+        assert "keyword argument" not in err
+
 
 class TestExitCodes:
     def test_usage_error_unknown_rule(self, run, thm7_file):

@@ -230,27 +230,46 @@ class TestScoreCommittee:
         # integer tallies against one rational per ballot group, on grouped,
         # merged and expanded profiles with empty ballots and random weights
         rng = random.Random("score-reference")
-        for profile, k in random_instances(
-            seed=61, count=120, max_n=12, max_m=9, cultures=["uniform", "urn", "fixed"]
-        ):
-            m = profile.num_candidates
-            committee = random_committee(rng, m, k)
+
+        def objectives(m):
             tail = []
             for _ in range(m - 1):
                 den = rng.randint(1, 7)
                 tail.append(Fraction(rng.randint(0, den), den))
-            objectives = [
+            return [
                 AV,
                 SAV,
                 MAV,
                 wpav_objective(WeightVector.harmonic(m)),
                 wpav_objective(WeightVector.from_values([1] + sorted(tail, reverse=True))),
             ]
-            for p in (profile, normalize_profile(profile), profile.expand()):
+
+        def check(variants, committee, objectives):
+            for p in variants:
                 for objective in objectives:
                     assert score_committee(p, committee, objective) == naive_score(
                         p, committee, objective
                     ), (p, committee, objective)
+
+        for profile, k in random_instances(
+            seed=61, count=120, max_n=12, max_m=9, cultures=["uniform", "urn", "fixed"]
+        ):
+            committee = random_committee(rng, profile.num_candidates, k)
+            check((profile, normalize_profile(profile), profile.expand()), committee,
+                  objectives(profile.num_candidates))
+        # groups of 10^9 + 7 and 2^40 voters, ballots longer than k, an empty
+        # ballot, and the same ballot in two groups (merged, not expanded)
+        large = profile_of(
+            7,
+            ({0, 1, 2, 3, 4}, 10**9 + 7),
+            ({1, 4, 5, 6}, 2**40),
+            (set(), 3),
+            ({4}, 5),
+            (set(range(7)), 2**40 - 1),
+            ({0, 1, 2, 3, 4}, 1),
+        )
+        for members in [(1,), (1, 4), (0, 5), (0, 1, 2, 5, 6), tuple(range(7))]:
+            check((large, normalize_profile(large)), Committee(members), objectives(7))
 
     @settings(max_examples=60, deadline=None)
     @given(profile_and_committee())
