@@ -49,7 +49,6 @@ class AxiomReport:
     axiom: str
     passed: bool
     witness: Optional[Witness] = None
-    level: Optional[int] = None
 
     @property
     def failed(self) -> bool:
@@ -109,8 +108,8 @@ def _check_level(profile: BallotProfile, k: int, committee: Committee, ell: int)
         raise ValueError(f"level must satisfy 1 <= l <= k, got {ell} with k={k}")
     found = _cohesive_set(profile, k, ell, committee.mask)
     if found is None:
-        return AxiomReport(ELL_JR, passed=True, level=ell)
-    return AxiomReport(ELL_JR, passed=False, witness=Witness(ell, *found), level=ell)
+        return AxiomReport(ELL_JR, passed=True)
+    return AxiomReport(ELL_JR, passed=False, witness=Witness(ell, *found))
 
 
 def _cohesive_set(

@@ -494,6 +494,8 @@ _ORACLE_AXIOMS = tuple(name for name, axiom in axioms.AXIOMS.items() if axiom.or
 
 def _cmd_oracle(args) -> int:
     started = time.perf_counter()
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if args.max_n < 1:
         raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
     if args.max_m < 2:
@@ -501,6 +503,8 @@ def _cmd_oracle(args) -> int:
     if args.rav_jr_search:
         # exploratory only: no verdict is asserted either way
         k = args.k if args.k is not None else 3
+        if k < 1:
+            raise ValueError(f"--k must be >= 1, got {k}")
         found = 0
         for profile, _, _ in _oracle_instances(
             args.seed, args.trials, args.max_n, max(args.max_m, k)

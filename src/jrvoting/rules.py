@@ -187,7 +187,7 @@ def compute_ujrav(
     qualifies, so this never fails.  The budget counts search nodes.
     """
     return _best_accepted(
-        profile, k, lambda w: axioms.check_jr(profile, k, w).passed, "av", budget
+        profile, k, lambda w: axioms.check_jr(profile, k, w).passed, AV, budget
     )
 
 

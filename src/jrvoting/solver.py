@@ -25,11 +25,12 @@ optimum reaches its score.  MAV and maximin share one demand search on
 bitmasks over the groups: a node is hopeless once some group can no longer
 reach the winners the target asks of it, counting only its approved
 candidates still to come (MAV asks each ballot size for its own number).
-Ties go to the first committee in lexicographic order, or, for prefer-JR,
-to the first optimum that provides JR: that search walks ties only until it
-holds such an optimum, checking an incumbent only once a committee ties with
-it or it reaches the ceiling.  Every search ends once its answer is settled
-at its objective's ceiling, the best value any committee could have; the
+A leaf replaces the incumbent only when it is strictly better and passes
+the leaf requirement, if any, so ties go to the first committee in
+lexicographic order.  Prefer-JR runs in two passes: the plain search, and,
+only if its optimum fails JR, a second search from the optimum's value with
+"provides JR" as its leaf requirement.  Every search ends at an incumbent
+worth its objective's ceiling, the best value any committee could have; the
 search for any committee passing a leaf requirement values every committee
 at 0, so it ends at the first that passes.  A node budget counts visited
 nodes only.  All bookkeeping is done in scaled integers, so results are
@@ -102,31 +103,23 @@ class _Search:
 
     ``groups`` holds one ballot group per distinct approval set.  ``accept``
     is a leaf requirement, evaluated only at a leaf that would replace the
-    incumbent.  ``prefer`` settles ties: among the committees worth the best
-    value, the first that passes it wins, or else the first of them.  The
-    incumbent is *settled* once no leaf tying with it can change the answer:
-    always without ``prefer``, and with it once a committee passing it is
-    held at the best value.  A settled search prunes every subtree that
-    cannot beat the incumbent (an unsettled one, every subtree that cannot
-    tie with it), and ends at a settled incumbent worth the ceiling or more.
+    incumbent: a leaf replaces it only when it is strictly better and passes
+    ``accept``.  The search prunes every subtree that cannot beat the
+    incumbent and ends at an incumbent worth the ceiling or more.
     """
 
-    def __init__(self, profile: BallotProfile, k: int, budget: Optional[int], *,
-                 prefer=None, accept=None):
+    def __init__(self, profile: BallotProfile, k: int, budget: Optional[int], *, accept=None):
         merged = normalize_profile(profile)
         self.groups = merged.ballots
         self.owners = merged.approvers  # for each candidate, the groups approving it
         self.m = profile.num_candidates
         self.k = k
         self.budget = budget
-        self.prefer = prefer
         self.accept = accept
         self.nodes = 0
         self.denominator = 1  # a leaf value over it is the score
         self.best_members: Optional[tuple[int, ...]] = None
         self.best_value: Optional[int] = None
-        self.settled = True
-        self.checked = False  # whether prefer has seen the incumbent
 
     def score(self, value: int) -> Fraction:
         return Fraction(value, self.denominator)
@@ -142,14 +135,13 @@ class _Search:
         ``worth[c]`` bounds every committee below the child seating c and
         ``best[c]`` is the largest ``worth`` from c onward, or as ``()`` when
         it bounds none.  Children below the target are skipped unvisited.
-        Every optimum is worth ``floor`` or more, if given: until the first
+        Every answer is worth ``floor`` or more, if given: until the first
         incumbent, subtrees that cannot reach it are pruned and leaves below
-        it are passed over.  Ties go to the first committee visited, or as
-        ``prefer`` settles them.
+        it are passed over.  Ties go to the first committee visited.
         """
         k, m = self.k, self.m
         if floor is not None:
-            self.best_value = floor - 1  # no incumbent yet: the settled target is the floor
+            self.best_value = floor - 1  # no incumbent yet: the target is the floor
         chosen: list[int] = []
         stack: list[int] = []  # for each open node, the next candidate to try
         bounds: list[tuple] = []  # for each open node, the bounds on its children
@@ -167,31 +159,17 @@ class _Search:
             depth = len(chosen)
             if depth == k:
                 value = leaf()
-                if self.best_value is None or value > self.best_value:
-                    members = tuple(chosen)
-                    if self.accept is None or self.accept(Committee(members)):
-                        self.best_value, self.best_members = value, members
-                        # nothing beats an incumbent at the ceiling: check it
-                        # now, not at a tie
-                        self.checked = self.prefer is None or value >= ceiling
-                        self.settled = self.prefer is None or self.checked and self.prefer(members)
-                        if self.settled and value >= ceiling:
-                            return
-                elif value == self.best_value and not self.settled:
-                    members = tuple(chosen)
-                    # offer the incumbent once, at its first tie, then each tie
-                    if not self.checked:
-                        self.checked = True
-                        self.settled = self.prefer(self.best_members)
-                    if not self.settled and self.prefer(members):
-                        self.best_members, self.settled = members, True
-                    if self.settled and value >= ceiling:
+                if (self.best_value is None or value > self.best_value) and (
+                    self.accept is None or self.accept(Committee(tuple(chosen)))
+                ):
+                    self.best_value, self.best_members = value, tuple(chosen)
+                    if value >= ceiling:
                         return
             elif self.best_value is None:
                 stack.append(start)
                 bounds.append(())
             else:
-                children = bound(start, depth, self.best_value + (1 if self.settled else 0))
+                children = bound(start, depth, self.best_value + 1)
                 if children is not None:
                     stack.append(start)
                     bounds.append(children)
@@ -201,7 +179,7 @@ class _Search:
                 c, last = stack[-1], m - k + len(chosen)
                 if bounds[-1] and c <= last:
                     worth, best = bounds[-1]
-                    target = self.best_value + (1 if self.settled else 0)
+                    target = self.best_value + 1
                     if best[c] < target:
                         c = last + 1
                     else:
@@ -218,8 +196,8 @@ class _Search:
                 return  # the root is closed
 
 
-def _maximize(search: _Search, objective: ScoringObjective) -> None:
-    """Maximize an additive (Thiele) score.
+def _maximize(search: _Search, objective: ScoringObjective, floor: Optional[int] = None) -> None:
+    """Maximize an additive (Thiele) score, from ``floor`` if given.
 
     A group owns one bit per unit of each base-64 digit of its multiplicity,
     worth 64 ** d for digit d, so a profile whose multiplicities are all
@@ -329,8 +307,7 @@ def _maximize(search: _Search, objective: ScoringObjective) -> None:
         # best[start] is the node's score plus its k - depth largest gains
         return None if best[start] < target else (worth, best)
 
-    floor = None
-    if search.accept is None:
+    if floor is None and search.accept is None:
         # the greedy committee's score: every optimum reaches it
         picked: list[int] = []
         while len(picked) < k:
@@ -401,10 +378,12 @@ def _maximize_maximin(search: _Search) -> None:
     )
 
 
-def _maximize_mav(search: _Search) -> None:
+def _maximize_mav(search: _Search, floor: Optional[int] = None) -> None:
     """Maximize the negated largest distance k + s - 2 * winners from a
-    ballot of s candidates to the committee, one demand per ballot size."""
+    ballot of s candidates to the committee, one demand per ballot size,
+    from ``floor`` if given."""
     k = search.k
+    search.denominator = -1  # the score is the distance
     hits, add, undo, short = _demand_state(search)
     classes: dict[int, int] = {}  # ballot size -> its groups
     for g, ballot in enumerate(search.groups):
@@ -426,7 +405,7 @@ def _maximize_mav(search: _Search) -> None:
                 return None
         return ()  # no bound on the children
 
-    search.run(add, undo, leaf, bound, -max(abs(k - size) for size in classes))
+    search.run(add, undo, leaf, bound, -max(abs(k - size) for size in classes), floor)
 
 
 def _av_separable(profile: BallotProfile, k: int) -> OptimizationResult:
@@ -439,76 +418,81 @@ def _av_separable(profile: BallotProfile, k: int) -> OptimizationResult:
     order = sorted(range(profile.num_candidates), key=lambda c: (-scores[c], c))
     members = tuple(sorted(order[:k]))
     total = sum(scores[c] for c in members)
-    return OptimizationResult(
-        committee=Committee(members),
-        score=Fraction(total),
-        co_optimal_count=None,
-        nodes_explored=profile.num_candidates,
-    )
+    return OptimizationResult(committee=Committee(members), score=Fraction(total),
+                              co_optimal_count=None, nodes_explored=profile.num_candidates)
 
 
 def optimize_committee(request: OptimizationRequest) -> OptimizationResult:
     """Exactly optimize the requested objective over all size-k committees.
 
-    Returns the optimal committee with ties resolved per the request's
-    tie-break mode.  With the default lexicographic mode the DFS order
-    guarantees the lexicographically smallest optimum.  In prefer-JR mode the
-    answer is the first optimum in lexicographic order that provides
-    justified representation, or the first optimum if none does; the search
-    checks an incumbent only once a committee ties with it (or at once, if it
-    reaches the ceiling), and stops walking ties once it holds an optimum
-    that provides JR.  The Thiele searches start from the exact score of the
-    greedy committee, which every optimum reaches.  Co-optima are not counted
+    Ties go to the first optimum in lexicographic order.  In prefer-JR mode
+    the answer is the first optimum that provides justified representation,
+    or the first optimum if none does: that optimum is checked for JR once,
+    and only if it fails does a second search run, from its value and with
+    JR as the leaf requirement.  The second pass costs nothing where the
+    first optimum provides JR; elsewhere it walks the tree again, up to the
+    first optimum providing JR and on until no better committee is left.
+    The Thiele searches start from the exact score of the greedy committee,
+    which every optimum reaches.  Co-optima are not counted
     (``co_optimal_count`` is None).  Raises `BudgetExhausted` (carrying the
-    best committee found so far) once the search visits more nodes than the
-    budget; a child skipped at its parent is not visited, and the separable
-    approval fast path never consumes budget.
+    best committee found so far) once the searches, both passes together,
+    visit more nodes than the budget; a child skipped at its parent is not
+    visited, and the separable approval fast path never consumes budget.
     """
-    profile, k = request.profile, request.k
+    profile, k, objective = request.profile, request.k, request.objective
 
-    if (
-        request.objective.kind == "av"
-        and request.tiebreak is TieBreak.LEXICOGRAPHIC
-        and request.budget is None
-    ):
+    lexicographic = request.tiebreak is TieBreak.LEXICOGRAPHIC
+    if objective.kind == "av" and lexicographic and request.budget is None:
         return _av_separable(profile, k)
 
-    def provides_jr(members: tuple[int, ...]) -> bool:
-        return axioms.check_jr(profile, k, Committee(members)).passed
+    def provides_jr(committee: Committee) -> bool:
+        return axioms.check_jr(profile, k, committee).passed
 
-    prefer = provides_jr if request.tiebreak is TieBreak.PREFER_JR else None
-    search = _Search(profile, k, request.budget, prefer=prefer)
-    if request.objective.kind == "mav":
-        search.denominator = -1  # the search maximizes the negated distance
-        _maximize_mav(search)
+    search = _Search(profile, k, request.budget)
+    _run_search(search, objective)
+    members, value = search.best_members, search.best_value
+    assert members is not None and value is not None
+    if not lexicographic and not provides_jr(Committee(members)):
+        # no committee beats the optimum: look for the first one worth as
+        # much that provides JR, on the same node budget
+        search.accept, search.best_members = provides_jr, None
+        try:
+            _run_search(search, objective, floor=value)
+        except BudgetExhausted as exc:
+            raise BudgetExhausted(
+                str(exc), best_committee=Committee(members), best_score=search.score(value),
+                nodes_explored=exc.nodes_explored,
+            ) from None
+        members = search.best_members or members
+    return OptimizationResult(committee=Committee(members), score=search.score(value),
+                              co_optimal_count=None, nodes_explored=search.nodes)
+
+
+def _run_search(search: _Search, objective: ScoringObjective | str | None,
+                floor: Optional[int] = None) -> None:
+    """Run ``search`` on ``objective``: a `ScoringObjective`, ``"maximin"``
+    (winners of the least-represented ballot group) or None (any committee:
+    every one is worth the ceiling, 0, so the first accepted one ends the
+    search), from ``floor`` if given."""
+    if objective is None:
+        search.run(lambda c: None, lambda c: None, lambda: 0,
+                   lambda start, depth, target: (), 0)
+    elif objective == "maximin":
+        _maximize_maximin(search)
+    elif objective.kind == "mav":
+        _maximize_mav(search, floor)
     else:
-        _maximize(search, request.objective)
-
-    assert search.best_members is not None and search.best_value is not None
-    return OptimizationResult(
-        committee=Committee(search.best_members),
-        score=search.score(search.best_value),
-        co_optimal_count=None,
-        nodes_explored=search.nodes,
-    )
+        _maximize(search, objective, floor)
 
 
 def _best_accepted(profile: BallotProfile, k: int, accept: Callable[[Committee], bool],
-                   objective: Optional[str], budget: Optional[int] = None) -> Optional[Committee]:
+                   objective: ScoringObjective | str | None,
+                   budget: Optional[int] = None) -> Optional[Committee]:
     """Lexicographically first of the committees passing ``accept`` that are
-    best under ``objective``: ``"av"`` (approval total), ``"maximin"``
-    (winners of the least-represented ballot group) or None (any: the search
-    stops at the first).  None if no committee passes.
+    best under ``objective`` (as `_run_search` takes it).  None if no
+    committee passes.
     """
     OptimizationRequest(profile, k, AV, budget=budget)  # validates k and budget
     search = _Search(profile, k, budget, accept=accept)
-    if objective == "av":
-        _maximize(search, AV)
-    elif objective == "maximin":
-        _maximize_maximin(search)
-    else:
-        # no state to keep: every committee is worth the ceiling, 0, so the
-        # first accepted one ends the search
-        search.run(lambda c: None, lambda c: None, lambda: 0,
-                   lambda start, depth, target: (), 0)
+    _run_search(search, objective)
     return Committee(search.best_members) if search.best_members else None

@@ -393,6 +393,11 @@ class TestCommands:
             (("--max-n", "0"), "--max-n must be >= 1"),
             (("--max-m", "1"), "--max-m must be >= 2"),
             (("--rav-jr-search", "--k", "1", "--max-m", "1"), "--max-m must be >= 2"),
+            (("--trials", "0"), "--trials must be >= 1"),
+            (("--trials", "-2"), "--trials must be >= 1"),
+            (("--rav-jr-search", "--trials", "0"), "--trials must be >= 1"),
+            (("--rav-jr-search", "--k", "0"), "--k must be >= 1"),
+            (("--rav-jr-search", "--k", "-1"), "--k must be >= 1"),
         ],
     )
     def test_oracle_ranges_name_their_flag(self, run, argv, flag):
@@ -541,6 +546,20 @@ class TestExitCodes:
             "compute", "--rule", "pav", "--budget", "2", str(path)
         )
         assert code == EXIT_BUDGET and "budget" in err
+
+    @pytest.mark.parametrize("budget, code, shown", [
+        ("3", EXIT_BUDGET, "best so far 0,1"),  # the first pass ends at node 3
+        ("6", EXIT_BUDGET, "best so far 0,1"),
+        ("7", EXIT_OK, "committee=0,2"),  # both passes
+    ])
+    def test_prefer_jr_budget_counts_both_passes(self, run, tmp_path, budget, code, shown):
+        path = tmp_path / "tie.profile"
+        path.write_text("m 3\nk 2\n1: 0 1\n1: 2\n")
+        got, out, err = run(
+            "compute", "--rule", "av", "--tiebreak", "prefer-jr", "--budget", budget,
+            "--format", "machine", str(path),
+        )
+        assert got == code and shown in out + err
 
     def test_zero_denominator_in_weights_is_a_usage_error(self, run, tmp_path):
         path = tmp_path / "p.profile"

@@ -210,8 +210,7 @@ class TestTieBreak:
         assert _solve(profile, 2, SAV).co_optimal_count is None
 
     def test_prefer_jr_mode_reports_no_co_optimal_count(self):
-        # the one-pass search stops walking ties once an optimum providing
-        # JR is held, so it does not count them
+        # neither pass walks the ties, so neither counts them
         profile = profile_of(3, ({0, 1}, 1), ({2}, 1))
         assert _solve(profile, 2, SAV, TieBreak.PREFER_JR).co_optimal_count is None
 
@@ -284,8 +283,8 @@ class TestGreedyFloorAndOnePassTies:
         # every committee with one candidate from each bloc covers all four
         # voters: nine co-optima.  The greedy floor, {0, 3}, is the ceiling 4.
         # Under {0} (score 2) seating 1 or 2 gains 0, so {0} bounds both
-        # children at 2 and skips them unvisited; {0, 3} reaches the ceiling,
-        # is checked at once, provides JR, and the search ends there.
+        # children at 2 and skips them unvisited; {0, 3} reaches the ceiling
+        # and ends the search, and it provides JR, so no second pass runs.
         # Walking the whole plateau took 18 nodes
         profile = profile_of(6, ({0, 1, 2}, 2), ({3, 4, 5}, 2))
         objective = wpav_objective(WeightVector.coverage(6))
@@ -297,16 +296,37 @@ class TestGreedyFloorAndOnePassTies:
 
     def test_prefer_jr_stops_at_a_tie_on_the_ceiling(self):
         # MAV's ceiling is distance 3, set by the five-candidate ballot.  The
-        # first committee there, {1, 2}, leaves the voter on {3}, a quota at
-        # k = 2, unrepresented; it is checked at once and fails.  The tie
-        # {1, 3} provides JR and ends the search
+        # first pass visits the root, {0}, its five leaves (distance 5; {0}
+        # was opened before any incumbent, so it bounds nothing), {1} and
+        # {1, 2}, the first committee at the ceiling: 9 nodes.  {1, 2} leaves
+        # the voter on {3}, a quota at k = 2, unrepresented, so the second
+        # pass runs from distance 3: the root, {0} (pruned: one seat cannot
+        # give the five-candidate ballot its two winners), {1}, {1, 2}
+        # (fails JR) and the tie {1, 3}, which provides JR and ends the
+        # search: 5 more
         profile = profile_of(6, {1, 2, 3, 4, 5}, {3})
         score, co = naive_optimize(profile, 2, MAV)
         assert co[:2] == [(1, 2), (1, 3)]
         assert not oracle_check_jr(profile, 2, Committee(co[0]))
         result = _solve(profile, 2, MAV, TieBreak.PREFER_JR)
         assert (result.committee.members, result.score) == ((1, 3), score)
-        assert result.nodes_explored == 10
+        assert result.nodes_explored == 14
+
+    def test_prefer_jr_costs_nothing_when_the_first_optimum_provides_jr(self):
+        # the first optimum is checked once; only if it fails JR does a
+        # second pass run
+        second = 0
+        for profile, k in self._instances():
+            for objective in _objectives(profile.m).values():
+                # a budget keeps approval voting off its separable fast path
+                lex = _solve(profile, k, objective, budget=10**6)
+                preferred = _solve(profile, k, objective, TieBreak.PREFER_JR)
+                if check_jr(profile, k, lex.committee).passed:
+                    assert preferred.nodes_explored == lex.nodes_explored
+                else:
+                    second += 1
+                    assert preferred.nodes_explored > lex.nodes_explored
+        assert second > 0
 
     def test_greedy_floor_prunes_before_the_first_incumbent(self):
         # the greedy committee {1, 2} scores 3/2.  At the root, c0 gains 0
@@ -437,6 +457,23 @@ class TestBudget:
         assert err.nodes_explored == 6
         assert err.best_committee == Committee((0, 1, 2))
         assert err.best_score == 5 == score_committee(profile, err.best_committee, objective)
+
+    def test_prefer_jr_budget_counts_both_passes(self):
+        # the first pass visits the root, {0} and the first optimum {0, 1},
+        # the greedy floor 2, which bounds {0, 2} and {1} below 3 and skips
+        # them.  {0, 1} leaves the voter on {2}, a quota at k = 2,
+        # unrepresented, so the second pass visits the root, {0}, {0, 1}
+        # (fails JR) and {0, 2}: 7 nodes in all.  A budget that runs out in
+        # the second pass reports the first optimum as the best so far
+        profile = profile_of(3, ({0, 1}, 1), ({2}, 1))
+        result = _solve(profile, 2, AV, TieBreak.PREFER_JR, budget=7)
+        assert (result.committee.members, result.nodes_explored) == ((0, 2), 7)
+        for budget in range(3, 7):
+            with pytest.raises(BudgetExhausted) as excinfo:
+                _solve(profile, 2, AV, TieBreak.PREFER_JR, budget=budget)
+            err = excinfo.value
+            assert (err.best_committee, err.best_score) == (Committee((0, 1)), 2)
+            assert err.nodes_explored == budget + 1
 
     def test_tiny_budget_may_have_no_incumbent(self):
         profile = profile_of(4, ({0}, 1))
