@@ -17,6 +17,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -500,6 +501,8 @@ def _cmd_oracle(args) -> int:
         raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
     if args.max_m < 2:
         raise ValueError(f"--max-m must be >= 2, got {args.max_m}")
+    if args.k is not None and not args.rav_jr_search:
+        raise ValueError(f"--k applies only with --rav-jr-search, got --k {args.k}")
     if args.rav_jr_search:
         # exploratory only: no verdict is asserted either way
         k = args.k if args.k is not None else 3
@@ -566,7 +569,10 @@ def _cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built on the first call and shared after it:
+    parsing leaves it unchanged, and each parse fills a new namespace."""
     parser = argparse.ArgumentParser(
         prog="jrvoting",
         description="Approval committee rules and representation axiom checks.",
@@ -645,9 +651,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    """Run one command and return its exit code.
+
+    The argument parser is built once per process, on the first call, so an
+    in-process caller that runs many commands skips its set-up on every
+    later call; a single shell invocation builds it once either way and is
+    no faster.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

@@ -31,8 +31,9 @@ lexicographic order.  Prefer-JR runs in two passes: the plain search, and,
 only if its optimum fails JR, a second search from the optimum's value with
 "provides JR" as its leaf requirement.  Every search ends at an incumbent
 worth its objective's ceiling, the best value any committee could have; the
-search for any committee passing a leaf requirement values every committee
-at 0, so it ends at the first that passes.  A node budget counts visited
+second pass takes the optimum's value as its ceiling, and the search for
+any committee passing a leaf requirement values every committee at 0, so
+both end at the first committee that passes.  A node budget counts visited
 nodes only.  All bookkeeping is done in scaled integers, so results are
 exact and deterministic.  The search is sequential; since every input type
 is immutable, any number of searches may run concurrently on shared
@@ -196,8 +197,10 @@ class _Search:
                 return  # the root is closed
 
 
-def _maximize(search: _Search, objective: ScoringObjective, floor: Optional[int] = None) -> None:
-    """Maximize an additive (Thiele) score, from ``floor`` if given.
+def _maximize(search: _Search, objective: ScoringObjective, optimum: Optional[int] = None) -> None:
+    """Maximize an additive (Thiele) score.  If ``optimum``, the best value
+    of any committee, is given, the search ends at the first accepted
+    committee worth it.
 
     A group owns one bit per unit of each base-64 digit of its multiplicity,
     worth 64 ** d for digit d, so a profile whose multiplicities are all
@@ -307,7 +310,10 @@ def _maximize(search: _Search, objective: ScoringObjective, floor: Optional[int]
         # best[start] is the node's score plus its k - depth largest gains
         return None if best[start] < target else (worth, best)
 
-    if floor is None and search.accept is None:
+    floor = None
+    if optimum is not None:
+        floor = ceiling = optimum
+    elif search.accept is None:
         # the greedy committee's score: every optimum reaches it
         picked: list[int] = []
         while len(picked) < k:
@@ -378,10 +384,11 @@ def _maximize_maximin(search: _Search) -> None:
     )
 
 
-def _maximize_mav(search: _Search, floor: Optional[int] = None) -> None:
+def _maximize_mav(search: _Search, optimum: Optional[int] = None) -> None:
     """Maximize the negated largest distance k + s - 2 * winners from a
-    ballot of s candidates to the committee, one demand per ballot size,
-    from ``floor`` if given."""
+    ballot of s candidates to the committee, one demand per ballot size.  If
+    ``optimum``, the best value of any committee, is given, the search ends
+    at the first accepted committee worth it."""
     k = search.k
     search.denominator = -1  # the score is the distance
     hits, add, undo, short = _demand_state(search)
@@ -405,7 +412,8 @@ def _maximize_mav(search: _Search, floor: Optional[int] = None) -> None:
                 return None
         return ()  # no bound on the children
 
-    search.run(add, undo, leaf, bound, -max(abs(k - size) for size in classes), floor)
+    ceiling = -max(abs(k - size) for size in classes)
+    search.run(add, undo, leaf, bound, ceiling if optimum is None else optimum, optimum)
 
 
 def _av_separable(profile: BallotProfile, k: int) -> OptimizationResult:
@@ -430,8 +438,8 @@ def optimize_committee(request: OptimizationRequest) -> OptimizationResult:
     or the first optimum if none does: that optimum is checked for JR once,
     and only if it fails does a second search run, from its value and with
     JR as the leaf requirement.  The second pass costs nothing where the
-    first optimum provides JR; elsewhere it walks the tree again, up to the
-    first optimum providing JR and on until no better committee is left.
+    first optimum provides JR; elsewhere it walks the tree again and stops
+    at its first accepted leaf, since no committee beats the optimum.
     The Thiele searches start from the exact score of the greedy committee,
     which every optimum reaches.  Co-optima are not counted
     (``co_optimal_count`` is None).  Raises `BudgetExhausted` (carrying the
@@ -457,7 +465,7 @@ def optimize_committee(request: OptimizationRequest) -> OptimizationResult:
         # much that provides JR, on the same node budget
         search.accept, search.best_members = provides_jr, None
         try:
-            _run_search(search, objective, floor=value)
+            _run_search(search, objective, optimum=value)
         except BudgetExhausted as exc:
             raise BudgetExhausted(
                 str(exc), best_committee=Committee(members), best_score=search.score(value),
@@ -469,20 +477,21 @@ def optimize_committee(request: OptimizationRequest) -> OptimizationResult:
 
 
 def _run_search(search: _Search, objective: ScoringObjective | str | None,
-                floor: Optional[int] = None) -> None:
+                optimum: Optional[int] = None) -> None:
     """Run ``search`` on ``objective``: a `ScoringObjective`, ``"maximin"``
     (winners of the least-represented ballot group) or None (any committee:
     every one is worth the ceiling, 0, so the first accepted one ends the
-    search), from ``floor`` if given."""
+    search).  ``optimum``, if given, is the best value of any committee: the
+    search ends at the first accepted committee worth it."""
     if objective is None:
         search.run(lambda c: None, lambda c: None, lambda: 0,
                    lambda start, depth, target: (), 0)
     elif objective == "maximin":
         _maximize_maximin(search)
     elif objective.kind == "mav":
-        _maximize_mav(search, floor)
+        _maximize_mav(search, optimum)
     else:
-        _maximize(search, objective, floor)
+        _maximize(search, objective, optimum)
 
 
 def _best_accepted(profile: BallotProfile, k: int, accept: Callable[[Committee], bool],

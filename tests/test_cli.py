@@ -1,8 +1,12 @@
 """Profile document grammar, command exit codes, machine output stability."""
 
 import io
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +20,7 @@ from jrvoting.cli import (
     EXIT_PARSE,
     EXIT_USAGE,
     ProfileParseError,
+    _build_parser,
     main,
     parse_graph,
     parse_profile,
@@ -398,6 +403,9 @@ class TestCommands:
             (("--rav-jr-search", "--trials", "0"), "--trials must be >= 1"),
             (("--rav-jr-search", "--k", "0"), "--k must be >= 1"),
             (("--rav-jr-search", "--k", "-1"), "--k must be >= 1"),
+            # --k sizes the committees of --rav-jr-search only
+            (("--k", "0"), "--k applies only with --rav-jr-search"),
+            (("--k", "3"), "--k applies only with --rav-jr-search"),
         ],
     )
     def test_oracle_ranges_name_their_flag(self, run, argv, flag):
@@ -682,3 +690,72 @@ class TestParseErrorLines:
                 tried[kind] += 1
         assert min(tried.values()) >= 10, tried
 
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SUBCOMMANDS = ("compute", "check", "find", "corpus", "reduce", "random", "oracle")
+
+
+class TestParserReuse:
+    # `main` builds its parser on the first call and reuses it: every call
+    # must behave as the first call of a fresh process does
+
+    @pytest.fixture()
+    def fresh(self, monkeypatch):
+        # a fixed help width, which the subprocesses inherit
+        monkeypatch.setenv("COLUMNS", "80")
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+
+        def _fresh(*argv):
+            done = subprocess.run(
+                [sys.executable, "-m", "jrvoting.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            return done.returncode, done.stdout
+
+        return _fresh
+
+    @pytest.fixture()
+    def intro_file(self, tmp_path):
+        fixture = build_fixture("sec4_intro")
+        path = tmp_path / "intro.profile"
+        path.write_text(serialize_profile(fixture.profile, fixture.k))
+        return str(path)
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_usage_error_leaves_the_next_call_unchanged(self, run, intro_file):
+        argv = ("compute", "--rule", "pav", "--format", "machine", intro_file)
+        alone = run(*argv)
+        code, out, err = run("compute", "--rule", "nope", intro_file)
+        assert code == EXIT_USAGE and out == "" and "nope" in err
+        assert run(*argv) == alone
+        assert alone[0] == EXIT_OK and "committee=0,1,2" in alone[1]
+
+    def test_param_list_is_not_shared_between_calls(self, run):
+        plain = run("corpus", "--name", "thm4")
+        assert run("corpus", "--name", "thm4", "--param", "k=5")[1] != plain[1]
+        assert run("corpus", "--name", "thm4") == plain
+        assert _build_parser().parse_args(["corpus", "--name", "thm4"]).param == []
+
+    def test_commands_in_one_process_match_fresh_processes(self, run, fresh, intro_file):
+        argvs = [
+            ("compute", "--rule", "pav", "--format", "machine", intro_file),
+            ("check", "--axiom", "ejr", "--committee", "0,1,2", "--format", "machine", intro_file),
+            ("find", "--axiom", "jr", "--format", "machine", intro_file),
+            ("corpus", "--name", "example5", "--verify"),
+            ("oracle", "--trials", "5", "--seed", "3", "--format", "machine"),
+        ]
+        in_process = [run(*argv)[:2] for argv in argvs]
+        assert in_process == [fresh(*argv) for argv in argvs]
+        assert all(out for _, out in in_process)
+
+    @pytest.mark.parametrize("argv", [()] + [(sub,) for sub in SUBCOMMANDS])
+    def test_help_matches_a_fresh_process(self, run, fresh, argv):
+        code, out, _ = run(*argv, "--help")
+        assert (code, out) == fresh(*argv, "--help")
+        assert code == EXIT_OK and out.startswith(f"usage: jrvoting {' '.join(argv)}".rstrip())
+        if not argv:
+            assert "{" + ",".join(SUBCOMMANDS) + "}" in out

@@ -312,6 +312,26 @@ class TestGreedyFloorAndOnePassTies:
         assert (result.committee.members, result.score) == ((1, 3), score)
         assert result.nodes_explored == 14
 
+    def test_prefer_jr_second_pass_ends_at_its_first_accepted_leaf(self):
+        # MAV's ceiling is distance 1, which no committee reaches.  The first
+        # pass visits the root, {0} and its four leaves, {1} and its three
+        # (the demand search bounds no children), then {2} and {3}, which
+        # cannot give the three-candidate ballot the two winners distance 2
+        # needs: 12 nodes, for {0, 1} at distance 3.
+        # {0, 1} leaves the voter on {2}, a quota at k = 2, unrepresented, so
+        # the second pass visits the root, {0}, {0, 1} (fails JR) and {0, 2},
+        # which is worth the first optimum, provides JR and ends the search:
+        # 4 more.  Searching on towards the ceiling took 12 more
+        profile = profile_of(5, {0, 1, 3}, {2})
+        score, co = naive_optimize(profile, 2, MAV)
+        assert (score, co[:2]) == (3, [(0, 1), (0, 2)])
+        result = _solve(profile, 2, MAV, TieBreak.PREFER_JR)
+        assert (result.committee.members, result.score) == ((0, 2), 3)
+        assert result.nodes_explored == 16
+        with pytest.raises(BudgetExhausted) as excinfo:
+            _solve(profile, 2, MAV, TieBreak.PREFER_JR, budget=15)
+        assert excinfo.value.best_committee == Committee((0, 1))
+
     def test_prefer_jr_costs_nothing_when_the_first_optimum_provides_jr(self):
         # the first optimum is checked once; only if it fails JR does a
         # second pass run
