@@ -16,6 +16,7 @@ from .core import (
     BallotProfile,
     BudgetExhausted,
     Committee,
+    GroupIndex,
     MAV,
     ProfileError,
     SAV,

@@ -31,9 +31,11 @@ UNANIMITY = "unanimity"
 class Witness:
     """A concrete violation: a cohesive voter group and its common candidates.
 
-    ``ballot_indices`` point into the profile's ballot groups; multiplicities
-    of the referenced groups sum to ``group_size``.  Every referenced voter
-    approves every candidate in ``candidates``.
+    ``ballot_indices`` are the ascending indices of the referenced ballots
+    in the profile's ``ballots`` (one per document line); their
+    multiplicities sum to ``group_size``.  Every referenced voter approves
+    every candidate in ``candidates``.  The checkers work on ballot groups
+    (`BallotProfile.index`) and name a group's ballots only here.
     """
 
     level: int
@@ -121,24 +123,26 @@ def _cohesive_set(
     indices, voters)``; None if there is none.
 
     Depth-first over the candidates that reach quota on their own, in index
-    order, carrying the common approvers of the chosen prefix.  A prefix below
-    quota is pruned, since support only shrinks as the set grows (Eclat's
-    itemset search).  The stack is explicit because l can exceed Python's
-    recursion limit.
+    order, carrying the common approvers of the chosen prefix as ballot
+    groups (`BallotProfile.index`).  A prefix below quota is pruned, since
+    support only shrinks as the set grows (Eclat's itemset search).  The
+    stack is explicit because l can exceed Python's recursion limit.
     """
     quota = ell * profile.n
+    index = profile.index
     mults = [
-        mult if (mask & wmask).bit_count() < ell else 0 for mask, mult in profile.masks
+        mult if (mask & wmask).bit_count() < ell else 0
+        for mask, mult in zip(index.masks, index.mults)
     ]
     if k * sum(mults) < quota:
         return None
-    active = frozenset(i for i, mult in enumerate(mults) if mult)
+    active = frozenset(g for g, mult in enumerate(mults) if mult)
     columns = [
-        (c, active.intersection(group))
-        for c, group in enumerate(profile.approvers)
-        if not skip >> c & 1 and k * sum(map(mults.__getitem__, group)) >= quota
+        (c, active.intersection(groups))
+        for c, groups in enumerate(profile.owners)
+        if not skip >> c & 1 and k * sum(map(mults.__getitem__, groups)) >= quota
     ]
-    # (next column, chosen candidates, their common active approvers)
+    # (next column, chosen candidates, their common active groups)
     stack = [(0, (), active)]
     while stack:
         j, chosen, common = stack.pop()
@@ -151,7 +155,7 @@ def _cohesive_set(
         if k * size >= quota:
             chosen += (c,)
             if len(chosen) == ell:
-                return chosen, tuple(sorted(common)), size
+                return chosen, index.positions(common), size
             stack.append((j + 1, chosen, common))
     return None
 
@@ -185,18 +189,17 @@ def check_sjr(profile: BallotProfile, k: int, committee: Committee) -> AxiomRepo
     _validate(profile, k, committee)
     wmask = committee.mask
     n = profile.n
-    masks = profile.masks
+    index = profile.index
     for c, size in enumerate(profile.approval_scores):
         if wmask >> c & 1 or k * size < n:
             continue
-        group = profile.approvers[c]
+        groups = profile.owners[c]
         inter = -1
-        for i in group:
-            inter &= masks[i][0]
+        for g in groups:
+            inter &= index.masks[g]
         if inter & wmask == 0:
-            return AxiomReport(
-                SJR, passed=False, witness=Witness(1, _mask_bits(inter), group, size)
-            )
+            witness = Witness(1, _mask_bits(inter), index.positions(groups), size)
+            return AxiomReport(SJR, passed=False, witness=witness)
     return AxiomReport(SJR, passed=True)
 
 
@@ -204,7 +207,7 @@ def check_unanimity(profile: BallotProfile, k: int, committee: Committee) -> Axi
     """If all voters share an approved candidate, the committee must contain one."""
     _validate(profile, k, committee)
     common = -1
-    for mask, _mult in profile.masks:
+    for mask in profile.index.masks:
         common &= mask
     if common == 0 or common & committee.mask:
         return AxiomReport(UNANIMITY, passed=True)
@@ -212,7 +215,7 @@ def check_unanimity(profile: BallotProfile, k: int, committee: Committee) -> Axi
         UNANIMITY,
         passed=False,
         witness=Witness(
-            1, _mask_bits(common), tuple(range(len(profile.ballots))), profile.n
+            1, _mask_bits(common), tuple(range(len(profile.index.order))), profile.n
         ),
     )
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import time
 from fractions import Fraction
@@ -25,10 +26,10 @@ from typing import Optional, Sequence
 
 from . import axioms, corpus, rules
 from .core import (
-    Ballot,
     BallotProfile,
     BudgetExhausted,
     Committee,
+    GroupIndex,
     ProfileError,
     TieBreak,
     WeightVector,
@@ -71,10 +72,11 @@ def _integer(text: str) -> int:
     return int(text)
 
 
-def _read_indices(tokens: list[str], m: int, lineno: int) -> frozenset[int]:
-    """A ballot line's candidate indices, token by token: accepts what the
-    one-call read in `parse_profile` cannot (``01``, ``-0``, an index beyond
-    its table) and names the first bad token of a line it rejects."""
+def _read_indices(tokens: list[str], m: int, lineno: int) -> list[int]:
+    """A ballot line's ascending candidate indices, token by token: accepts
+    what the one-call read in `parse_profile` cannot (``01``, ``-0``, an
+    index beyond its tables) and names the first bad token of a line it
+    rejects."""
     approved: set[int] = set()
     for token in tokens:
         try:
@@ -86,28 +88,41 @@ def _read_indices(tokens: list[str], m: int, lineno: int) -> frozenset[int]:
         if not 0 <= c < m:
             raise ProfileParseError(f"candidate index {c} out of range for m={m}", lineno)
         approved.add(c)
-    return frozenset(approved)
+    return sorted(approved)
 
 
 def parse_profile(text: str) -> tuple[BallotProfile, Optional[int]]:
     """Parse a profile document; returns the profile and the optional k header.
 
-    A ballot line is read once: a later identical line (after stripping)
-    adds the same `Ballot` again.  Its indices are read in one call through
-    a table of the plain spellings of the indices below m (at most one per
-    character of the document); a line holding another spelling, an index
-    outside the table or one index twice is read again by `_read_indices`.
+    The ballot lines are read straight into the profile's `GroupIndex`, with
+    no `Ballot` built until the profile's ``ballots`` are read.  A ballot
+    line is read once: a later identical line (after stripping) only adds
+    its entry again, and identical lines share one `Ballot` when the ballots
+    are built.  A line's indices are read in one call through a table of the
+    plain spellings of the indices below ``top = min(m, isqrt(16 *
+    len(text)))``, and its bitmask is summed in one call from a table of
+    their bits, whose top * top / 16 bytes stay within the document's size;
+    a line holding another spelling, an index outside the tables or one
+    index twice is read again by `_read_indices`.  Lines approving the same
+    candidates, however spelled, fall in one group, keyed by its bitmask
+    when every index is below top and by its ascending indices otherwise, so
+    that no bitmask past the tables is built before it is used.
     """
     m: Optional[int] = None
     k: Optional[int] = None
-    index: dict[str, int] = {}
-    read: dict[str, Ballot] = {}
-    ballots: list[Ballot] = []
+    index: dict[str, int] = {}  # plain spelling -> index, below top
+    bits: list[int] = []  # index -> its bit, below top
+    read: dict[str, int] = {}  # stripped ballot line -> its entry
+    groups: dict[object, int] = {}  # bitmask or ascending indices -> group
+    members: list[tuple[int, ...]] = []
+    entries: list[tuple[int, int]] = []
+    order: list[int] = []
+    beyond = False  # whether some group holds an index of top or more
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        ballot = read.get(line)
-        if ballot is not None:
-            ballots.append(ballot)
+        entry = read.get(line)
+        if entry is not None:
+            order.append(entry)
             continue
         if not line or line.startswith("#"):
             continue
@@ -123,7 +138,9 @@ def parse_profile(text: str) -> tuple[BallotProfile, Optional[int]]:
                 raise ProfileParseError(f"bad m header {rest!r}", lineno) from None
             if m < 1:
                 raise ProfileParseError(f"m must be >= 1, got {m}", lineno)
-            index = {str(c): c for c in range(min(m, len(text)))}
+            top = min(m, math.isqrt(16 * len(text)))
+            index = {str(c): c for c in range(top)}
+            bits = [1 << c for c in range(top)]
             continue
         if head == "k":
             if k is not None:
@@ -146,18 +163,31 @@ def parse_profile(text: str) -> tuple[BallotProfile, Optional[int]]:
             raise ProfileParseError("ballot line before m header", lineno)
         tokens = indices_text.split()
         try:
-            approved = frozenset(map(index.__getitem__, tokens))
+            approved = list(map(index.__getitem__, tokens))
         except KeyError:
-            approved = None
-        if approved is None or len(approved) != len(tokens):
+            key = None
+        else:
+            key = sum(map(bits.__getitem__, approved))
+        # a sum of bits has as many bits set as terms only if no bit repeats
+        if key is None or key.bit_count() != len(tokens):
             approved = _read_indices(tokens, m, lineno)
-        ballot = read[line] = Ballot(approved, mult)
-        ballots.append(ballot)
+            if approved and approved[-1] >= len(bits):
+                key, beyond = tuple(approved), True
+            else:
+                key = sum(map(bits.__getitem__, approved))
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = len(members)
+            members.append(tuple(approved))
+        entry = read[line] = len(entries)
+        entries.append((group, mult))
+        order.append(entry)
     if m is None:
         raise ProfileParseError("missing m header")
-    if not ballots:
+    if not order:
         raise ProfileParseError("profile contains no ballots")
-    return BallotProfile(m, tuple(ballots)), k
+    masks = None if beyond else list(groups)
+    return BallotProfile._of_index(m, GroupIndex.build(members, entries, order, masks)), k
 
 
 def serialize_profile(

@@ -2,9 +2,12 @@
 
 Everything downstream (solvers, rules, axiom checkers) is built on the types
 in this module: ballot profiles with multiplicities, committees, non-increasing
-weight vectors, and the four scoring objectives.  All scores are exact
-rationals (`fractions.Fraction`); no floating point is used anywhere, so tied
-scores and quota boundaries are resolved exactly.
+weight vectors, and the four scoring objectives.  A profile holds its ballots
+as one `GroupIndex`, grouped by approval set, and the downstream modules work
+per group: repeated ballots cost nothing beyond their multiplicity, and group
+ids map back to ballot indices only where a witness names voters.  All scores
+are exact rationals (`fractions.Fraction`); no floating point is used
+anywhere, so tied scores and quota boundaries are resolved exactly.
 
 All types are immutable after construction and all operations are pure
 functions of their inputs, so they can safely be shared across threads.
@@ -14,10 +17,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Collection, Iterable, Optional, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -77,35 +80,117 @@ class Ballot:
         return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class GroupIndex:
+    """A profile's ballots grouped by approval set.
+
+    Group g is one distinct approval set: its candidate indices
+    ``members[g]`` (a tuple, or the approval set of the group's first
+    `Ballot` in a profile built from ballots), the summed multiplicity
+    ``mults[g]`` of the ballots casting it and its bitmask ``masks[g]``,
+    built on first use unless the index was built with it.  ``entries``
+    holds one ``(group, multiplicity)`` pair per distinct ballot (a distinct
+    line of a profile document), and ``order[i]`` is the entry of ballot i.
+    """
+
+    members: tuple[Collection[int], ...]
+    mults: tuple[int, ...]
+    entries: tuple[tuple[int, int], ...]
+    order: tuple[int, ...]
+
+    @classmethod
+    def build(cls, members: list[Collection[int]], entries: list[tuple[int, int]],
+              order: Iterable[int], masks: Optional[list[int]] = None) -> "GroupIndex":
+        """The index of the given groups, entries and ballot order, with the
+        groups' bitmasks if known; sums each group's multiplicity over its
+        ballots."""
+        mults = [0] * len(members)
+        for entry in order:
+            group, mult = entries[entry]
+            mults[group] += mult
+        index = cls(tuple(members), tuple(mults), tuple(entries), tuple(order))
+        if masks is not None:
+            index.__dict__["masks"] = tuple(masks)  # the cached property's value
+        return index
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        masks = []
+        for members in self.members:
+            mask = 0
+            for c in members:
+                mask |= 1 << c
+            masks.append(mask)
+        return tuple(masks)
+
+    def positions(self, groups: Iterable[int]) -> tuple[int, ...]:
+        """The ascending indices of the ballots in ``groups``."""
+        groups, entries = set(groups), self.entries
+        return tuple(i for i, entry in enumerate(self.order) if entries[entry][0] in groups)
+
+
 class BallotProfile:
     """A multiset of approval ballots over candidates ``0 .. num_candidates-1``.
 
-    Ballots are stored grouped: each entry pairs a distinct approval set with
-    its multiplicity.  A profile is semantically identical to its expansion
-    into unit-multiplicity ballots; every operation in this package is
-    invariant under that expansion.  Empty approval sets are legal.
+    A profile holds one index, `index`, of its ballots grouped by approval
+    set, and derives every other view from it when first read: the voter
+    count `n`, the per-ballot `masks`, the per-candidate `owners` (groups),
+    `approvers` (ballots) and `approval_scores`, and the `Ballot` objects
+    themselves, built only when `ballots` is read.
+    A profile built from `Ballot` objects derives the index from them;
+    `cli.parse_profile` builds the index directly.  A profile is
+    semantically identical to its expansion into unit-multiplicity ballots;
+    every operation in this package is invariant under that expansion.
+    Empty approval sets are legal.  Profiles are immutable and compare by
+    their candidate count and their sequence of ballots.
     """
 
     num_candidates: int
-    ballots: tuple[Ballot, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "ballots", tuple(self.ballots))
-        if self.num_candidates < 1:
-            raise ProfileError(f"num_candidates must be >= 1, got {self.num_candidates}")
-        if not self.ballots:
+    def __init__(self, num_candidates: int, ballots: Iterable[Ballot]):
+        ballots = tuple(ballots)
+        if num_candidates < 1:
+            raise ProfileError(f"num_candidates must be >= 1, got {num_candidates}")
+        if not ballots:
             raise ProfileError("profile must contain at least one voter")
         # one range test over every approved index; only a profile that fails
         # it is scanned ballot by ballot, for the index the error names
-        approved = frozenset().union(*(ballot.approved for ballot in self.ballots))
-        if approved and not 0 <= min(approved) <= max(approved) < self.num_candidates:
-            for ballot in self.ballots:
+        approved = frozenset().union(*(ballot.approved for ballot in ballots))
+        if approved and not 0 <= min(approved) <= max(approved) < num_candidates:
+            for ballot in ballots:
                 for c in ballot.approved:
-                    if not 0 <= c < self.num_candidates:
+                    if not 0 <= c < num_candidates:
                         raise ProfileError(
-                            f"candidate index {c} out of range for m={self.num_candidates}"
+                            f"candidate index {c} out of range for m={num_candidates}"
                         )
+        object.__setattr__(self, "num_candidates", num_candidates)
+        self.__dict__["ballots"] = ballots
+
+    @classmethod
+    def _of_index(cls, num_candidates: int, index: GroupIndex) -> "BallotProfile":
+        """A profile of an index whose candidate indices are known to lie in
+        range, with at least one ballot; its ballots are built when read."""
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "num_candidates", num_candidates)
+        profile.__dict__["index"] = index
+        return profile
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.num_candidates == other.num_candidates and self.masks == other.masks
+
+    def __hash__(self):
+        return hash((self.num_candidates, self.masks))
+
+    def __repr__(self):
+        return f"BallotProfile(num_candidates={self.num_candidates!r}, ballots={self.ballots!r})"
 
     @classmethod
     def from_groups(
@@ -126,6 +211,24 @@ class BallotProfile:
             num_candidates, tuple(Ballot(frozenset(a), 1) for a in approval_sets)
         )
 
+    @cached_property
+    def index(self) -> GroupIndex:
+        """The ballots grouped by approval set, groups in order of first
+        appearance."""
+        groups: dict[frozenset[int], int] = {}
+        entries = [
+            (groups.setdefault(ballot.approved, len(groups)), ballot.multiplicity)
+            for ballot in self.ballots
+        ]
+        return GroupIndex.build(list(groups), entries, range(len(entries)))
+
+    @cached_property
+    def ballots(self) -> tuple[Ballot, ...]:
+        """The ballots in order; identical entries share one `Ballot`."""
+        index = self.index
+        made = [Ballot(frozenset(index.members[group]), mult) for group, mult in index.entries]
+        return tuple(map(made.__getitem__, index.order))
+
     @property
     def m(self) -> int:
         return self.num_candidates
@@ -133,29 +236,46 @@ class BallotProfile:
     @cached_property
     def n(self) -> int:
         """Total number of voters (sum of multiplicities)."""
-        return sum(b.multiplicity for b in self.ballots)
+        return sum(self.index.mults)
 
     @cached_property
     def masks(self) -> tuple[tuple[int, int], ...]:
         """Per-ballot ``(bitmask, multiplicity)`` pairs, aligned with `ballots`."""
-        return tuple((b.mask, b.multiplicity) for b in self.ballots)
+        index = self.index
+        pairs = [(index.masks[group], mult) for group, mult in index.entries]
+        return tuple(map(pairs.__getitem__, index.order))
+
+    @cached_property
+    def _tallies(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        # `owners` and `approval_scores`, in one pass over the groups
+        owners: list[list[int]] = [[] for _ in range(self.num_candidates)]
+        scores = [0] * self.num_candidates
+        index = self.index
+        for group, (members, mult) in enumerate(zip(index.members, index.mults)):
+            for c in members:
+                owners[c].append(group)
+                scores[c] += mult
+        return tuple(map(tuple, owners)), tuple(scores)
+
+    @property
+    def owners(self) -> tuple[tuple[int, ...], ...]:
+        """For each candidate, the ascending ids of the groups approving it."""
+        return self._tallies[0]
 
     @cached_property
     def approvers(self) -> tuple[tuple[int, ...], ...]:
         """For each candidate, the ascending indices of the ballots approving it."""
+        index = self.index
         approvers: list[list[int]] = [[] for _ in range(self.num_candidates)]
-        for i, ballot in enumerate(self.ballots):
-            for c in ballot.approved:
+        for i, entry in enumerate(index.order):
+            for c in index.members[index.entries[entry][0]]:
                 approvers[c].append(i)
         return tuple(map(tuple, approvers))
 
-    @cached_property
+    @property
     def approval_scores(self) -> tuple[int, ...]:
         """Multiplicity-weighted number of approvals per candidate."""
-        ballots = self.ballots
-        return tuple(
-            sum(ballots[i].multiplicity for i in group) for group in self.approvers
-        )
+        return self._tallies[1]
 
     def expand(self) -> "BallotProfile":
         """The semantically identical profile of n unit-multiplicity ballots."""
@@ -172,14 +292,9 @@ def normalize_profile(profile: BallotProfile) -> BallotProfile:
     then ordered by their approval set viewed as a sorted index sequence.
     The voter count n is preserved.
     """
-    merged: dict[frozenset[int], int] = {}
-    for ballot in profile.ballots:
-        merged[ballot.approved] = merged.get(ballot.approved, 0) + ballot.multiplicity
-    ordered = sorted(merged.items(), key=lambda item: tuple(sorted(item[0])))
-    return BallotProfile(
-        profile.num_candidates,
-        tuple(Ballot(approved, mult) for approved, mult in ordered),
-    )
+    index = profile.index
+    groups = sorted(zip(map(sorted, index.members), index.mults))
+    return BallotProfile.from_groups(profile.num_candidates, groups)
 
 
 @dataclass(frozen=True)
@@ -376,17 +491,18 @@ def score_committee(
 ) -> Fraction:
     """Exact score of a committee under the given objective.
 
-    The additive objectives tally the voters in integers by ballot size and
-    approved winners, then sum the integer gain rows of `_gain_rows` (the
+    The additive objectives tally the voters of each ballot group
+    (`BallotProfile.index`) in integers by ballot size and approved winners,
+    then sum the integer gain rows of `_gain_rows` (the
     ones the Thiele search reads) over those few classes, for one exact
     rational.
     """
     _check_committee(profile, committee)
     wmask, k = committee.mask, committee.k
     if objective.kind == "mav":
-        # maximum symmetric-difference distance over distinct ballots
+        # maximum symmetric-difference distance over the ballot groups
         worst = 0
-        for mask, _mult in profile.masks:
+        for mask in profile.index.masks:
             dist = k + mask.bit_count() - 2 * (mask & wmask).bit_count()
             if dist > worst:
                 worst = dist
@@ -397,7 +513,8 @@ def score_committee(
         )
     width = k + 1  # a voter holds at most k winners
     voters: dict[int, int] = {}  # ballot size * width + winners -> voters
-    for mask, mult in profile.masks:
+    index = profile.index
+    for mask, mult in zip(index.masks, index.mults):
         key = mask.bit_count() * width + (mask & wmask).bit_count()
         voters[key] = voters.get(key, 0) + mult
     rows, denominator = _gain_rows(objective, {key // width for key in voters}, k)

@@ -7,7 +7,7 @@ Two families:
 * sequential rules elect one candidate per round, reweighting each voter's
   contribution by how many of their approved candidates are already elected.
   One round loop, `_rounds`, serves them all; it runs on integers over the
-  profile's approver index.  `sequential_trace` also keeps every round's
+  profile's ballot groups.  `sequential_trace` also keeps every round's
   weight table, `compute_sequential_rule` only the winners.  With coverage
   weights (1, 0, ..., 0) it is greedy approval voting, the `gav` rule, which
   is also the paper's construction of a committee providing justified
@@ -95,9 +95,10 @@ def _rounds(profile: BallotProfile, k: int, weights: WeightVector):
     k rounds, before ``best`` is elected: ``unelected`` lists the unelected
     candidates in index order and ``current[c]`` is candidate c's approval
     weight times ``scale``, the least common multiple of the weights'
-    denominators.  Both lists change when the generator resumes.  Electing a
-    candidate only updates the ballots that approve it
-    (`BallotProfile.approvers`).
+    denominators.  Both lists change when the generator resumes.  The rounds
+    run on the profile's ballot groups (`BallotProfile.index`): electing a
+    candidate only updates the groups that approve it
+    (`BallotProfile.owners`).
     """
     m = profile.num_candidates
     if not 1 <= k <= m:
@@ -109,20 +110,21 @@ def _rounds(profile: BallotProfile, k: int, weights: WeightVector):
     # steps[p]: scaled weight w_{p+1} of a ballot holding p winners; the
     # trailing 0 is that of a ballot whose m approved candidates are all elected
     steps = [w.numerator * (scale // w.denominator) for w in weights.weights] + [0]
-    ballots = profile.ballots
-    counts = [0] * len(ballots)
+    index, owners = profile.index, profile.owners
+    members, mults = index.members, index.mults
+    counts = [0] * len(mults)  # for each ballot group, its winners so far
     current = [scale * score for score in profile.approval_scores]  # w_1 = 1
     unelected = list(range(m))
     for _ in range(k):
         best = max(unelected, key=current.__getitem__)  # the first maximum
         yield best, unelected, current, scale
         unelected.remove(best)
-        for g in profile.approvers[best]:
+        for g in owners[best]:
             held = counts[g]
             counts[g] = held + 1
-            delta = ballots[g].multiplicity * (steps[held + 1] - steps[held])
+            delta = mults[g] * (steps[held + 1] - steps[held])
             if delta:
-                for c in ballots[g].approved:
+                for c in members[g]:
                     current[c] += delta
 
 
@@ -267,7 +269,7 @@ _RULES: dict[str, _Rule] = {
     ),
     "ejrav": _Rule(
         lambda p, k, s, b: compute_ejrav(p, k, b),
-        lambda p, s, w: Fraction(min((mask & w.mask).bit_count() for mask, _ in p.masks)),
+        lambda p, s, w: Fraction(min((mask & w.mask).bit_count() for mask in p.index.masks)),
     ),
 }
 

@@ -4,8 +4,8 @@ One engine serves every exhaustive search: lexicographic depth-first search
 over candidate subsets with an admissible branch-and-bound prune and an
 optional leaf requirement, plus a separable fast path for plain approval
 scores.  The search keeps its open nodes on an explicit stack, so k has no
-depth limit.  It works on merged ballot groups (one per distinct approval
-set, see `core.normalize_profile`), so repeated ballots cost nothing per
+depth limit.  It works on the profile's ballot groups (one per distinct
+approval set, see `core.GroupIndex`), so repeated ballots cost nothing per
 node.  The additive (Thiele) search runs on bitsets: a group owns one bit
 per unit of each base-64 digit of its multiplicity, so a profile whose
 multiplicities are all below 64 gets one bit per voter and a multiplicity
@@ -56,7 +56,6 @@ from .core import (
     ScoringObjective,
     TieBreak,
     _gain_rows,
-    normalize_profile,
 )
 
 
@@ -102,17 +101,21 @@ def enumerate_committees(m: int, k: int) -> Iterator[Committee]:
 class _Search:
     """Depth-first branch and bound over the size-k committees.
 
-    ``groups`` holds one ballot group per distinct approval set.  ``accept``
-    is a leaf requirement, evaluated only at a leaf that would replace the
-    incumbent: a leaf replaces it only when it is strictly better and passes
-    ``accept``.  The search prunes every subtree that cannot beat the
-    incumbent and ends at an incumbent worth the ceiling or more.
+    It reads the profile's ballot groups (`BallotProfile.index`), one per
+    distinct approval set: ``sizes[g]`` and ``mults[g]`` are group g's
+    ballot size and multiplicity, ``owners[c]`` the groups approving
+    candidate c.  ``accept`` is a leaf requirement, evaluated only at a leaf
+    that would replace the incumbent: a leaf replaces it only when it is
+    strictly better and passes ``accept``.  The search prunes every subtree
+    that cannot beat the incumbent and ends at an incumbent worth the
+    ceiling or more.
     """
 
     def __init__(self, profile: BallotProfile, k: int, budget: Optional[int], *, accept=None):
-        merged = normalize_profile(profile)
-        self.groups = merged.ballots
-        self.owners = merged.approvers  # for each candidate, the groups approving it
+        index = profile.index
+        self.sizes = tuple(map(len, index.members))
+        self.mults = index.mults
+        self.owners = profile.owners
         self.m = profile.num_candidates
         self.k = k
         self.budget = budget
@@ -211,9 +214,9 @@ def _maximize(search: _Search, objective: ScoringObjective, optimum: Optional[in
     & mask) over the node's terms, one (mask, unit) per class and run of
     levels with equal unit gain.
     """
-    groups, owners, m, k = search.groups, search.owners, search.m, search.k
-    rows, search.denominator = _gain_rows(objective, {len(b.approved) for b in groups}, k)
-    ceiling = sum(ballot.multiplicity * sum(rows[len(ballot.approved)]) for ballot in groups)
+    sizes, mults, owners, m, k = search.sizes, search.mults, search.owners, search.m, search.k
+    rows, search.denominator = _gain_rows(objective, set(sizes), k)
+    ceiling = sum(mult * sum(rows[size]) for size, mult in zip(sizes, mults))
     # a row that begins a longer one joins its class: a voter's bits never
     # reach the levels past the end of its own row while it can still gain
     longest = sorted(set(rows.values()), key=len, reverse=True)
@@ -221,11 +224,11 @@ def _maximize(search: _Search, objective: ScoringObjective, optimum: Optional[in
     masks: dict[tuple[tuple[int, ...], int], int] = {}  # (row, digit) -> its bits
     owned = []  # for each group, its bits
     width = 0
-    for ballot in groups:
+    for size, mult in zip(sizes, mults):
         mine = 0
-        if ballot.approved:  # an empty ballot never gains
-            row = share[rows[len(ballot.approved)]]
-            mult, digit = ballot.multiplicity, 0
+        if size:  # an empty ballot never gains
+            row = share[rows[size]]
+            digit = 0
             while mult:
                 mult, count = divmod(mult, 64)
                 if count:
@@ -339,11 +342,11 @@ def _demand_state(search: _Search):
     no longer end with ``want`` winners.
     """
     k, m = search.k, search.m
-    everyone = (1 << len(search.groups)) - 1
+    everyone = (1 << len(search.sizes)) - 1
     masks = [sum(1 << g for g in groups) for groups in search.owners]
     # no group approves more than `top` candidates, so the levels above it
     # stay empty and their rows are one shared row of zeros
-    top = min(k, max(len(b.approved) for b in search.groups))
+    top = min(k, max(search.sizes))
     ahead = [[everyone] * (m + 1)] + [[0] * (m + 1) for _ in range(top)]
     ahead += [[0] * (m + 1)] * (k - top)
     for c in reversed(range(m)):
@@ -380,7 +383,7 @@ def _maximize_maximin(search: _Search) -> None:
     search.run(  # the levels are nested
         add, undo, lambda: hits.count(everyone) - 1,
         lambda start, depth, want: None if short(start, depth, want, everyone) else (),
-        min(min(len(b.approved), k) for b in search.groups),
+        min(min(size, k) for size in search.sizes),
     )
 
 
@@ -393,8 +396,7 @@ def _maximize_mav(search: _Search, optimum: Optional[int] = None) -> None:
     search.denominator = -1  # the score is the distance
     hits, add, undo, short = _demand_state(search)
     classes: dict[int, int] = {}  # ballot size -> its groups
-    for g, ballot in enumerate(search.groups):
-        size = len(ballot.approved)
+    for g, size in enumerate(search.sizes):
         classes[size] = classes.get(size, 0) | 1 << g
 
     def leaf() -> int:

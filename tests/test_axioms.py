@@ -22,6 +22,7 @@ from jrvoting.axioms import (
     replay_witness,
     Witness,
 )
+from jrvoting.cli import parse_profile
 from jrvoting.core import BallotProfile, BudgetExhausted, Committee, WeightVector
 from jrvoting.corpus import (
     BipartiteGraph,
@@ -365,6 +366,43 @@ class TestWitnessValidity:
         profile = profile_of(2, ({0}, 1))
         report = check_jr(profile, 1, Committee((0,)))
         assert not replay_witness(profile, 1, Committee((0,)), report)
+
+
+class TestWitnessesNameEveryLine:
+    """A violating group that spans repeated and respelled document lines:
+    the witness names every one of those lines, in ascending order."""
+
+    # lines 0, 1, 2 and 3 all approve {0, 1}: 9 voters out of 12
+    DOCUMENT = "m 5\nk 3\n3: 0 1\n2: 1 0\n# a comment\n3: 0 1\n1: 00 01\n1: 2\n1: 3\n1: 4\n"
+
+    @pytest.mark.parametrize(
+        "check, committee, level, candidates",
+        [
+            (check_jr, (2, 3, 4), 1, (0,)),
+            (lambda p, k, w: check_ell_jr(p, k, w, 2), (0, 2, 3), 2, (0, 1)),
+            (check_ejr, (0, 2, 3), 2, (0, 1)),
+            (check_sjr, (2, 3, 4), 1, (0, 1)),
+        ],
+    )
+    def test_group_witness(self, check, committee, level, candidates):
+        profile, k = parse_profile(self.DOCUMENT)
+        committee = Committee(committee)
+        report = check(profile, k, committee)
+        assert report.failed
+        witness = report.witness
+        assert (witness.level, witness.candidates) == (level, candidates)
+        assert witness.ballot_indices == (0, 1, 2, 3)
+        assert witness.group_size == sum(profile.ballots[i].multiplicity for i in (0, 1, 2, 3)) == 9
+        assert replay_witness(profile, k, committee, report)
+
+    def test_unanimity_witness(self):
+        profile, k = parse_profile("m 3\nk 1\n2: 0 1\n1: 1 0\n2: 0 1\n1: 01 00\n1: 0 2\n")
+        report = check_unanimity(profile, k, Committee((1,)))
+        assert report.failed
+        assert report.witness.candidates == (0,)
+        assert report.witness.ballot_indices == (0, 1, 2, 3, 4)
+        assert report.witness.group_size == 7
+        assert replay_witness(profile, k, Committee((1,)), report)
 
 
 class TestMultiplicityInvariance:
