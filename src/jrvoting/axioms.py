@@ -232,6 +232,8 @@ def find_jr_committee(profile: BallotProfile, k: int) -> Committee:
     # deferred: the rules module imports this one for its JR-constrained rules
     from .rules import compute_sequential_rule
 
+    if not 1 <= k <= profile.num_candidates:  # before the length-m weights
+        raise ValueError(f"k={k} out of range for m={profile.num_candidates}")
     return compute_sequential_rule(profile, k, WeightVector.coverage(profile.num_candidates))
 
 

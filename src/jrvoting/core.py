@@ -20,7 +20,8 @@ import math
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Collection, Iterable, Optional, Union
+from heapq import heapify, heappop, heappushpop
+from typing import Collection, Iterable, Iterator, Optional, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -467,23 +468,73 @@ def _gain_rows(
     denominator, for j < min(s, k): 1 for ``av``, 1/s for ``sav`` and w_{j+1}
     for ``wpav``.  A committee's score is the sum over the voters of the
     entries below their number of approved winners, divided by the
-    denominator.
+    denominator.  Only the weights a row holds are scaled: w_1 .. w_min(s, k)
+    for the largest ballot size s.
     """
-    rows: dict[int, list[Fraction]] = {}
-    for size in sizes:
-        top = min(size, k)
-        if objective.kind == "av":
-            rows[size] = [Fraction(1)] * top
-        elif objective.kind == "sav":
-            rows[size] = [Fraction(1, size)] * top if size else []
-        else:  # wpav
-            rows[size] = list(objective.weights.weights[:top])
-    denominator = math.lcm(1, *(value.denominator for row in rows.values() for value in row))
-    scaled = {
-        size: tuple(value.numerator * (denominator // value.denominator) for value in row)
-        for size, row in rows.items()
-    }
-    return scaled, denominator
+    sizes = set(sizes)
+    if objective.kind == "av":
+        return {size: (1,) * min(size, k) for size in sizes}, 1
+    if objective.kind == "sav":
+        denominator = math.lcm(1, *sizes - {0})
+        rows = {size: (denominator // size,) * min(size, k) if size else () for size in sizes}
+        return rows, denominator
+    # wpav: every row begins the longest one, so only that one is scaled
+    weights = objective.weights.weights[:min(max(sizes, default=0), k)]
+    denominator = math.lcm(1, *(w.denominator for w in weights))
+    longest = tuple(w.numerator * (denominator // w.denominator) for w in weights)
+    return {size: longest[:min(size, k)] for size in sizes}, denominator
+
+
+def _greedy_rounds(
+    profile: BallotProfile, k: int, rows: dict[int, tuple[int, ...]]
+) -> Iterator[tuple[int, list[int]]]:
+    """k rounds of electing the first candidate of largest marginal gain,
+    on integer gain rows (`_gain_rows`, one row per ballot size).
+
+    Yields ``(best, gains)`` at the start of each round, before ``best`` is
+    elected: ``gains[c]`` is candidate c's marginal gain, the sum over the
+    ballot groups approving it of their multiplicity times their row's entry
+    at their winners so far (0 past the row's end).  The list changes when
+    the generator resumes.  Electing a candidate only updates the groups
+    that approve it (`BallotProfile.owners`).  The rows are non-increasing,
+    so gains never rise and a heap keyed (-gain, candidate) finds each
+    winner lazily: a popped entry whose key is stale goes back with its
+    current gain, and the first popped entry whose key is current is the
+    lowest-index maximum (the accelerated greedy of Minoux, 1978).
+    """
+    index, owners = profile.index, profile.owners
+    members, mults = index.members, index.mults
+    longest = max(rows.values(), key=len, default=())
+    if all(row == longest[:len(row)] for row in rows.values()):
+        # every row begins the longest one, and a group past the end of its
+        # own row has no unelected member left, so all groups read the
+        # longest (with a trailing 0) and first gains follow approval scores
+        steps = longest + (0,)
+        rows_of = [steps] * len(mults)
+        gains = [steps[0] * score for score in profile.approval_scores]
+    else:  # each group reads its own row, with a trailing 0
+        padded = {size: row + (0,) for size, row in rows.items()}
+        rows_of = list(map(padded.__getitem__, map(len, members)))
+        gains = [0] * profile.num_candidates
+        for group, mult, row in zip(members, mults, rows_of):
+            for c in group:
+                gains[c] += mult * row[0]
+    heap = [(-gain, c) for c, gain in enumerate(gains)]
+    heapify(heap)
+    counts = [0] * len(mults)  # for each ballot group, its winners so far
+    for _ in range(k):
+        key, best = heappop(heap)
+        while -key != gains[best]:  # stale: its gain fell since it was pushed
+            key, best = heappushpop(heap, (-gains[best], best))
+        yield best, gains
+        for g in owners[best]:
+            held = counts[g]
+            counts[g] = held + 1
+            row = rows_of[g]
+            delta = mults[g] * (row[held + 1] - row[held])
+            if delta:
+                for c in members[g]:
+                    gains[c] += delta
 
 
 def score_committee(

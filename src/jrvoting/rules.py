@@ -6,9 +6,12 @@ Two families:
   minimax-distance) dispatch to the exact solver;
 * sequential rules elect one candidate per round, reweighting each voter's
   contribution by how many of their approved candidates are already elected.
-  One round loop, `_rounds`, serves them all; it runs on integers over the
-  profile's ballot groups.  `sequential_trace` also keeps every round's
-  weight table, `compute_sequential_rule` only the winners.  With coverage
+  One round loop, `core._greedy_rounds`, serves them all, and the Thiele
+  search's greedy floor too.  It runs over the profile's ballot groups on
+  the integer gain rows of `core._gain_rows`, so only w_1 .. w_min(s, k) are
+  scaled, for the largest ballot size s, and it takes each round's winner
+  from a lazy max-heap.  `sequential_trace` also keeps every round's weight
+  table, `compute_sequential_rule` only the winners.  With coverage
   weights (1, 0, ..., 0) it is greedy approval voting, the `gav` rule, which
   is also the paper's construction of a committee providing justified
   representation (`axioms.find_jr_committee`).
@@ -19,7 +22,6 @@ the committees providing justified representation only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional
@@ -34,6 +36,8 @@ from .core import (
     ScoringObjective,
     TieBreak,
     WeightVector,
+    _gain_rows,
+    _greedy_rounds,
     score_committee,
     wpav_objective,
 )
@@ -88,44 +92,18 @@ class RoundRecord:
     weights: Mapping[int, Fraction]
 
 
-def _rounds(profile: BallotProfile, k: int, weights: WeightVector):
-    """The sequential rule's round loop, on integers.
-
-    Yields ``(best, unelected, current, scale)`` at the start of each of the
-    k rounds, before ``best`` is elected: ``unelected`` lists the unelected
-    candidates in index order and ``current[c]`` is candidate c's approval
-    weight times ``scale``, the least common multiple of the weights'
-    denominators.  Both lists change when the generator resumes.  The rounds
-    run on the profile's ballot groups (`BallotProfile.index`): electing a
-    candidate only updates the groups that approve it
-    (`BallotProfile.owners`).
-    """
+def _sequential_rows(
+    profile: BallotProfile, k: int, weights: WeightVector
+) -> tuple[dict[int, tuple[int, ...]], int]:
+    """The integer gain rows of the sequential rule's weights on this
+    profile and their denominator (`core._gain_rows`): a ballot of s
+    candidates reaches only w_1 .. w_min(s, k), so only those are scaled."""
     m = profile.num_candidates
     if not 1 <= k <= m:
         raise ValueError(f"k={k} out of range for m={m}")
     if len(weights) != m:
         raise ValueError(f"weight vector length {len(weights)} != m={m}")
-
-    scale = math.lcm(*(w.denominator for w in weights.weights))
-    # steps[p]: scaled weight w_{p+1} of a ballot holding p winners; the
-    # trailing 0 is that of a ballot whose m approved candidates are all elected
-    steps = [w.numerator * (scale // w.denominator) for w in weights.weights] + [0]
-    index, owners = profile.index, profile.owners
-    members, mults = index.members, index.mults
-    counts = [0] * len(mults)  # for each ballot group, its winners so far
-    current = [scale * score for score in profile.approval_scores]  # w_1 = 1
-    unelected = list(range(m))
-    for _ in range(k):
-        best = max(unelected, key=current.__getitem__)  # the first maximum
-        yield best, unelected, current, scale
-        unelected.remove(best)
-        for g in owners[best]:
-            held = counts[g]
-            counts[g] = held + 1
-            delta = mults[g] * (steps[held + 1] - steps[held])
-            if delta:
-                for c in members[g]:
-                    current[c] += delta
+    return _gain_rows(ScoringObjective("wpav", weights), set(map(len, profile.index.members)), k)
 
 
 def sequential_trace(
@@ -137,21 +115,22 @@ def sequential_trace(
     multiplicity-weighted sum, over ballots approving it, of the weight-vector
     entry at one past the ballot's current number of elected approvals.  The
     maximal candidate is elected, ties broken by lowest index.  The rounds
-    run on integers (`_rounds`); a candidate's reported weight is rebuilt as
-    a fraction only when its integer weight changes, so the round records
-    share them.
+    run on integers (`core._greedy_rounds`); a candidate's reported weight is
+    rebuilt as a fraction only when its integer weight changes, so the round
+    records share them.
     """
+    rows, scale = _sequential_rows(profile, k, weights)
+    unelected = list(range(profile.num_candidates))
     scaled: list[Optional[int]] = [None] * profile.num_candidates
     shown: list[Optional[Fraction]] = [None] * profile.num_candidates
     trace: list[RoundRecord] = []
-    for index, (best, unelected, current, scale) in enumerate(
-        _rounds(profile, k, weights), start=1
-    ):
+    for index, (best, current) in enumerate(_greedy_rounds(profile, k, rows), start=1):
         for c in unelected:
             if scaled[c] != current[c]:
                 scaled[c] = current[c]
                 shown[c] = Fraction(current[c], scale)
         trace.append(RoundRecord(index, best, shown[best], {c: shown[c] for c in unelected}))
+        unelected.remove(best)
     return trace
 
 
@@ -160,7 +139,8 @@ def compute_sequential_rule(
 ) -> Committee:
     """The committee accumulated over k sequential rounds; unlike
     `sequential_trace` it builds no weight tables."""
-    return Committee.of(best for best, _, _, _ in _rounds(profile, k, weights))
+    rows, _ = _sequential_rows(profile, k, weights)
+    return Committee.of(best for best, _ in _greedy_rounds(profile, k, rows))
 
 
 def compute_score_rule(
@@ -284,6 +264,9 @@ def compute_rule(
     rule = _RULES[spec.name]
     if budget is not None and not rule.searches:
         raise ValueError(f"rule {spec.name!r} elects round by round and takes no search budget")
+    # before a weight family builds anything per candidate
+    if not 1 <= k <= profile.num_candidates:
+        raise ValueError(f"k={k} out of range for m={profile.num_candidates}")
     return rule.compute(profile, k, spec, budget)
 
 

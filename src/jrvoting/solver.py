@@ -21,7 +21,9 @@ skipped without being visited.  Until it holds an incumbent the search
 prunes against the exact score of the greedy committee: with
 non-increasing weights the score is monotone submodular, so greedy is
 within 1 - 1/e of the optimum (Nemhauser, Wolsey & Fisher 1978), and every
-optimum reaches its score.  MAV and maximin share one demand search on
+optimum reaches its score.  That score is the sum of the winners' gains in
+the sequential rules' round loop (`core._greedy_rounds`), run on the
+search's own rows and denominator.  MAV and maximin share one demand search on
 bitmasks over the groups: a node is hopeless once some group can no longer
 reach the winners the target asks of it, counting only its approved
 candidates still to come (MAV asks each ballot size for its own number).
@@ -56,6 +58,7 @@ from .core import (
     ScoringObjective,
     TieBreak,
     _gain_rows,
+    _greedy_rounds,
 )
 
 
@@ -113,6 +116,7 @@ class _Search:
 
     def __init__(self, profile: BallotProfile, k: int, budget: Optional[int], *, accept=None):
         index = profile.index
+        self.profile = profile
         self.sizes = tuple(map(len, index.members))
         self.mults = index.mults
         self.owners = profile.owners
@@ -317,18 +321,13 @@ def _maximize(search: _Search, objective: ScoringObjective, optimum: Optional[in
     if optimum is not None:
         floor = ceiling = optimum
     elif search.accept is None:
-        # the greedy committee's score: every optimum reaches it
-        picked: list[int] = []
-        while len(picked) < k:
-            gains = gains_of(bits, node_terms())
-            c = max((c for c in range(m) if c not in picked), key=gains.__getitem__)
-            if gains[c] == 0:
+        # the greedy committee's score, on the search's own rows: every
+        # optimum reaches it
+        floor = 0
+        for best, gains in _greedy_rounds(search.profile, k, rows):
+            if not gains[best]:
                 break  # gains only shrink: the remaining seats add nothing
-            picked.append(c)
-            add(c)
-        floor = scores[-1]
-        for c in reversed(picked):
-            undo(c)
+            floor += gains[best]
 
     search.run(add, undo, lambda: scores[-1], bound, ceiling, floor)
 

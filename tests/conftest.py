@@ -1,7 +1,8 @@
 """Shared test helpers: profile constructors, deterministic random streams,
 and the naive references: the token-by-token document parser, the
 per-ballot rational scorer, the full-enumeration optimizer used as the
-solver's oracle, the ballot-deleting greedy cover, the sequential rule
+solver's oracle, the greedy committee of an objective built from whole
+committee scores, the ballot-deleting greedy cover, the sequential rule
 recomputed from its definition every round and the l-subset scan for the
 first cohesive candidate set."""
 
@@ -151,6 +152,21 @@ def naive_optimize(profile, k, objective: ScoringObjective):
         elif score == best_score:
             co.append(members)
     return best_score, co
+
+
+def naive_greedy(profile, k, objective: ScoringObjective):
+    """The greedy committee of an additive objective, from whole committee
+    scores: k times, add the first unelected candidate whose committee
+    scores highest under `naive_score`, that is the first of largest
+    marginal gain."""
+    chosen = []
+    for _ in range(k):
+        best = max(
+            (c for c in range(profile.num_candidates) if c not in chosen),
+            key=lambda c: naive_score(profile, Committee.of(chosen + [c]), objective),
+        )
+        chosen.append(best)
+    return Committee.of(chosen)
 
 
 def naive_greedy_cover(profile, k):

@@ -429,6 +429,29 @@ class TestExitCodes:
         code, _, _ = run("compute", "--rule", "nonsense", "--k", "3", thm7_file)
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("compute", "--rule", name, "--weights", "1,1/2") if name in ("wpav", "wrav")
+         else ("compute", "--rule", name) for name in rules.RULE_NAMES]
+        + [("find", "--axiom", "jr"), ("find", "--axiom", "ell-jr:2")],
+        ids=lambda argv: argv[2],
+    )
+    def test_k_out_of_range_before_any_per_candidate_table(self, run, tmp_path, argv):
+        # the committee size is checked before a length-m weight vector or
+        # any other per-candidate table is built
+        path = tmp_path / "huge.profile"
+        path.write_text("m 100000000\n1: 99999999 0\n1: 5\n")
+        _build_parser()  # once per process, outside the measurement
+        tracemalloc.start()
+        try:
+            code, out, err = run(*argv, "--k", "0", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE and out == ""
+        assert "k=0 out of range for m=100000000" in err
+        assert peak < 1_000_000
+
     def test_usage_error_missing_k(self, run, tmp_path):
         path = tmp_path / "nok.profile"
         path.write_text("m 2\n1: 0\n")

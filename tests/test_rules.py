@@ -1,14 +1,17 @@
 """Voting rules: sequential engine, named families, JR-constrained rules."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jrvoting import core
 from jrvoting.axioms import check_ejr, check_jr, find_jr_committee, oracle_check_jr
 from jrvoting.core import (
     AV,
+    BallotProfile,
     BudgetExhausted,
     Committee,
     MAV,
@@ -96,6 +99,56 @@ class TestSequential:
                 assert trace == naive_sequential_trace(p, k, weights)
                 winners = Committee.of(candidate for candidate, _, _ in trace)
                 assert compute_sequential_rule(p, k, weights) == winners
+
+    @staticmethod
+    def _wide_instances(seed, count):
+        # m from 20 to 80 and k near m: most rounds leave stale heap keys.
+        # Half of the profiles give every candidate of the lower half a twin
+        # in the upper half that the same ballots approve, so the two tie in
+        # every round until the lower one is elected
+        rng = random.Random(f"wide|{seed}")
+        for trial in range(count):
+            m = rng.randint(20, 80)
+            k = m - rng.randint(0, 3)
+            twins = trial % 2
+            half = m // 2 if twins else m
+            urn = random_profile(seed=seed * 7919 + trial, n=rng.randint(16, 32), m=half,
+                                 k=min(k, half), culture=UrnLike(rng.randint(2, 4), 0.5))
+            groups = [(b.approved | {c + half for c in b.approved} if twins else b.approved,
+                       b.multiplicity) for b in urn.ballots]
+            yield BallotProfile.from_groups(m, groups), k
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            lambda m: WeightVector.harmonic(m),
+            lambda m: WeightVector.from_values([Fraction(1, 2 ** (j // 3)) for j in range(m)]),
+            lambda m: WeightVector.from_values(([1, Fraction(1, 2), Fraction(1, 2)] + [0] * m)[:m]),
+        ],
+        ids=["harmonic", "plateaus", "zero-tail"],
+    )
+    def test_heap_rounds_match_definition_on_wide_profiles(self, family, monkeypatch):
+        stale = []
+        real = core.heappushpop
+        monkeypatch.setattr(core, "heappushpop", lambda heap, item: stale.append(1) or real(heap, item))
+        rounds = ties = 0
+        for profile, k in self._wide_instances(seed=16, count=6):
+            weights = family(profile.m)
+            trace = [(r.candidate, r.weight, dict(r.weights)) for r in sequential_trace(profile, k, weights)]
+            assert trace == naive_sequential_trace(profile, k, weights)
+            assert compute_sequential_rule(profile, k, weights) == Committee.of(c for c, _, _ in trace)
+            rounds += k
+            ties += sum(1 for _, weight, table in trace if weight and list(table.values()).count(weight) > 1)
+        # each of the two runs per profile re-pushes more than one stale key
+        # per round on average, and some rounds elect one of tied candidates
+        assert len(stale) > 2 * rounds and ties > 0
+
+    def test_heap_rounds_match_definition_on_thm8(self):
+        fixture = build_fixture("thm8", s=8)
+        profile, weights = fixture.profile, fixture.weights
+        assert profile.m == fixture.k + 2 == 344
+        trace = [(r.candidate, r.weight, dict(r.weights)) for r in sequential_trace(profile, 6, weights)]
+        assert trace == naive_sequential_trace(profile, 6, weights)
 
     def test_weight_length_validation(self):
         profile = profile_of(3, ({0}, 1))

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from jrvoting.axioms import check_jr, exists_sjr_committee, oracle_check_jr, oracle_check_sjr
+from jrvoting import solver
 from jrvoting.cli import main
 from jrvoting.core import (
     AV,
@@ -20,6 +21,8 @@ from jrvoting.core import (
     WeightVector,
     normalize_profile,
     score_committee,
+    _gain_rows,
+    _greedy_rounds,
     wpav_objective,
 )
 from jrvoting.corpus import build_fixture
@@ -30,7 +33,7 @@ from jrvoting.solver import (
     optimize_committee,
 )
 
-from conftest import naive_optimize, profile_of, random_instances
+from conftest import naive_greedy, naive_optimize, naive_score, profile_of, random_instances
 
 
 class TestEnumerate:
@@ -392,6 +395,34 @@ class TestBitsetSearch:
                 assert (lex.committee.members, lex.score) == (co[0], score)
                 preferred = _solve(profile, k, objective, TieBreak.PREFER_JR)
                 assert (preferred.committee.members, preferred.score) == (passing, score)
+
+    def test_greedy_floor_is_the_score_of_the_naive_greedy_committee(self, monkeypatch):
+        # the round loop, on the search's rows, elects the first candidate of
+        # largest marginal gain each round, and the search's floor is the
+        # sum of those gains: the naive greedy committee's score
+        floors = []
+        real = solver._Search.run
+
+        def spy(search, add, undo, leaf, bound, ceiling, floor=None):
+            floors.append(search.score(floor))
+            return real(search, add, undo, leaf, bound, ceiling, floor)
+
+        monkeypatch.setattr(solver._Search, "run", spy)
+        for profile, k in self._carrying(1717, 40):
+            sizes = set(map(len, profile.index.members))
+            for objective in self._additive(profile.m):
+                greedy = naive_greedy(profile, k, objective)
+                score = naive_score(profile, greedy, objective)
+                rows, denominator = _gain_rows(objective, sizes, k)
+                winners, total = [], 0
+                for best, gains in _greedy_rounds(profile, k, rows):
+                    winners.append(best)
+                    total += gains[best]
+                assert Committee.of(winners) == greedy
+                assert Fraction(total, denominator) == score
+                # a budget keeps approval voting off its separable fast path
+                _solve(profile, k, objective, budget=10**6)
+                assert floors.pop() == score
 
     def test_multiplicities_near_a_billion_stay_small(self, tmp_path, capsys):
         # one bit per voter would take four billion bits here; base-64 digits
