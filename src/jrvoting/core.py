@@ -135,9 +135,9 @@ class BallotProfile:
 
     A profile holds one index, `index`, of its ballots grouped by approval
     set, and derives every other view from it when first read: the voter
-    count `n`, the per-ballot `masks`, the per-candidate `owners` (groups),
-    `approvers` (ballots) and `approval_scores`, and the `Ballot` objects
-    themselves, built only when `ballots` is read.
+    count `n`, the per-ballot `masks`, the per-candidate `owners` (groups)
+    and `approval_scores`, and the `Ballot` objects themselves, built only
+    when `ballots` is read.
     A profile built from `Ballot` objects derives the index from them;
     `cli.parse_profile` builds the index directly.  A profile is
     semantically identical to its expansion into unit-multiplicity ballots;
@@ -262,16 +262,6 @@ class BallotProfile:
     def owners(self) -> tuple[tuple[int, ...], ...]:
         """For each candidate, the ascending ids of the groups approving it."""
         return self._tallies[0]
-
-    @cached_property
-    def approvers(self) -> tuple[tuple[int, ...], ...]:
-        """For each candidate, the ascending indices of the ballots approving it."""
-        index = self.index
-        approvers: list[list[int]] = [[] for _ in range(self.num_candidates)]
-        for i, entry in enumerate(index.order):
-            for c in index.members[index.entries[entry][0]]:
-                approvers[c].append(i)
-        return tuple(map(tuple, approvers))
 
     @property
     def approval_scores(self) -> tuple[int, ...]:

@@ -17,7 +17,12 @@ rows `core.score_committee` sums too).  A node is bounded by
 its score plus the largest marginal gains still available, one per open
 seat; since gains only shrink as the committee grows, the node bounds each
 child the same way from its own gains, and a child below the target is
-skipped without being visited.  Until it holds an incumbent the search
+skipped without being visited.  A child that passes and is not a leaf is
+then tested against its own exact bound, just before it would be seated:
+its gains are the node's, less, per class and level, the drop in unit gain
+times the popcount of the voters at that level that seating it moves up.
+A child below the target there is skipped unvisited too, and one above it
+keeps those gains.  Until it holds an incumbent the search
 prunes against the exact score of the greedy committee: with
 non-increasing weights the score is monotone submodular, so greedy is
 within 1 - 1/e of the optimum (Nemhauser, Wolsey & Fisher 1978), and every
@@ -139,13 +144,18 @@ class _Search:
         the integer value of a full committee, and no committee is worth more
         than ``ceiling``.  ``bound(start, depth, target)`` is None when no
         completion by candidates >= start reaches ``target``; otherwise it
-        bounds the node's children, as a pair ``(worth, best)`` where
-        ``worth[c]`` bounds every committee below the child seating c and
-        ``best[c]`` is the largest ``worth`` from c onward, or as ``()`` when
-        it bounds none.  Children below the target are skipped unvisited.
-        Every answer is worth ``floor`` or more, if given: until the first
-        incumbent, subtrees that cannot reach it are pruned and leaves below
-        it are passed over.  Ties go to the first committee visited.
+        bounds the node's children, as a triple ``(worth, best, reaches)``,
+        or as ``()`` when it bounds none.  ``worth[c]`` bounds every
+        committee below the child seating c, ``best[c]`` is the largest
+        ``worth`` from c onward, and ``reaches(c, target)`` tells exactly
+        whether the child seating c would itself pass ``bound`` at
+        ``target``.  A child below the target is skipped unvisited: first by
+        ``worth``, then, unless it is a leaf, by ``reaches``, asked just
+        before the child would be seated, so that the next ``add`` seats the
+        child last asked of when it passes.  Every answer is worth ``floor``
+        or more, if given: until the first incumbent, subtrees that cannot
+        reach it are pruned and leaves below it are passed over.  Ties go to
+        the first committee visited.
         """
         k, m = self.k, self.m
         if floor is not None:
@@ -186,13 +196,15 @@ class _Search:
                     undo(chosen.pop())
                 c, last = stack[-1], m - k + len(chosen)
                 if bounds[-1] and c <= last:
-                    worth, best = bounds[-1]
+                    worth, best, reaches = bounds[-1]
                     target = self.best_value + 1
-                    if best[c] < target:
-                        c = last + 1
+                    leaves = len(chosen) == k - 1
+                    while c <= last and best[c] >= target:
+                        if worth[c] >= target and (leaves or reaches(c, target)):
+                            break
+                        c += 1
                     else:
-                        while worth[c] < target:
-                            c += 1
+                        c = last + 1
                 if c <= last:
                     stack[-1] = start = c + 1
                     chosen.append(c)
@@ -217,6 +229,20 @@ def _maximize(search: _Search, objective: ScoringObjective, optimum: Optional[in
     and one digit.  A candidate's gain is the sum of unit * popcount(its bits
     & mask) over the node's terms, one (mask, unit) per class and run of
     levels with equal unit gain.
+
+    A node's gains are built once: by `bound` from its terms, or by
+    `reaches` from its parent's, when the parent tested it before seating it.
+    Seating c moves the voters of ``bits[c] & levels[j]`` up to level j + 1,
+    so another candidate's gain drops by the class's unit gain at j less
+    its unit gain at j + 1, per such voter it shares with c.  The gains
+    `reaches` builds go to the next `add` only if it seats the child they
+    were built for; `add` and `undo` drop them otherwise, and `undo`
+    restores the parent's own, so a node seated without a test builds its
+    own.  `add` reads the seated candidate's gain from the node's gains
+    when they are built.  `bound` returns None from the node's score plus
+    its largest gains before it builds ``worth`` and ``best``; a node that
+    passed `reaches` skips that test, since `run` bounds it right after, at
+    the target it passed.
     """
     sizes, mults, owners, m, k = search.sizes, search.mults, search.owners, search.m, search.k
     rows, search.denominator = _gain_rows(objective, set(sizes), k)
@@ -244,9 +270,25 @@ def _maximize(search: _Search, objective: ScoringObjective, optimum: Optional[in
         owned.append(mine)
     bits = [sum(owned[g] for g in groups_of_c) for groups_of_c in owners]
     classes = [(mask, [unit << 6 * digit for unit in row]) for (row, digit), mask in masks.items()]
+    # for each level j at which some class's unit gain drops, in order, the
+    # (mask, drop) of each such class: a voter's gain drops by it when its
+    # level rises from j (under coverage weights, only at level 0)
+    drops: dict[int, list[tuple[int, int]]] = {}
+    for mask, row in classes:
+        for j, unit in enumerate(row):
+            drop = unit - (row[j + 1] if j + 1 < len(row) else 0)
+            if drop:
+                drops.setdefault(j, []).append((mask, drop))
+    falls = sorted(drops.items())
     levels = [(1 << width) - 1] + [0] * k
-    saved: list[tuple[list[int], list[tuple[int, int]]]] = []
-    terms: Optional[list[tuple[int, int]]] = None  # the node's, once built
+    # the node's state, saved by `add` for each seated candidate and restored
+    # by `undo`: its levels, and its terms and its gains once built.  The
+    # gains run from the node's first candidate to the last, so candidate
+    # c's is gains[c - m]
+    saved: list[tuple] = []
+    terms: Optional[list[tuple[int, int]]] = None
+    gains: Optional[list[int]] = None
+    tested: Optional[tuple[int, list[int]]] = None  # the child last asked of, and its gains
     scores = [0]  # the score of each prefix of the committee
 
     def gains_of(candidates: list[int], here: list[tuple[int, int]]) -> list[int]:
@@ -273,31 +315,41 @@ def _maximize(search: _Search, objective: ScoringObjective, optimum: Optional[in
         return terms
 
     def add(c: int) -> None:
-        nonlocal levels, terms
+        nonlocal levels, terms, gains, tested
         mine = bits[c]
-        here = node_terms()
-        scores.append(scores[-1] + sum(unit * (mine & held).bit_count() for held, unit in here))
-        saved.append((levels, here))
+        if gains is None:
+            gain = sum(unit * (mine & held).bit_count() for held, unit in node_terms())
+        else:
+            gain = gains[c - m]
+        scores.append(scores[-1] + gain)
+        saved.append((levels, terms, gains))
         levels = levels[:]
         for j in range(len(saved) - 1, -1, -1):
             moved = levels[j] & mine
             if moved:
                 levels[j] ^= moved
                 levels[j + 1] |= moved
-        terms = None
+        # the child's gains are known only if `reaches` built them for it
+        gains = tested[1] if tested is not None and tested[0] == c else None
+        terms = tested = None
 
     def undo(c: int) -> None:
-        nonlocal levels, terms
+        nonlocal levels, terms, gains, tested
         scores.pop()
-        levels, terms = saved.pop()
+        levels, terms, gains = saved.pop()
+        tested = None
 
     def bound(start: int, depth: int, target: int):
         # marginal gains only shrink as the committee grows (weights are
         # non-increasing), so a child's score plus the largest gains on offer
         # after it, one per seat still open below it, bounds its subtree
-        here = node_terms()
+        nonlocal gains
         score = scores[-1]
-        gains = gains_of(bits[start:], here)
+        if gains is None:
+            gains = gains_of(bits[start:], node_terms())
+            if score + sum(sorted(gains)[depth - k:]) < target:
+                return None  # the node's score plus its k - depth largest gains
+        # else `reaches` built the gains and found that bound at this target
         last = m - k + depth  # the last child with room for the seats after it
         top = sorted(gains[last + 1 - start:])  # the largest gains after the child
         tail = sum(top)
@@ -314,8 +366,27 @@ def _maximize(search: _Search, objective: ScoringObjective, optimum: Optional[in
                 tail += gain - top[0]
                 del top[0]
                 insort(top, gain)
-        # best[start] is the node's score plus its k - depth largest gains
-        return None if best[start] < target else (worth, best)
+        return worth, best, reaches
+
+    def reaches(c: int, target: int) -> bool:
+        # the child's gains are the node's, less each gain's share of the
+        # voters that seating c moves up from a level where their unit
+        # gain drops; its bound is then the one `bound` would find there.
+        # The child is not a leaf, so c < m - 1 and the slice is not empty
+        nonlocal tested
+        depth, mine, after = len(saved), bits[c], bits[c + 1:]
+        child = gains[c + 1 - m:]
+        for j, here in falls:
+            if j > depth:
+                break
+            moved = levels[j] & mine
+            if moved:
+                for mask, drop in here:
+                    held = moved & mask
+                    if held:
+                        child = [gain - drop * (b & held).bit_count() for gain, b in zip(child, after)]
+        tested = (c, child)
+        return scores[-1] + gains[c - m] + sum(sorted(child)[depth + 1 - k:]) >= target
 
     floor = None
     if optimum is not None:
@@ -324,10 +395,10 @@ def _maximize(search: _Search, objective: ScoringObjective, optimum: Optional[in
         # the greedy committee's score, on the search's own rows: every
         # optimum reaches it
         floor = 0
-        for best, gains in _greedy_rounds(search.profile, k, rows):
-            if not gains[best]:
+        for winner, offered in _greedy_rounds(search.profile, k, rows):
+            if not offered[winner]:
                 break  # gains only shrink: the remaining seats add nothing
-            floor += gains[best]
+            floor += offered[winner]
 
     search.run(add, undo, lambda: scores[-1], bound, ceiling, floor)
 

@@ -64,7 +64,6 @@ class TestParsedAgreesWithConstructed:
             assert repr(parsed) == repr(naive)
             assert parsed.n == naive.n
             assert parsed.masks == naive.masks
-            assert parsed.approvers == naive.approvers
             assert parsed.approval_scores == naive.approval_scores
             assert parsed.ballots == naive.ballots
             index = parsed.index

@@ -1,6 +1,7 @@
 """Exact solver: enumeration, optimality against naive search, pruning, budget."""
 
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -469,6 +470,160 @@ class TestBitsetSearch:
         assert exhausted > 50
 
 
+class TestExactChildBound:
+    """A child whose worth at its parent reaches the target is visited only if
+    its own exact node bound, from gains updated for the candidate it seats,
+    reaches the target too.  The test is exact, so answers, scores and
+    budgets in visited nodes behave as before; only node counts fall."""
+
+    @staticmethod
+    def _instances():
+        # 300 seeded profiles, m 3-14, with 1 < k < m and at most 120
+        # committees, so that naive enumeration stays cheap
+        stream = random_instances(seed=1717, count=2000, max_n=6, min_m=3, max_m=14,
+                                  cultures=["uniform", "urn", "fixed"])
+        kept = ((p, k) for p, k in stream if 1 < k < p.m and math.comb(p.m, k) <= 120)
+        return itertools.islice(kept, 300)
+
+    @staticmethod
+    def _additive(m):
+        stepped = WeightVector.from_values(([1, 1, Fraction(1, 3), Fraction(1, 3)] + [0] * m)[:m])
+        return (AV, SAV, wpav_objective(WeightVector.harmonic(m)),
+                wpav_objective(WeightVector.coverage(m)), wpav_objective(stepped))
+
+    @staticmethod
+    def _check_budgets(run, nodes, expected, objective, profile):
+        """``run(budget)`` answers ``expected`` at a budget of ``nodes``, and
+        runs out one node past every budget below it, with a best-so-far
+        scored as reported."""
+        for budget in range(1, nodes):
+            with pytest.raises(BudgetExhausted) as excinfo:
+                run(budget)
+            err = excinfo.value
+            assert err.nodes_explored == budget + 1
+            if err.best_committee is not None:
+                assert err.best_score == score_committee(profile, err.best_committee, objective)
+        assert run(nodes) == expected
+
+    def test_a_child_failing_its_own_bound_is_skipped_unvisited(self, monkeypatch):
+        # two voters on {0, 1}, two on {2, 3}, one on {4, 5}, k = 3, PAV;
+        # values in halves, the rows' denominator.  The greedy floor
+        # {0, 1, 2} scores 10, the optimum, so the target is 10 until that
+        # leaf is the incumbent, and 11 after.
+        # - Root (score 0, gains 4 4 4 4 2 2): {0} is worth 4 + 4 + 4 = 12.
+        #   Seating 0 halves 1's gain, so {0}'s gains after it are
+        #   2 4 4 2 2 and its own bound is 4 + 4 + 4 = 12: visited.
+        # - {0} (score 4): {0, 1} is worth 4 + 2 + 4 = 10 and its own bound
+        #   is 6 + 4 = 10: visited, and its first leaf {0, 1, 2} scores 10.
+        # - {0} then bounds {0, 2} at 4 + 4 + 4 = 12, above the new target,
+        #   but seating 2 halves 3's gain: {0, 2}'s own bound is 8 + 2 = 10,
+        #   so it is skipped unvisited.  Before the test it was the fifth
+        #   node.
+        # - The root's {1} passes at 12 and skips {1, 2} the same way.
+        profile = profile_of(6, ({0, 1}, 2), ({2, 3}, 2), ({4, 5}, 1))
+        objective = wpav_objective(WeightVector.harmonic(6))
+        seated, asked = [], []
+        real = solver._Search.run
+
+        def spy(search, add, undo, leaf, bound, ceiling, floor=None):
+            chosen = []
+
+            def seat(c):
+                chosen.append(c)
+                seated.append(tuple(chosen))
+                add(c)
+
+            def unseat(c):
+                chosen.pop()
+                undo(c)
+
+            def bounds(start, depth, target):
+                children = bound(start, depth, target)
+                if not children:
+                    return children
+                worth, best, reaches = children
+
+                def test(c, target):
+                    passed = reaches(c, target)
+                    asked.append((tuple(chosen) + (c,), worth[c], target, passed))
+                    return passed
+
+                return worth, best, test
+
+            return real(search, seat, unseat, leaf, bounds, ceiling, floor)
+
+        monkeypatch.setattr(solver._Search, "run", spy)
+        result = _solve(profile, 3, objective)
+        assert (result.committee.members, result.score, result.nodes_explored) == ((0, 1, 2), 5, 5)
+        assert seated == [(0,), (0, 1), (0, 1, 2), (1,)]
+        # (child, its worth at the parent, target, passed its own bound)
+        assert asked == [((0,), 12, 10, True), ((0, 1), 10, 10, True), ((0, 2), 12, 11, False),
+                         ((1,), 12, 11, True), ((1, 2), 12, 11, False)]
+
+    def test_a_child_seated_without_a_test_builds_its_own_gains(self):
+        # under a leaf requirement the root is opened before any incumbent
+        # and bounds none of its children.  Values in sixths: the leaf
+        # {0, 2, 4} is the incumbent at 44 when {1} bounds {1, 2} at 51,
+        # but {1, 2}'s own bound is below 45 and it is skipped unvisited.
+        # The root then seats 2 untested: {2} must bound its children from
+        # its own gains, not the ones just built for {1, 2}, which count 1 as
+        # seated and so give less to 3, 4 and 5, the other candidates of the
+        # voters on {1, 4, 5} and {0, 1, 2, 3, 4}.
+        # {2, 4} passes and {2, 4, 5} scores 45, the best committee
+        # providing JR; read with {1, 2}'s gains, {2} closes at once
+        profile = profile_of(6, {1, 4, 5}, ({2, 4}, 2), {0, 2, 3, 5}, {0, 1, 2, 3, 4})
+        k = 3
+        objective = wpav_objective(WeightVector.harmonic(6))
+        committees = list(itertools.combinations(range(6), k))
+        justified = [w for w in committees if oracle_check_jr(profile, k, Committee(w))]
+        scores = {w: naive_score(profile, Committee(w), objective) for w in justified}
+        assert max(scores, key=scores.get) == (2, 4, 5) and scores[2, 4, 5] == Fraction(15, 2)
+        found = solver._best_accepted(profile, k, lambda w: check_jr(profile, k, w).passed, objective)
+        assert found.members == (2, 4, 5)
+
+    def test_agrees_with_naive_enumeration_under_every_budget(self):
+        # every budget is tried on every third profile
+        for i, (profile, k) in enumerate(self._instances()):
+            for objective in self._additive(profile.m):
+                score, co = naive_optimize(profile, k, objective)
+                passing = next((w for w in co if oracle_check_jr(profile, k, Committee(w))), co[0])
+                for tiebreak, expected in ((TieBreak.LEXICOGRAPHIC, co[0]), (TieBreak.PREFER_JR, passing)):
+                    # a budget keeps approval voting off its separable fast path
+                    result = _solve(profile, k, objective, tiebreak, budget=10**6)
+                    assert (result.committee.members, result.score) == (expected, score)
+                    if i % 3 == 0:
+                        self._check_budgets(
+                            lambda budget: _solve(profile, k, objective, tiebreak, budget).committee.members,
+                            result.nodes_explored, expected, objective, profile)
+
+    def test_searches_under_a_leaf_requirement_agree_with_naive_enumeration(self):
+        # such a search has no floor: its nodes opened before the first
+        # incumbent bound none of their children, and one of them may seat a
+        # child right after a child of its own has tested candidates.  Every
+        # budget is tried on every third profile
+        for i, (profile, k) in enumerate(self._instances()):
+            committees = list(itertools.combinations(range(profile.m), k))
+            justified = [w for w in committees if oracle_check_jr(profile, k, Committee(w))]
+
+            def provides_jr(committee):
+                return check_jr(profile, k, committee).passed
+
+            for objective in self._additive(profile.m):
+                scores = {w: naive_score(profile, Committee(w), objective) for w in justified}
+                best = max(scores.values())
+                expected = next(w for w in justified if scores[w] == best)
+                if objective is AV:
+                    assert compute_ujrav(profile, k).members == expected
+                found = solver._best_accepted(profile, k, provides_jr, objective)
+                assert found.members == expected
+                if i % 3 == 0:
+                    search = solver._Search(profile, k, None, accept=provides_jr)
+                    solver._run_search(search, objective)
+                    self._check_budgets(
+                        lambda budget: solver._best_accepted(profile, k, provides_jr, objective, budget).members,
+                        search.nodes, expected, objective, profile)
+
+
 class TestCeiling:
     def test_search_ends_at_the_first_committee_covering_every_voter(self):
         # {0, 1, 2} covers every voter: chamberlin-courant can do no better,
@@ -496,16 +651,20 @@ class TestBudget:
     def test_budget_carries_best_so_far(self):
         # the greedy floor {0, 1, 2} scores 5, the optimum.  The search
         # visits the root, {0}, {0, 1} and the leaf {0, 1, 2}, the incumbent
-        # at 5; {0, 1} closes, since seating 3, 4 or 5 there adds 1 at most,
-        # and {0} seats 2.  {0, 2} is the fifth node, and the sixth, {1},
-        # runs out of the budget of 5.  The whole search takes 7 nodes
+        # at 5; {0, 1} closes, since seating 3, 4 or 5 there adds 1 at most.
+        # {0} bounds {0, 2} at 6 from its own gains, but seating 2 halves
+        # what 3 would add, so {0, 2}'s own bound is 5 and it is skipped
+        # unvisited.  The root likewise bounds {1} at 6, and {1}'s own bound
+        # is 6 too: {1} is the fifth node, and it skips {1, 2} as {0} skipped
+        # {0, 2}.  The whole search takes 5 nodes, so a budget of 4 runs out
+        # at {1}
         profile = profile_of(6, ({0, 1}, 2), ({2, 3}, 2), ({4, 5}, 1))
         objective = wpav_objective(WeightVector.harmonic(6))
-        assert _solve(profile, 3, objective).nodes_explored == 7
+        assert _solve(profile, 3, objective).nodes_explored == 5
         with pytest.raises(BudgetExhausted) as excinfo:
-            _solve(profile, 3, objective, budget=5)
+            _solve(profile, 3, objective, budget=4)
         err = excinfo.value
-        assert err.nodes_explored == 6
+        assert err.nodes_explored == 5
         assert err.best_committee == Committee((0, 1, 2))
         assert err.best_score == 5 == score_committee(profile, err.best_committee, objective)
 
