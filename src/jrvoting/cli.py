@@ -315,6 +315,8 @@ def _parse_params(pairs: Sequence[str]) -> dict[str, object]:
         key, sep, value = pair.partition("=")
         if not sep:
             raise ValueError(f"bad --param {pair!r}, expected key=value")
+        if key in params:
+            raise ValueError(f"duplicate --param {key}")
         if value.lstrip("+-").isdigit():
             params[key] = _integer(value)
         elif "/" in value:

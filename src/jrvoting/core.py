@@ -453,26 +453,28 @@ def _gain_rows(
     """Per-voter gain rows of an additive objective, scaled to a common
     integer denominator, one per ballot size in ``sizes``.
 
-    Entry j of ballot size s's row is what one voter approving s candidates
-    adds to the score with its (j + 1)-th approved winner, times the
-    denominator, for j < min(s, k): 1 for ``av``, 1/s for ``sav`` and w_{j+1}
-    for ``wpav``.  A committee's score is the sum over the voters of the
-    entries below their number of approved winners, divided by the
-    denominator.  Only the weights a row holds are scaled: w_1 .. w_min(s, k)
-    for the largest ballot size s.
+    Entry j of a row is what one voter adds to the score with its (j + 1)-th
+    approved winner, times the denominator: 1 for ``av``, 1/s for ``sav``
+    and w_{j+1} for ``wpav``.  A voter approving s candidates reads only the
+    first min(s, k) entries of its size's row.  ``av`` and ``wpav`` give
+    every size one shared row, of length min(largest size, k); ``sav`` gives
+    size s a row of length min(s, k).  A committee's score is the sum over
+    the voters of the entries below their number of approved winners,
+    divided by the denominator.  Only the weights a row holds are scaled.
     """
     sizes = set(sizes)
-    if objective.kind == "av":
-        return {size: (1,) * min(size, k) for size in sizes}, 1
     if objective.kind == "sav":
         denominator = math.lcm(1, *sizes - {0})
         rows = {size: (denominator // size,) * min(size, k) if size else () for size in sizes}
         return rows, denominator
-    # wpav: every row begins the longest one, so only that one is scaled
-    weights = objective.weights.weights[:min(max(sizes, default=0), k)]
-    denominator = math.lcm(1, *(w.denominator for w in weights))
-    longest = tuple(w.numerator * (denominator // w.denominator) for w in weights)
-    return {size: longest[:min(size, k)] for size in sizes}, denominator
+    length = min(max(sizes, default=0), k)
+    if objective.kind == "av":
+        row, denominator = (1,) * length, 1
+    else:  # wpav
+        weights = objective.weights.weights[:length]
+        denominator = math.lcm(1, *(w.denominator for w in weights))
+        row = tuple(w.numerator * (denominator // w.denominator) for w in weights)
+    return dict.fromkeys(sizes, row), denominator
 
 
 def _greedy_rounds(
@@ -494,12 +496,11 @@ def _greedy_rounds(
     """
     index, owners = profile.index, profile.owners
     members, mults = index.members, index.mults
-    longest = max(rows.values(), key=len, default=())
-    if all(row == longest[:len(row)] for row in rows.values()):
-        # every row begins the longest one, and a group past the end of its
-        # own row has no unelected member left, so all groups read the
-        # longest (with a trailing 0) and first gains follow approval scores
-        steps = longest + (0,)
+    distinct = set(rows.values())
+    if len(distinct) <= 1:
+        # every group reads one row (with a trailing 0): first gains follow
+        # approval scores
+        steps = next(iter(distinct), ()) + (0,)
         rows_of = [steps] * len(mults)
         gains = [steps[0] * score for score in profile.approval_scores]
     else:  # each group reads its own row, with a trailing 0

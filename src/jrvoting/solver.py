@@ -11,18 +11,19 @@ per unit of each base-64 digit of its multiplicity, so a profile whose
 multiplicities are all below 64 gets one bit per voter and a multiplicity
 of a billion at most 63 bits per digit.  ``levels[j]`` holds the bits of
 the groups with exactly j winners, and a candidate's marginal gain is a
-short sum of unit gain times popcount, over terms built once per node from
-the levels and one integer gain row per ballot size (`core._gain_rows`, the
-rows `core.score_committee` sums too).  A node is bounded by
-its score plus the largest marginal gains still available, one per open
-seat; since gains only shrink as the committee grows, the node bounds each
-child the same way from its own gains, and a child below the target is
-skipped without being visited.  A child that passes and is not a leaf is
-then tested against its own exact bound, just before it would be seated:
-its gains are the node's, less, per class and level, the drop in unit gain
-times the popcount of the voters at that level that seating it moves up.
-A child below the target there is skipped unvisited too, and one above it
-keeps those gains.  Until it holds an incumbent the search
+sum of unit gain times popcount over the levels and one integer gain row
+per ballot size (`core._gain_rows`, the rows `core.score_committee` sums
+too).  The root's gains are built once, with every voter at level 0; every
+other node's gains come from its parent's, less, per class and level, the
+drop in unit gain times the popcount of the voters at that level that
+seating its candidate moves up.  A node is bounded by its score plus the
+largest marginal gains still available, one per open seat; since gains
+only shrink as the committee grows, the node bounds each child the same
+way from its own gains, and a child below the target is skipped without
+being visited.  A child that passes and is not a leaf is then tested
+against its own exact bound, from its own gains, just before it would be
+seated.  A child below the target there is skipped unvisited too, and one
+above it keeps those gains.  Until it holds an incumbent the search
 prunes against the exact score of the greedy committee: with
 non-increasing weights the score is monotone submodular, so greedy is
 within 1 - 1/e of the optimum (Nemhauser, Wolsey & Fisher 1978), and every
@@ -226,38 +227,33 @@ def _maximize(search: _Search, objective: ScoringObjective, optimum: Optional[in
     below 64 gets one bit per voter.  ``levels[j]`` holds the bits of the
     groups with exactly j winners so far; seating a candidate moves its bits
     up one level.  A class is the bits that share one row of per-voter gains
-    and one digit.  A candidate's gain is the sum of unit * popcount(its bits
-    & mask) over the node's terms, one (mask, unit) per class and run of
-    levels with equal unit gain.
+    and one digit.
 
-    A node's gains are built once: by `bound` from its terms, or by
-    `reaches` from its parent's, when the parent tested it before seating it.
-    Seating c moves the voters of ``bits[c] & levels[j]`` up to level j + 1,
-    so another candidate's gain drops by the class's unit gain at j less
-    its unit gain at j + 1, per such voter it shares with c.  The gains
-    `reaches` builds go to the next `add` only if it seats the child they
-    were built for; `add` and `undo` drop them otherwise, and `undo`
-    restores the parent's own, so a node seated without a test builds its
-    own.  `add` reads the seated candidate's gain from the node's gains
-    when they are built.  `bound` returns None from the node's score plus
-    its largest gains before it builds ``worth`` and ``best``; a node that
-    passed `reaches` skips that test, since `run` bounds it right after, at
-    the target it passed.
+    The root's gains are built once, with every voter at level 0: a
+    candidate's is the sum, over the classes, of the class's first unit gain
+    times the popcount of the candidate's bits in it.  Every other node's gains come from its
+    parent's: seating c moves the voters of ``bits[c] & levels[j]`` up to
+    level j + 1, so another candidate's gain drops by the class's unit gain
+    at j less its unit gain at j + 1, per such voter it shares with c.
+    `reaches` builds a child's gains this way to test it; the next `add`
+    keeps them if it seats that child, and builds them the same way
+    otherwise, unless the child is a leaf, which reads only its score.
+    `add` and `undo` drop the tested gains, and `undo` restores the parent's
+    own.  A seated candidate's gain is read from its parent's gains.  `bound`
+    returns None from the node's score plus its largest gains before it
+    builds ``worth`` and ``best``; a node that passed `reaches` skips that
+    test, since `run` bounds it right after, at the target it passed.
     """
     sizes, mults, owners, m, k = search.sizes, search.mults, search.owners, search.m, search.k
     rows, search.denominator = _gain_rows(objective, set(sizes), k)
-    ceiling = sum(mult * sum(rows[size]) for size, mult in zip(sizes, mults))
-    # a row that begins a longer one joins its class: a voter's bits never
-    # reach the levels past the end of its own row while it can still gain
-    longest = sorted(set(rows.values()), key=len, reverse=True)
-    share = {row: next(r for r in longest if r[:len(row)] == row) for row in longest}
+    ceiling = sum(mult * sum(rows[size][:size]) for size, mult in zip(sizes, mults))
     masks: dict[tuple[tuple[int, ...], int], int] = {}  # (row, digit) -> its bits
     owned = []  # for each group, its bits
     width = 0
     for size, mult in zip(sizes, mults):
         mine = 0
         if size:  # an empty ballot never gains
-            row = share[rows[size]]
+            row = rows[size]
             digit = 0
             while mult:
                 mult, count = divmod(mult, 64)
@@ -282,74 +278,60 @@ def _maximize(search: _Search, objective: ScoringObjective, optimum: Optional[in
     falls = sorted(drops.items())
     levels = [(1 << width) - 1] + [0] * k
     # the node's state, saved by `add` for each seated candidate and restored
-    # by `undo`: its levels, and its terms and its gains once built.  The
-    # gains run from the node's first candidate to the last, so candidate
-    # c's is gains[c - m]
-    saved: list[tuple] = []
-    terms: Optional[list[tuple[int, int]]] = None
-    gains: Optional[list[int]] = None
+    # by `undo`: its levels and its gains.  The gains run from the node's
+    # first candidate to the last, so candidate c's is gains[c - m]
+    gains = [sum(row[0] * (mine & mask).bit_count() for mask, row in classes) for mine in bits]
+    saved: list[tuple[list[int], list[int]]] = []
     tested: Optional[tuple[int, list[int]]] = None  # the child last asked of, and its gains
+    passed = False  # whether the node last seated passed `reaches`
     scores = [0]  # the score of each prefix of the committee
 
-    def gains_of(candidates: list[int], here: list[tuple[int, int]]) -> list[int]:
-        total = [0] * len(candidates)
-        for held, unit in here:
-            total = [gain + unit * (mine & held).bit_count() for gain, mine in zip(total, candidates)]
-        return total
-
-    def node_terms() -> list[tuple[int, int]]:
-        nonlocal terms
-        if terms is None:
-            terms = []
-            depth = len(saved)
-            for mask, row in classes:
-                j, top = 0, min(depth + 1, len(row))
-                while j < top:
-                    unit, held = row[j], levels[j]
-                    j += 1
-                    while j < top and row[j] == unit:
-                        held |= levels[j]
-                        j += 1
-                    if unit:
-                        terms.append((held & mask, unit))
-        return terms
-
-    def add(c: int) -> None:
-        nonlocal levels, terms, gains, tested
-        mine = bits[c]
-        if gains is None:
-            gain = sum(unit * (mine & held).bit_count() for held, unit in node_terms())
-        else:
-            gain = gains[c - m]
-        scores.append(scores[-1] + gain)
-        saved.append((levels, terms, gains))
-        levels = levels[:]
-        for j in range(len(saved) - 1, -1, -1):
+    def child_gains(c: int, depth: int) -> list[int]:
+        # the node's gains after c, less each gain's share of the voters
+        # that seating c moves up from a level where their unit gain drops;
+        # the child is not a leaf, so c < m - 1 and the slice is not empty
+        mine, after = bits[c], bits[c + 1:]
+        child = gains[c + 1 - m:]
+        for j, here in falls:
+            if j > depth:
+                break
             moved = levels[j] & mine
             if moved:
-                levels[j] ^= moved
-                levels[j + 1] |= moved
-        # the child's gains are known only if `reaches` built them for it
-        gains = tested[1] if tested is not None and tested[0] == c else None
-        terms = tested = None
+                for mask, drop in here:
+                    held = moved & mask
+                    if held:
+                        child = [gain - drop * (b & held).bit_count() for gain, b in zip(child, after)]
+        return child
+
+    def add(c: int) -> None:
+        nonlocal levels, gains, tested, passed
+        depth, mine = len(saved), bits[c]
+        scores.append(scores[-1] + gains[c - m])
+        saved.append((levels, gains))
+        passed = tested is not None and tested[0] == c
+        if depth + 1 < k:  # a leaf reads only its score
+            gains = tested[1] if passed else child_gains(c, depth)
+            levels = levels[:]
+            for j in range(depth, -1, -1):
+                moved = levels[j] & mine
+                if moved:
+                    levels[j] ^= moved
+                    levels[j + 1] |= moved
+        tested = None
 
     def undo(c: int) -> None:
-        nonlocal levels, terms, gains, tested
+        nonlocal levels, gains, tested
         scores.pop()
-        levels, terms, gains = saved.pop()
+        levels, gains = saved.pop()
         tested = None
 
     def bound(start: int, depth: int, target: int):
         # marginal gains only shrink as the committee grows (weights are
         # non-increasing), so a child's score plus the largest gains on offer
         # after it, one per seat still open below it, bounds its subtree
-        nonlocal gains
         score = scores[-1]
-        if gains is None:
-            gains = gains_of(bits[start:], node_terms())
-            if score + sum(sorted(gains)[depth - k:]) < target:
-                return None  # the node's score plus its k - depth largest gains
-        # else `reaches` built the gains and found that bound at this target
+        if not passed and score + sum(sorted(gains)[depth - k:]) < target:
+            return None  # the node's score plus its k - depth largest gains
         last = m - k + depth  # the last child with room for the seats after it
         top = sorted(gains[last + 1 - start:])  # the largest gains after the child
         tail = sum(top)
@@ -369,24 +351,11 @@ def _maximize(search: _Search, objective: ScoringObjective, optimum: Optional[in
         return worth, best, reaches
 
     def reaches(c: int, target: int) -> bool:
-        # the child's gains are the node's, less each gain's share of the
-        # voters that seating c moves up from a level where their unit
-        # gain drops; its bound is then the one `bound` would find there.
-        # The child is not a leaf, so c < m - 1 and the slice is not empty
+        # the child's bound is the one `bound` would find there
         nonlocal tested
-        depth, mine, after = len(saved), bits[c], bits[c + 1:]
-        child = gains[c + 1 - m:]
-        for j, here in falls:
-            if j > depth:
-                break
-            moved = levels[j] & mine
-            if moved:
-                for mask, drop in here:
-                    held = moved & mask
-                    if held:
-                        child = [gain - drop * (b & held).bit_count() for gain, b in zip(child, after)]
-        tested = (c, child)
-        return scores[-1] + gains[c - m] + sum(sorted(child)[depth + 1 - k:]) >= target
+        depth = len(saved)
+        tested = (c, child_gains(c, depth))
+        return scores[-1] + gains[c - m] + sum(sorted(tested[1])[depth + 1 - k:]) >= target
 
     floor = None
     if optimum is not None:

@@ -349,6 +349,11 @@ class TestCommands:
         assert code == EXIT_USAGE
         assert "s >= 8" in err
 
+    def test_corpus_repeated_param_is_a_usage_error(self, run):
+        code, out, err = run("corpus", "--name", "thm4", "--param", "k=3", "--param", "k=4", "--emit")
+        assert code == EXIT_USAGE and out == "" and len(err.splitlines()) == 1
+        assert "duplicate --param k" in err
+
     def test_reduce_complete_graph(self, run, tmp_path):
         path = tmp_path / "k33.graph"
         lines = ["L 3 R 3"] + [f"edge {u} {v}" for u in range(3) for v in range(3)]

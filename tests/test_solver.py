@@ -599,14 +599,19 @@ class TestExactChildBound:
     def test_searches_under_a_leaf_requirement_agree_with_naive_enumeration(self):
         # such a search has no floor: its nodes opened before the first
         # incumbent bound none of their children, and one of them may seat a
-        # child right after a child of its own has tested candidates.  Every
+        # child right after a child of its own has tested candidates, so it
+        # builds its gains from its parent's without a test.  The carrying
+        # profiles give their groups several base-64 digit classes.  Every
         # budget is tried on every third profile
-        for i, (profile, k) in enumerate(self._instances()):
-            committees = list(itertools.combinations(range(profile.m), k))
-            justified = [w for w in committees if oracle_check_jr(profile, k, Committee(w))]
-
+        carrying = TestBitsetSearch._carrying(1818, 60)
+        for i, (profile, k) in enumerate(itertools.chain(self._instances(), carrying)):
             def provides_jr(committee):
                 return check_jr(profile, k, committee).passed
+
+            # the unit-ballot oracle cannot expand a billion voters;
+            # check_jr agrees with it on every small stream
+            committees = list(itertools.combinations(range(profile.m), k))
+            justified = [w for w in committees if provides_jr(Committee(w))]
 
             for objective in self._additive(profile.m):
                 scores = {w: naive_score(profile, Committee(w), objective) for w in justified}
