@@ -32,7 +32,10 @@ the sequential rules' round loop (`core._greedy_rounds`), run on the
 search's own rows and denominator.  MAV and maximin share one demand search on
 bitmasks over the groups: a node is hopeless once some group can no longer
 reach the winners the target asks of it, counting only its approved
-candidates still to come (MAV asks each ballot size for its own number).
+candidates still to come (MAV asks each ballot size for its own number), or
+once the winners its groups still lack outnumber what its open seats can
+pay: one per open seat to each group still short that approves the seat's
+candidate, from the largest such offers among the candidates still to come.
 A leaf replaces the incumbent only when it is strictly better and passes
 the leaf requirement, if any, so ties go to the first committee in
 lexicographic order.  Prefer-JR runs in two passes: the plain search, and,
@@ -53,7 +56,7 @@ import itertools
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import axioms
 from .core import (
@@ -377,8 +380,15 @@ def _demand_state(search: _Search):
     ``hits[j]`` holds the groups approving j or more members so far,
     ``ahead[i][c]`` those approving i or more candidates >= c.  Returns
     ``hits`` with the ``add``/``undo`` pair that maintains it and
-    ``short(start, depth, want, mask)``: whether some group in ``mask`` can
-    no longer end with ``want`` winners.
+    ``hopeless(start, depth, demands)``: whether no completion by candidates
+    >= start meets every demand, a pair ``(want, mask)`` asking ``want``
+    winners of each group in ``mask``.  It makes two admissible tests.  The
+    first, per demand, is whether some group can no longer reach its winners
+    from the approved candidates it has left.  The second counts the deficit,
+    the winners the groups still lack: each open seat pays at most one
+    winner to each group still short that approves its candidate, so the
+    node is hopeless once the deficit exceeds the ``k - depth`` largest
+    such offers among the candidates >= start.
     """
     k, m = search.k, search.m
     everyone = (1 << len(search.sizes)) - 1
@@ -411,17 +421,37 @@ def _demand_state(search: _Search):
             reach |= hits[j] & ahead[want - j][start]
         return reach & mask != mask
 
-    return hits, add, undo, short
+    def hopeless(start: int, depth: int, demands: Iterable[tuple[int, int]]) -> bool:
+        deficit = deficient = 0
+        for want, mask in demands:
+            if short(start, depth, want, mask):
+                return True
+            deficient |= mask & ~hits[want]
+            # the levels are nested: a group short of want winners lacks
+            # each level from its own count + 1 up to want
+            for j in range(want, 0, -1):
+                lacking = mask & ~hits[j]
+                if not lacking:
+                    break
+                deficit += lacking.bit_count()
+        if not deficit:
+            return False
+        # seating c pays at most the groups still short that approve it,
+        # and those offers only shrink deeper in the tree
+        offers = sorted([(mask & deficient).bit_count() for mask in masks[start:]])
+        return sum(offers[depth - k:]) < deficit
+
+    return hits, add, undo, hopeless
 
 
 def _maximize_maximin(search: _Search) -> None:
     """Maximize the least number of winners any ballot group approves."""
     k = search.k
-    hits, add, undo, short = _demand_state(search)
+    hits, add, undo, hopeless = _demand_state(search)
     everyone = hits[0]
     search.run(  # the levels are nested
         add, undo, lambda: hits.count(everyone) - 1,
-        lambda start, depth, want: None if short(start, depth, want, everyone) else (),
+        lambda start, depth, want: None if hopeless(start, depth, ((want, everyone),)) else (),
         min(min(size, k) for size in search.sizes),
     )
 
@@ -433,7 +463,7 @@ def _maximize_mav(search: _Search, optimum: Optional[int] = None) -> None:
     at the first accepted committee worth it."""
     k = search.k
     search.denominator = -1  # the score is the distance
-    hits, add, undo, short = _demand_state(search)
+    hits, add, undo, hopeless = _demand_state(search)
     classes: dict[int, int] = {}  # ballot size -> its groups
     for g, size in enumerate(search.sizes):
         classes[size] = classes.get(size, 0) | 1 << g
@@ -447,11 +477,14 @@ def _maximize_mav(search: _Search, optimum: Optional[int] = None) -> None:
     def bound(start: int, depth: int, target: int) -> Optional[tuple]:
         # ending at distance -target or less needs (k + s + target) / 2
         # winners, rounded up, from each group whose ballot has s candidates
+        demands = []
         for size, mask in classes.items():
             want = (k + size + target + 1) // 2
-            if want > 0 and (want > size or short(start, depth, want, mask)):
+            if want > size:
                 return None
-        return ()  # no bound on the children
+            if want > 0:
+                demands.append((want, mask))
+        return None if hopeless(start, depth, demands) else ()  # no bound on the children
 
     ceiling = -max(abs(k - size) for size in classes)
     search.run(add, undo, leaf, bound, ceiling if optimum is None else optimum, optimum)

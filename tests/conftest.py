@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional
 
 from jrvoting.cli import ProfileParseError, _plain_integers
-from jrvoting.core import BallotProfile, Committee, ScoringObjective, _check_committee
+from jrvoting.core import BallotProfile, Committee, ScoringObjective, _check_committee, normalize_profile
 from jrvoting.corpus import FixedSize, UniformSubsets, UrnLike, random_profile
 
 
@@ -258,6 +258,20 @@ def random_instances(seed, count, max_n=10, max_m=8, min_m=2, max_k=None, cultur
         else:
             culture = UrnLike(rng.randint(1, 3), rng.choice([0.5, 0.8]))
         yield random_profile(seed=seed * 7919 + trial, n=n, m=m, k=k, culture=culture), k
+
+
+def weighted_instances(seed, count):
+    """Deterministic stream of (profile, k) pairs for the demand searches:
+    m 4-9, up to 12 ballot groups with multiplicities from 1 to a billion,
+    and now and then an empty ballot."""
+    rng = random.Random(f"weighted|{seed}")
+    for raw, k in random_instances(seed=seed, count=count, max_n=12, min_m=4, max_m=9,
+                                   cultures=["uniform", "urn", "fixed"]):
+        groups = [(b.approved, rng.choice((1, 1, 2, 3, 64, 10**9)))
+                  for b in normalize_profile(raw).ballots]
+        if rng.random() < 0.3:
+            groups.append(((), rng.choice((1, 2, 10**9))))
+        yield BallotProfile.from_groups(raw.m, groups), k
 
 
 def random_committee(rng, m, k):

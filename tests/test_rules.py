@@ -32,7 +32,13 @@ from jrvoting.rules import (
     sequential_trace,
 )
 
-from conftest import naive_greedy_cover, naive_sequential_trace, profile_of, random_instances
+from conftest import (
+    naive_greedy_cover,
+    naive_sequential_trace,
+    profile_of,
+    random_instances,
+    weighted_instances,
+)
 
 CULTURES = ["uniform", "urn", "fixed"]
 
@@ -356,6 +362,21 @@ def _best_justified(profile, k, value):
     return best
 
 
+def _group_maximin(profile, committee):
+    """Fewest approved winners of any ballot group, so of any voter."""
+    wmask = committee.mask
+    return min((mask & wmask).bit_count() for mask, _mult in profile.masks)
+
+
+def _group_jr(profile, k, committee):
+    """JR from its definition, per ballot group: no candidate is approved by
+    n / k or more voters none of whose approved candidates is a winner."""
+    wmask = committee.mask
+    left = [(mask, mult) for mask, mult in profile.masks if not mask & wmask]
+    return all(k * sum(mult for mask, mult in left if mask >> c & 1) < profile.n
+               for c in range(profile.m))
+
+
 class TestRepresentationConstrainedOptimality:
     def test_ujrav_and_ejrav_match_enumeration_at_every_k(self):
         cultures = ["uniform", "urn", "fixed"]
@@ -372,6 +393,32 @@ class TestRepresentationConstrainedOptimality:
                     assert committee == expected, (name, k, profile)
                     score = report_score(profile, k, RuleSpec(name), committee)
                     assert score == value(profile, committee)
+
+    def test_ejrav_matches_brute_force_on_weighted_streams_under_every_budget(self):
+        # a search that visits N nodes runs out under every budget below N,
+        # one node past it, with a justified best-so-far scored as reported
+        with_incumbent = 0
+        for profile, k in weighted_instances(47, 300):
+            justified = [Committee(w) for w in itertools.combinations(range(profile.m), k)
+                         if _group_jr(profile, k, Committee(w))]
+            best = max(_group_maximin(profile, w) for w in justified)
+            expected = next(w for w in justified if _group_maximin(profile, w) == best)
+            budget = 1
+            while True:
+                try:
+                    committee = compute_ejrav(profile, k, budget=budget)
+                except BudgetExhausted as exc:
+                    assert exc.nodes_explored == budget + 1
+                    if exc.best_committee is not None:
+                        with_incumbent += 1
+                        assert _group_jr(profile, k, exc.best_committee)
+                        assert exc.best_score == _group_maximin(profile, exc.best_committee)
+                    budget += 1
+                    continue
+                break
+            assert committee == expected
+            assert report_score(profile, k, RuleSpec("ejrav"), committee) == best
+        assert with_incumbent > 100
 
     def test_ejrav_prunes_once_an_empty_ballot_pins_the_maximin(self):
         # after the first justified committee no subtree can beat maximin 0,

@@ -34,7 +34,14 @@ from jrvoting.solver import (
     optimize_committee,
 )
 
-from conftest import naive_greedy, naive_optimize, naive_score, profile_of, random_instances
+from conftest import (
+    naive_greedy,
+    naive_optimize,
+    naive_score,
+    profile_of,
+    random_instances,
+    weighted_instances,
+)
 
 
 class TestEnumerate:
@@ -318,22 +325,26 @@ class TestGreedyFloorAndOnePassTies:
 
     def test_prefer_jr_second_pass_ends_at_its_first_accepted_leaf(self):
         # MAV's ceiling is distance 1, which no committee reaches.  The first
-        # pass visits the root, {0} and its four leaves, {1} and its three
-        # (the demand search bounds no children), then {2} and {3}, which
-        # cannot give the three-candidate ballot the two winners distance 2
-        # needs: 12 nodes, for {0, 1} at distance 3.
+        # pass visits the root, {0} and its four leaves (the demand search
+        # bounds no children), the first, {0, 1}, at distance 3.  Distance 2
+        # needs two winners of the three-candidate ballot and one of the
+        # voter on {2}.  {1} can still reach both, but its one open seat
+        # pays at most one of the two winners they lack (2 and 3 each pay
+        # one, 4 none), so it is pruned, and {2} and {3} cannot give the
+        # three-candidate ballot its two: 9 nodes.  Without the count {1}
+        # opened its three leaves.
         # {0, 1} leaves the voter on {2}, a quota at k = 2, unrepresented, so
         # the second pass visits the root, {0}, {0, 1} (fails JR) and {0, 2},
         # which is worth the first optimum, provides JR and ends the search:
-        # 4 more.  Searching on towards the ceiling took 12 more
+        # 4 more, 13 in all
         profile = profile_of(5, {0, 1, 3}, {2})
         score, co = naive_optimize(profile, 2, MAV)
         assert (score, co[:2]) == (3, [(0, 1), (0, 2)])
         result = _solve(profile, 2, MAV, TieBreak.PREFER_JR)
         assert (result.committee.members, result.score) == ((0, 2), 3)
-        assert result.nodes_explored == 16
+        assert result.nodes_explored == 13
         with pytest.raises(BudgetExhausted) as excinfo:
-            _solve(profile, 2, MAV, TieBreak.PREFER_JR, budget=15)
+            _solve(profile, 2, MAV, TieBreak.PREFER_JR, budget=12)
         assert excinfo.value.best_committee == Committee((0, 1))
 
     def test_prefer_jr_costs_nothing_when_the_first_optimum_provides_jr(self):
@@ -650,6 +661,60 @@ class TestMinimaxBound:
         assert result.committee.members == (0, 1)
         assert result.score == 2
         assert result.nodes_explored == 5  # root, {0}, {0, 1}, {0, 2}, {1}
+
+
+class TestDemandCountingBound:
+    """The demand search behind MAV and ejrav also prunes a node whose
+    deficit, the winners its groups still lack, exceeds what its open seats
+    can pay: each seat pays at most one winner to each group still short
+    that approves its candidate.  The test is admissible, so answers, scores
+    and budgets in visited nodes behave as before; only node counts fall."""
+
+    def test_mav_agrees_with_naive_enumeration_under_every_budget(self):
+        # the unit-ballot oracle cannot expand a billion voters; check_jr
+        # agrees with it on every small stream.  Every budget is tried on
+        # every other profile
+        for i, (profile, k) in enumerate(weighted_instances(1919, 200)):
+            score, co = naive_optimize(profile, k, MAV)
+            passing = next((w for w in co if check_jr(profile, k, Committee(w)).passed), co[0])
+            for tiebreak, expected in ((TieBreak.LEXICOGRAPHIC, co[0]), (TieBreak.PREFER_JR, passing)):
+                result = _solve(profile, k, MAV, tiebreak)
+                assert (result.committee.members, result.score) == (expected, score)
+                if i % 2 == 0:
+                    TestExactChildBound._check_budgets(
+                        lambda budget: _solve(profile, k, MAV, tiebreak, budget).committee.members,
+                        result.nodes_explored, expected, MAV, profile)
+
+    def test_open_seats_that_cannot_pay_the_deficit_prune_a_reachable_node(self):
+        # one voter on each of {0, 1}, {1, 2}, {2, 3} and {4, 5}, k = 2: no
+        # two candidates hit all four ballots, so every committee leaves one
+        # ballot without a winner: MAV distance 4, maximin 0.  The root and
+        # {0} are opened before any incumbent and bound no children, so {0}
+        # visits its five leaves; the first, {0, 1}, is the incumbent (it
+        # provides JR: the two ballots it leaves share no candidate).  The
+        # target is then distance 3, or maximin 1: a winner of every ballot.
+        # - {1} holds one of {0, 1} and {1, 2}; {2, 3} and {4, 5} can each
+        #   still get one from the candidates after 1, so the reach test
+        #   admits it.  They lack two winners, but the one open seat pays at
+        #   most one: 2 and 3 pay {2, 3}, 4 and 5 pay {4, 5}.  {1} is
+        #   pruned; 2 pays {1, 2} too, but that ballot lacks nothing.
+        # - {2}, {3} and {4} leave {0, 1} no candidate: pruned.
+        # 11 nodes: the root, {0}, five leaves, {1}, {2}, {3} and {4}.
+        # Without the count {1} opened its four leaves too
+        profile = profile_of(6, {0, 1}, {1, 2}, {2, 3}, {4, 5})
+        k = 2
+        score, co = naive_optimize(profile, k, MAV)
+        assert score == 4 and len(co) == math.comb(6, 2)
+        for tiebreak in TieBreak:
+            result = _solve(profile, k, MAV, tiebreak)
+            assert (result.committee.members, result.score, result.nodes_explored) == ((0, 1), 4, 11)
+        with pytest.raises(BudgetExhausted) as excinfo:
+            _solve(profile, k, MAV, budget=10)
+        assert (excinfo.value.best_committee, excinfo.value.nodes_explored) == (Committee((0, 1)), 11)
+        # the maximin search behind ejrav visits the same nodes
+        search = solver._Search(profile, k, None, accept=lambda w: check_jr(profile, k, w).passed)
+        solver._run_search(search, "maximin")
+        assert (search.best_members, search.best_value, search.nodes) == ((0, 1), 0, 11)
 
 
 class TestBudget:
