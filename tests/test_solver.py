@@ -415,9 +415,9 @@ class TestBitsetSearch:
         floors = []
         real = solver._Search.run
 
-        def spy(search, add, undo, leaf, bound, ceiling, floor=None):
+        def spy(search, add, undo, leaf, bound, ceiling, floor=None, labels=None):
             floors.append(search.score(floor))
-            return real(search, add, undo, leaf, bound, ceiling, floor)
+            return real(search, add, undo, leaf, bound, ceiling, floor, labels)
 
         monkeypatch.setattr(solver._Search, "run", spy)
         for profile, k in self._carrying(1717, 40):
@@ -432,9 +432,13 @@ class TestBitsetSearch:
                     total += gains[best]
                 assert Committee.of(winners) == greedy
                 assert Fraction(total, denominator) == score
-                # a budget keeps approval voting off its separable fast path
+                # a budget keeps approval voting off its separable fast path;
+                # a search that reaches the ceiling in root-gain order runs
+                # again in label order from the ceiling, so the floor is the
+                # first search's
+                floors.clear()
                 _solve(profile, k, objective, budget=10**6)
-                assert floors.pop() == score
+                assert floors[0] == score
 
     def test_multiplicities_near_a_billion_stay_small(self, tmp_path, capsys):
         # one bit per voter would take four billion bits here; base-64 digits
@@ -466,7 +470,7 @@ class TestBitsetSearch:
         # the budget counts visited nodes only: a search that visits N nodes
         # runs out under every budget below N, and not at N
         exhausted = 0
-        for profile, k in self._carrying(1212, 80, max_m=9):
+        for profile, k in self._carrying(1212, 160, max_m=9):
             for objective in self._additive(profile.m)[1:]:
                 full = _solve(profile, k, objective).nodes_explored
                 assert _solve(profile, k, objective, budget=full).nodes_explored == full
@@ -519,24 +523,28 @@ class TestExactChildBound:
     def test_a_child_failing_its_own_bound_is_skipped_unvisited(self, monkeypatch):
         # two voters on {0, 1}, two on {2, 3}, one on {4, 5}, k = 3, PAV;
         # values in halves, the rows' denominator.  The greedy floor
-        # {0, 1, 2} scores 10, the optimum, so the target is 10 until that
-        # leaf is the incumbent, and 11 after.
-        # - Root (score 0, gains 4 4 4 4 2 2): {0} is worth 4 + 4 + 4 = 12.
-        #   Seating 0 halves 1's gain, so {0}'s gains after it are
-        #   2 4 4 2 2 and its own bound is 4 + 4 + 4 = 12: visited.
+        # {0, 1, 2} scores 10, the optimum, below the ceiling 15, so the
+        # search visits the candidates in descending root gain, 4 4 4 4 2 2:
+        # label order, so positions are labels here.  Until the leaf
+        # {0, 1, 2} is the incumbent a child must reach 10; after, a child
+        # must reach 11 to beat it, or tie it at 10 with a committee that
+        # comes first in label order.
+        # - Root (score 0): {0} is worth 4 + 4 + 4 = 12.  Seating 0 halves
+        #   1's gain, so {0}'s gains after it are 2 4 4 2 2 and its own
+        #   bound is 4 + 4 + 4 = 12: visited.
         # - {0} (score 4): {0, 1} is worth 4 + 2 + 4 = 10 and its own bound
         #   is 6 + 4 = 10: visited, and its first leaf {0, 1, 2} scores 10.
-        # - {0} then bounds {0, 2} at 4 + 4 + 4 = 12, above the new target,
-        #   but seating 2 halves 3's gain: {0, 2}'s own bound is 8 + 2 = 10,
-        #   so it is skipped unvisited.  Before the test it was the fifth
-        #   node.
+        # - {0} then bounds {0, 2} at 4 + 4 + 4 = 12, above 11, but seating
+        #   2 halves 3's gain: {0, 2}'s own bound is 8 + 2 = 10.  That only
+        #   ties, and every committee below {0, 2} comes after {0, 1, 2}, so
+        #   it is skipped unvisited.  Before the test it was the fifth node.
         # - The root's {1} passes at 12 and skips {1, 2} the same way.
         profile = profile_of(6, ({0, 1}, 2), ({2, 3}, 2), ({4, 5}, 1))
         objective = wpav_objective(WeightVector.harmonic(6))
         seated, asked = [], []
         real = solver._Search.run
 
-        def spy(search, add, undo, leaf, bound, ceiling, floor=None):
+        def spy(search, add, undo, leaf, bound, ceiling, floor=None, labels=None):
             chosen = []
 
             def seat(c):
@@ -552,24 +560,24 @@ class TestExactChildBound:
                 children = bound(start, depth, target)
                 if not children:
                     return children
-                worth, best, reaches = children
+                worth, best, reaches, rest = children
 
-                def test(c, target):
-                    passed = reaches(c, target)
-                    asked.append((tuple(chosen) + (c,), worth[c], target, passed))
-                    return passed
+                def test(c):
+                    value = reaches(c)
+                    asked.append((tuple(chosen) + (c,), worth[c], value))
+                    return value
 
-                return worth, best, test
+                return worth, best, test, rest
 
-            return real(search, seat, unseat, leaf, bounds, ceiling, floor)
+            return real(search, seat, unseat, leaf, bounds, ceiling, floor, labels)
 
         monkeypatch.setattr(solver._Search, "run", spy)
         result = _solve(profile, 3, objective)
         assert (result.committee.members, result.score, result.nodes_explored) == ((0, 1, 2), 5, 5)
         assert seated == [(0,), (0, 1), (0, 1, 2), (1,)]
-        # (child, its worth at the parent, target, passed its own bound)
-        assert asked == [((0,), 12, 10, True), ((0, 1), 10, 10, True), ((0, 2), 12, 11, False),
-                         ((1,), 12, 11, True), ((1, 2), 12, 11, False)]
+        # (child, its worth at the parent, its own exact bound)
+        assert asked == [((0,), 12, 12), ((0, 1), 10, 10), ((0, 2), 12, 10),
+                         ((1,), 12, 12), ((1, 2), 12, 10)]
 
     def test_a_child_seated_without_a_test_builds_its_own_gains(self):
         # under a leaf requirement the root is opened before any incumbent
@@ -638,6 +646,205 @@ class TestExactChildBound:
                     self._check_budgets(
                         lambda budget: solver._best_accepted(profile, k, provides_jr, objective, budget).members,
                         search.nodes, expected, objective, profile)
+
+
+class TestRootGainOrder:
+    """With no leaf requirement, no known optimum and a greedy floor below
+    the ceiling, the Thiele search visits the candidates in descending root
+    gain, ties by label.  Ties still go to the first optimum in label order:
+    a leaf that ties the incumbent and comes first replaces it, and a child
+    whose bound only ties is entered only if a committee below it that could
+    tie comes first.  A search that reaches the ceiling ends there, and a
+    label-order search from the ceiling finds the first committee worth it."""
+
+    @staticmethod
+    def _instances():
+        # blocs of consecutive candidates with tied approval counts, the
+        # later blocs often approved by more voters, so that root-gain order
+        # runs against label order among many ties; every relabelling of two
+        # profiles whose greedy coverage committee leaves a voter out although
+        # some committee covers them all; then the seeded stream
+        rng = random.Random("root-gain order")
+        for _ in range(150):
+            m = rng.randint(4, 9)
+            cuts = sorted(rng.sample(range(1, m), rng.randint(1, min(3, m - 1))))
+            groups = [(range(a, b), rng.randint(1, 3)) for a, b in zip([0] + cuts, cuts + [m])]
+            for _ in range(rng.randint(0, 2)):
+                groups.append((rng.sample(range(m), rng.randint(1, m)), 1))
+            yield BallotProfile.from_groups(m, groups), rng.randint(2, m - 1)
+        for m, k, groups in (
+            (4, 2, [({0, 1, 2}, 1), ({0, 3}, 1), ({0, 2, 3}, 4), ({1}, 3), ({1, 2, 3}, 3), ({1, 2}, 1)]),
+            (5, 3, [({1, 3}, 1), ({4}, 1), ({3}, 1), ({0, 2}, 3), ({0, 1, 4}, 1), ({2, 3}, 3), ({1, 2, 4}, 2)]),
+        ):
+            for label in itertools.permutations(range(m)):
+                yield BallotProfile.from_groups(m, [([label[c] for c in ballot], mult)
+                                                    for ballot, mult in groups]), k
+        yield from random_instances(seed=2020, count=100, max_n=9, min_m=4, max_m=9,
+                                    cultures=["uniform", "urn", "fixed"])
+
+    @staticmethod
+    def _objectives(m, rng):
+        stepped = WeightVector.from_values(([1, 1, Fraction(1, 3), Fraction(1, 3)] + [0] * m)[:m])
+        drawn = [1] + sorted((Fraction(rng.randint(0, 4), 4) for _ in range(m - 1)), reverse=True)
+        return (wpav_objective(WeightVector.harmonic(m)), wpav_objective(WeightVector.coverage(m)),
+                SAV, AV, wpav_objective(stepped), wpav_objective(WeightVector.from_values(drawn)))
+
+    def test_both_tie_breaks_agree_with_naive_enumeration(self, monkeypatch):
+        # count the searches run out of label order, and those that reached
+        # the ceiling and ran again in label order with no leaf requirement
+        runs = []
+        real = solver._Search.run
+
+        def spy(search, add, undo, leaf, bound, ceiling, floor=None, labels=None):
+            runs.append((labels, search.accept))
+            return real(search, add, undo, leaf, bound, ceiling, floor, labels)
+
+        monkeypatch.setattr(solver._Search, "run", spy)
+        rng = random.Random("drawn weights")
+        reordered = handed_over = 0
+        for profile, k in self._instances():
+            for objective in self._objectives(profile.m, rng):
+                score, co = naive_optimize(profile, k, objective)
+                passing = next((w for w in co if oracle_check_jr(profile, k, Committee(w))), co[0])
+                for tiebreak, expected in ((TieBreak.LEXICOGRAPHIC, co[0]), (TieBreak.PREFER_JR, passing)):
+                    runs.clear()
+                    # a budget keeps approval voting off its separable fast path
+                    result = _solve(profile, k, objective, tiebreak, budget=10**6)
+                    assert (result.committee.members, result.score) == (expected, score)
+                    labels = runs[0][0]
+                    reordered += labels is not None and labels != sorted(labels)
+                    handed_over += labels is not None and runs[1:2] == [(None, None)]
+        assert reordered > 2500 and handed_over > 100
+
+    def test_a_tie_below_a_child_whose_own_bound_only_ties(self, monkeypatch):
+        # one voter on {0}, two on {1, 2, 3}, one on {2} and one on
+        # {0, 1, 3}, k = 2, PAV; values in halves.  The greedy floor
+        # {1, 2} scores 10, below the ceiling 13, so the search visits the
+        # candidates in descending root gain: 1, 2, 3 (6 each) and 0 (4), at
+        # positions 0 to 3.
+        # - The root bounds {1} at 6 + 6 = 12; its own bound is 6 + 4 = 10,
+        #   the floor: visited, and its first leaf {1, 2} is the incumbent
+        #   at 10.  A child must now reach 11, or tie at 10 with a
+        #   committee that comes first.
+        # - The root bounds {2} at 12, which clears 11, but seating 2 leaves
+        #   0 and 3 gains of 4 each: {2}'s own bound is 10, a tie.  A tying
+        #   committee below it seats a candidate of gain 4, the earliest 0,
+        #   and {0, 2} comes before {1, 2}: visited.  {2, 3} comes after
+        #   {1, 2} and is skipped; the leaf {0, 2} ties and replaces it.
+        # - {3} could tie only with {0, 3}, after {0, 2}: skipped.
+        # 5 nodes: the root, {1}, {1, 2}, {2} and {0, 2}.  Skipping a child
+        # whose own bound falls short of 11 would end at {1, 2}
+        profile = profile_of(4, {0}, ({1, 2, 3}, 2), {2}, {0, 1, 3})
+        objective = wpav_objective(WeightVector.harmonic(4))
+        score, co = naive_optimize(profile, 2, objective)
+        assert (score, co) == (5, [(0, 2), (1, 2), (2, 3)])
+        asked = []
+        real = solver._Search.run
+
+        def spy(search, add, undo, leaf, bound, ceiling, floor=None, labels=None):
+            assert labels == [1, 2, 3, 0]
+
+            def bounds(start, depth, target):
+                children = bound(start, depth, target)
+                worth, best, reaches, rest = children
+
+                def test(c):
+                    value = reaches(c)
+                    asked.append((labels[c], worth[c], value))
+                    return value
+
+                return worth, best, test, rest
+
+            return real(search, add, undo, leaf, bounds, ceiling, floor, labels)
+
+        monkeypatch.setattr(solver._Search, "run", spy)
+        result = _solve(profile, 2, objective)
+        assert (result.committee.members, result.score, result.nodes_explored) == ((0, 2), 5, 5)
+        # (the child's candidate, its worth at the root, its own exact bound)
+        assert asked == [(1, 12, 10), (2, 12, 10)]
+
+    def test_a_search_that_reaches_the_ceiling_runs_again_in_label_order(self, monkeypatch):
+        # chamberlin-courant, k = 2, 13 voters: one on {0, 1, 2}, one on
+        # {0, 3}, four on {0, 2, 3}, three on {1}, three on {1, 2, 3} and
+        # one on {1, 2}.  The greedy committee {1, 2} covers 12, below the
+        # ceiling 13, so the search visits the candidates in descending root
+        # gain: 2 (9), 1 and 3 (8 each), 0 (6).  The root, {2} and the leaf
+        # {1, 2}, the incumbent at 12; {2, 3} and {0, 2} cover 10.  The root
+        # bounds {1} at 16 and its own bound is 13, so it is visited, and
+        # its first leaf, {1, 3}, covers every voter: the search stops after
+        # 5 nodes.  The first committee covering everyone in label order is
+        # {0, 1}, which a search from 13 in label order finds in 3 more: the
+        # root, {0} and {0, 1}
+        profile = profile_of(4, ({0, 1, 2}, 1), ({0, 3}, 1), ({0, 2, 3}, 4), ({1}, 3),
+                             ({1, 2, 3}, 3), ({1, 2}, 1))
+        objective = wpav_objective(WeightVector.coverage(4))
+        assert naive_optimize(profile, 2, objective) == (13, [(0, 1), (1, 3)])
+        runs = []
+        real = solver._Search.run
+
+        def spy(search, add, undo, leaf, bound, ceiling, floor=None, labels=None):
+            real(search, add, undo, leaf, bound, ceiling, floor, labels)
+            runs.append((labels, floor, ceiling, search.best_members, search.nodes))
+
+        monkeypatch.setattr(solver._Search, "run", spy)
+        result = _solve(profile, 2, objective)
+        assert (result.committee.members, result.score, result.nodes_explored) == ((0, 1), 13, 8)
+        assert runs == [([2, 1, 3, 0], 12, 13, (1, 3), 5), (None, 13, 13, (0, 1), 8)]
+
+    def test_budget_reports_the_best_so_far_in_labels(self):
+        # the search above: its incumbent {1, 2} sits at positions 0 and 1,
+        # and {0, 1} would cover all 13 voters.  A budget that runs out in
+        # the label-order search reports the committee that reached the
+        # ceiling
+        profile = profile_of(4, ({0, 1, 2}, 1), ({0, 3}, 1), ({0, 2, 3}, 4), ({1}, 3),
+                             ({1, 2, 3}, 3), ({1, 2}, 1))
+        objective = wpav_objective(WeightVector.coverage(4))
+        reported = {}
+        for budget in range(1, 8):
+            with pytest.raises(BudgetExhausted) as excinfo:
+                _solve(profile, 2, objective, budget=budget)
+            err = excinfo.value
+            assert err.nodes_explored == budget + 1
+            best = err.best_committee
+            reported[budget] = best and (best.members, err.best_score)
+            if best is not None:
+                assert err.best_score == score_committee(profile, best, objective)
+        assert reported == {1: None, 2: None, 3: ((1, 2), 12), 4: ((1, 2), 12),
+                            5: ((1, 3), 13), 6: ((1, 3), 13), 7: ((1, 3), 13)}
+        assert _solve(profile, 2, objective, budget=8).committee.members == (0, 1)
+
+    def test_every_budget_reports_a_best_so_far_scored_as_reported(self):
+        # every third profile
+        exhausted = 0
+        rng = random.Random("drawn weights")
+        for profile, k in itertools.islice(self._instances(), 0, None, 3):
+            for objective in self._objectives(profile.m, rng):
+                full = _solve(profile, k, objective, budget=10**6).nodes_explored
+                for budget in range(1, full):
+                    with pytest.raises(BudgetExhausted) as excinfo:
+                        _solve(profile, k, objective, budget=budget)
+                    err = excinfo.value
+                    assert err.nodes_explored == budget + 1
+                    if err.best_committee is not None:
+                        exhausted += 1
+                        assert err.best_score == score_committee(profile, err.best_committee, objective)
+        assert exhausted > 100
+
+    def test_no_table_quadratic_in_m(self, tmp_path, capsys):
+        # 1,200 candidates, k = 3: the optimum seats one candidate of each
+        # three-voter bloc and one of {0, 1}; root-gain order visits 900
+        # first.  A table of m * m entries would take megabytes
+        path = tmp_path / "wide.profile"
+        path.write_text("m 1200\nk 3\n3: 900 901 902\n3: 903 904 905\n2: 0 1\n1: 1199\n")
+        tracemalloc.start()
+        try:
+            code = main(["compute", "--rule", "pav", "--format", "machine", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = dict(line.split("=", 1) for line in capsys.readouterr().out.split())
+        assert code == 0 and peak < 1 << 20
+        assert (out["committee"], out["score"]) == ("0,900,903", "8")
 
 
 class TestCeiling:
