@@ -179,9 +179,14 @@ def compute_ejrav(
     """Committee maximizing the least-represented voter's winner count, among
     committees providing justified representation; lexicographic on ties.
 
-    A voter with an empty ballot pins the maximin at zero, in which case the
-    rule reduces to the lexicographically first justified committee.  The
-    budget counts search nodes.
+    The demand search runs in two passes (`solver._demand_passes`): over the
+    candidates in descending approval score it finds the best maximin of a
+    justified committee, then, in label order from that value, the first
+    justified committee worth it.  A voter with an empty ballot pins the
+    maximin at zero, in which case one label-order pass finds the
+    lexicographically first justified committee.  The budget counts search
+    nodes over both passes; one that runs out in the second reports the
+    first pass's committee, justified, as the best so far.
     """
     return _best_accepted(
         profile, k, lambda w: axioms.check_jr(profile, k, w).passed, "maximin", budget

@@ -29,38 +29,48 @@ non-increasing weights the score is monotone submodular, so greedy is
 within 1 - 1/e of the optimum (Nemhauser, Wolsey & Fisher 1978), and every
 optimum reaches its score.  That score is the sum of the winners' gains in
 the sequential rules' round loop (`core._greedy_rounds`), run on the
-search's own rows and denominator.  When that floor is below the ceiling
-and the search has no leaf requirement, it visits the candidates in
-descending root gain, ties by label, so that early subtrees no longer keep
-the strongest candidates for later seats and their bounds are tighter
-(traced seed 0 of the thiele-urn benchmark: 4,057 → 1,096 nodes); every
-other search visits them in label order.  Ties still go to the first
-optimum in label order: out of label order, a leaf also replaces an
-incumbent it ties and comes before, and a child whose bound only ties the
-incumbent is visited only if the first committee in label order that could
-reach that bound below it, which fills its open seats with candidates of
-its largest gains, comes before the incumbent.  A search out of label order
-that reaches the ceiling stops there, and a search in label order from the
-ceiling finds the first committee worth it.  MAV and maximin share one
-demand search on bitmasks over the groups: a node is hopeless once some
-group can no longer reach the winners the target asks of it, counting only
-its approved candidates still to come (MAV asks each ballot size for its
-own number), or once the winners its groups still lack outnumber what its
-open seats can pay: one per open seat to each group still short that
-approves the seat's candidate, from the largest such offers among the
-candidates still to come.
+search's own rows and denominator.  Each search holds one position → label
+order, and its per-position views (the groups approving each position's
+candidate, as tuples and as a bitmask, and their voter bits) are built once
+per order.  When the greedy floor is below the ceiling and the search has no
+leaf requirement, it visits the candidates in descending root gain, ties by
+label, so that early subtrees no longer keep the strongest candidates for
+later seats and their bounds are tighter (traced seed 0 of the thiele-urn
+benchmark: 4,057 → 1,096 nodes).  Ties still go to the first optimum in
+label order: out of label order, a leaf also replaces an incumbent it ties
+and comes before, and a child whose bound only ties the incumbent is visited
+only if the first committee in label order that could reach that bound
+below it, which fills its open seats with candidates of its largest gains,
+comes before the incumbent.  A search out of label order that reaches the
+ceiling stops there, and a search in label order from the ceiling finds the
+first committee worth it.  MAV and maximin share one demand search on
+bitmasks over the groups: a node is hopeless once some group can no longer
+reach the winners the target asks of it, counting only its approved
+candidates still to come (MAV asks each ballot size for its own number, and
+the sizes that ask for the same number share one demand, built once per
+target), or once the winners its groups still lack outnumber what its open
+seats can pay: one per open seat to each group still short that approves
+the seat's candidate, from the largest such offers among the candidates
+still to come.  It runs in two passes, since under a tie rule its wide
+plateaus of tied committees would all be entered: a strict search over the
+candidates in descending approval score, ties by label, finds the optimum's
+value (traced seed 0 of the exhaustive-distinct benchmark: MAV 7,456 →
+5,404 nodes over both passes), and a label-order search from that value
+ends at the first committee worth it.  One label-order pass serves when the
+approval order is label order or every committee is worth the ceiling.
 In label order a leaf replaces the incumbent only when it is strictly
 better and passes the leaf requirement, if any, so ties go to the first
-committee visited.  Prefer-JR runs in two passes: the plain search, and,
-only if its optimum fails JR, a second search from the optimum's value with
-"provides JR" as its leaf requirement.  Every search ends at an incumbent
-worth its objective's ceiling, the best value any committee could have; the
-second pass takes the optimum's value as its ceiling, and the search for
-any committee passing a leaf requirement values every committee at 0, so
-both end at the first committee that passes.  A node budget counts visited
-nodes only, over every pass; a budget that runs out in a later pass reports
-the earlier pass's answer as the best so far.  All bookkeeping is done in
-scaled integers, so results are exact and deterministic.  The search is
+committee visited.  Prefer-JR adds a pass: only if the plain search's
+optimum fails JR does a label-order search run from the optimum's value
+with "provides JR" as its leaf requirement.  Every search ends at an
+incumbent worth its objective's ceiling, the best value any committee could
+have; a search from an optimum's value takes that value as its ceiling, and
+the search for any committee passing a leaf requirement values every
+committee at 0, so both end at the first committee that passes.  A node
+budget counts visited nodes only, over every pass; a budget that runs out
+in a later pass reports the earlier pass's answer as the best so far, and
+the best so far is always in labels.  All bookkeeping is done in scaled
+integers, so results are exact and deterministic.  The search is
 sequential; since every input type is immutable, any number of searches may
 run concurrently on shared profiles.
 """
@@ -71,7 +81,8 @@ import itertools
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from functools import cache, cached_property
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import axioms
 from .core import (
@@ -130,12 +141,18 @@ class _Search:
 
     It reads the profile's ballot groups (`BallotProfile.index`), one per
     distinct approval set: ``sizes[g]`` and ``mults[g]`` are group g's
-    ballot size and multiplicity, ``owners[c]`` the groups approving
-    candidate c.  ``accept`` is a leaf requirement, evaluated only at a leaf
+    ballot size and multiplicity.  The search runs over positions 0 .. m - 1
+    and visits the position subsets in lexicographic order; position p holds
+    the candidate ``labels[p]``, or p itself while ``labels`` is None (label
+    order).  `reorder` sets that order, and the per-position views follow
+    it, each built once per order on first use: ``owners[p]`` the groups
+    approving position p's candidate, ``masks[p]`` the same as a bitmask
+    over the groups, and ``bits[p]`` the voter bits of those groups (see
+    ``spans``).  ``accept`` is a leaf requirement, evaluated only at a leaf
     that would replace the incumbent: a leaf replaces it only when it is
-    strictly better and passes ``accept``.  The search prunes every subtree
-    that cannot beat the incumbent and ends at an incumbent worth the
-    ceiling or more.
+    better and passes ``accept``.  The search prunes every subtree that
+    cannot beat the incumbent and ends at an incumbent worth the ceiling or
+    more.
     """
 
     def __init__(self, profile: BallotProfile, k: int, budget: Optional[int], *, accept=None):
@@ -143,7 +160,6 @@ class _Search:
         self.profile = profile
         self.sizes = tuple(map(len, index.members))
         self.mults = index.mults
-        self.owners = profile.owners
         self.m = profile.num_candidates
         self.k = k
         self.budget = budget
@@ -152,31 +168,73 @@ class _Search:
         self.denominator = 1  # a leaf value over it is the score
         self.best_members: Optional[tuple[int, ...]] = None
         self.best_value: Optional[int] = None
+        self.labels: Optional[list[int]] = None
+
+    def reorder(self, labels: Optional[list[int]]) -> None:
+        """Hold the candidate ``labels[p]`` at position p, or p itself if
+        ``labels`` is None; views built for another order are dropped."""
+        if labels != self.labels:
+            self.labels = labels
+            for view in ("owners", "masks", "bits"):
+                self.__dict__.pop(view, None)
+
+    @cached_property
+    def owners(self) -> Sequence[tuple[int, ...]]:
+        owners = self.profile.owners
+        return owners if self.labels is None else [owners[c] for c in self.labels]
+
+    @cached_property
+    def masks(self) -> list[int]:
+        return [sum(1 << g for g in groups) for groups in self.owners]
+
+    @cached_property
+    def spans(self) -> list[tuple[int, int, int]]:
+        """A ``(group, digit, span)`` triple per nonzero base-64 digit of each
+        group's multiplicity: the span holds one bit per unit of the digit,
+        each worth 64 ** digit voters, so a multiplicity below 64 gets one bit
+        per voter and a billion at most 63 bits per digit.  An empty ballot
+        never gains, so it owns no bits."""
+        spans = []
+        width = 0
+        for g, (size, mult) in enumerate(zip(self.sizes, self.mults)):
+            digit = 0
+            while size and mult:
+                mult, count = divmod(mult, 64)
+                if count:
+                    spans.append((g, digit, ((1 << count) - 1) << width))
+                    width += count
+                digit += 1
+        return spans
+
+    @cached_property
+    def bits(self) -> list[int]:
+        owned = [0] * len(self.sizes)
+        for g, _, span in self.spans:
+            owned[g] |= span
+        return [sum(owned[g] for g in groups) for groups in self.owners]
 
     def score(self, value: int) -> Fraction:
         return Fraction(value, self.denominator)
 
     def run(self, add, undo, leaf, bound, ceiling: int, floor: Optional[int] = None,
-            labels: Optional[list[int]] = None) -> None:
-        """Visit the committees depth first, maximizing ``leaf()``.
+            strict: bool = False) -> None:
+        """Visit the committees depth first, in the search's order, maximizing
+        ``leaf()``.
 
-        The search runs over positions 0 .. m - 1, holding the candidates
-        ``labels[0]``, ``labels[1]``, ... (the candidates themselves if
-        ``labels`` is None), and visits the position subsets in
-        lexicographic order.  ``add(p)`` and ``undo(p)`` seat and unseat the
-        candidate at position p, ``leaf()`` is the integer value of a full
-        committee, and no committee is worth more than ``ceiling``.
-        ``bound(start, depth, target)`` is None when no completion by
-        positions >= start reaches ``target``; otherwise it bounds the node's
-        children, as ``(worth, best, reaches, rest)``, or as ``()`` when it
-        bounds none.  ``worth[p]`` bounds every committee below the child
-        seating p, ``best[p]`` is the largest ``worth`` from p onward,
-        ``reaches(p)`` is the exact bound ``bound`` would find at the child
-        seating p, and ``rest(p)`` the labels that fill the child's open
-        seats in the first committee, in label order, that could reach the
-        child's bound (read only under ``labels``).  A child that cannot beat
-        the incumbent is skipped unvisited: first by ``worth``, then, unless
-        it is a leaf, by ``reaches``, asked just before the child would be
+        ``add(p)`` and ``undo(p)`` seat and unseat the candidate at position
+        p, ``leaf()`` is the integer value of a full committee, and no
+        committee is worth more than ``ceiling``.  ``bound(start, depth,
+        target)`` is None when no completion by positions >= start reaches
+        ``target``; otherwise it bounds the node's children, as ``(worth,
+        best, reaches, rest)``, or as ``()`` when it bounds none.
+        ``worth[p]`` bounds every committee below the child seating p,
+        ``best[p]`` is the largest ``worth`` from p onward, ``reaches(p)`` is
+        the exact bound ``bound`` would find at the child seating p, and
+        ``rest(p)`` the labels that fill the child's open seats in the first
+        committee, in label order, that could reach the child's bound (read
+        only under the tie rule below).  A child that cannot beat the
+        incumbent is skipped unvisited: first by ``worth``, then, unless it
+        is a leaf, by ``reaches``, asked just before the child would be
         seated, so that the next ``add`` seats the child last asked of when
         it passes.  Every answer is worth ``floor`` or more, if given: until
         the first incumbent, subtrees that cannot reach it are pruned and
@@ -184,13 +242,17 @@ class _Search:
 
         The incumbent is kept in labels, and ties go to the first committee
         in label order whatever the visiting order.  In label order that is
-        the first one visited.  Under ``labels`` a leaf also replaces an
+        the first one visited.  Out of label order a leaf also replaces an
         incumbent it ties and comes before, and a child whose bound only
         ties the incumbent is visited only if its chosen labels and
         ``rest`` come before the incumbent: once when ``worth`` only ties,
         before ``reaches`` is asked, and again when ``reaches`` only ties.
+        A ``strict`` search has no such tie rule: a leaf must beat the
+        incumbent, so ties go to the first committee visited, and out of
+        label order the search finds only the optimum's value.
         """
-        k, m = self.k, self.m
+        k, m, labels = self.k, self.m, self.labels
+        tied = labels is not None and not strict  # whether the tie rule holds
         if floor is not None:
             self.best_value = floor - 1  # no incumbent yet: the target is the floor
         chosen: list[int] = []
@@ -200,9 +262,9 @@ class _Search:
 
         def bars() -> tuple[int, int]:
             # a child must reach the first value to beat the incumbent, or,
-            # under labels, the second to tie it
+            # under the tie rule, the second to tie it
             bar = self.best_value + 1
-            return bar, bar - 1 if labels is not None and self.best_members is not None else bar
+            return bar, bar - 1 if tied and self.best_members is not None else bar
 
         def first(p: int) -> bool:
             # whether the earliest committee below the child seating p that
@@ -225,8 +287,7 @@ class _Search:
                 value, held = leaf(), self.best_value
                 if held is None or value >= held:
                     members = tuple(sorted(labels[p] for p in chosen)) if labels else tuple(chosen)
-                    earlier = labels is not None and self.best_members is not None and (
-                        members < self.best_members)
+                    earlier = tied and self.best_members is not None and members < self.best_members
                     if (held is None or value > held or earlier) and (
                         self.accept is None or self.accept(Committee(members))
                     ):
@@ -278,24 +339,23 @@ def _maximize(search: _Search, objective: ScoringObjective, optimum: Optional[in
 
     With no leaf requirement and no ``optimum``, and a greedy floor below
     the ceiling, the search visits the candidates in descending root gain,
-    ties by label: ``bits`` and ``gains`` are permuted once, positions
-    follow that order, and `run` maps the winners back to labels.  A
-    committee below a child that ties the child's bound fills its open seats
-    with candidates of the child's largest gains, so `rest` gives the first
-    such filling in label order: every candidate of a gain above the
-    smallest of those gains and the earliest labels of that gain, read from
-    the child's own gains if `reaches` just built them, else from the
-    node's.  An ordered search that reaches the ceiling stops there, and the
+    ties by label: the first greedy round offers the root gains, `_Search`
+    holds that order and builds ``bits`` in it, and `run` maps the winners
+    back to labels.  A committee below a child that ties the child's bound
+    fills its open seats with candidates of the child's largest gains, so
+    `rest` gives the first such filling in label order: every candidate of
+    a gain above the smallest of those gains and the earliest labels of
+    that gain, read from the child's own gains if `reaches` just built
+    them, else from the node's.  An ordered search that reaches the ceiling stops there, and the
     search runs again in label order with the ceiling as ``optimum``, which
     ends at the first committee worth it; a budget that runs out there
     reports the ordered search's committee.  A floor at the ceiling keeps
     label order, so that search ends at its first committee worth it.
 
-    A group owns one bit per unit of each base-64 digit of its multiplicity,
-    worth 64 ** d for digit d, so a profile whose multiplicities are all
-    below 64 gets one bit per voter.  ``levels[j]`` holds the bits of the
-    groups with exactly j winners so far; seating a candidate moves its bits
-    up one level.  A class is the bits that share one row of per-voter gains
+    A group owns one bit per unit of each base-64 digit of its multiplicity
+    (`_Search.spans`), worth 64 ** d for digit d.  ``levels[j]`` holds the
+    bits of the groups with exactly j winners so far; seating a candidate
+    moves its bits up one level.  A class is the bits that share one row of per-voter gains
     and one digit.
 
     The root's gains are built once, with every voter at level 0: a
@@ -313,27 +373,31 @@ def _maximize(search: _Search, objective: ScoringObjective, optimum: Optional[in
     builds ``worth`` and ``best``; a node that passed `reaches` skips that
     test, since `run` bounds it right after, at the target it passed.
     """
-    sizes, mults, owners, m, k = search.sizes, search.mults, search.owners, search.m, search.k
+    sizes, mults, m, k = search.sizes, search.mults, search.m, search.k
     rows, search.denominator = _gain_rows(objective, set(sizes), k)
     ceiling = sum(mult * sum(rows[size][:size]) for size, mult in zip(sizes, mults))
+    floor = order = None
+    if optimum is not None:
+        floor = ceiling = optimum
+    elif search.accept is None:
+        # the greedy committee's score, on the search's own rows: every
+        # optimum reaches it
+        floor, root = 0, None
+        for winner, offered in _greedy_rounds(search.profile, k, rows):
+            if root is None:
+                root = offered[:]  # the first round offers the root gains
+            if not offered[winner]:
+                break  # gains only shrink: the remaining seats add nothing
+            floor += offered[winner]
+        if floor < ceiling:
+            # descending root gain; a stable sort keeps ties in label order
+            order = sorted(range(m), key=root.__getitem__, reverse=True)
+    search.reorder(order)
+    bits = search.bits
     masks: dict[tuple[tuple[int, ...], int], int] = {}  # (row, digit) -> its bits
-    owned = []  # for each group, its bits
-    width = 0
-    for size, mult in zip(sizes, mults):
-        mine = 0
-        if size:  # an empty ballot never gains
-            row = rows[size]
-            digit = 0
-            while mult:
-                mult, count = divmod(mult, 64)
-                if count:
-                    span = ((1 << count) - 1) << width
-                    width += count
-                    mine |= span
-                    masks[row, digit] = masks.get((row, digit), 0) | span
-                digit += 1
-        owned.append(mine)
-    bits = [sum(owned[g] for g in groups_of_c) for groups_of_c in owners]
+    for g, digit, span in search.spans:
+        key = rows[sizes[g]], digit
+        masks[key] = masks.get(key, 0) | span
     classes = [(mask, [unit << 6 * digit for unit in row]) for (row, digit), mask in masks.items()]
     # for each level j at which some class's unit gain drops, in order, the
     # (mask, drop) of each such class: a voter's gain drops by it when its
@@ -345,7 +409,7 @@ def _maximize(search: _Search, objective: ScoringObjective, optimum: Optional[in
             if drop:
                 drops.setdefault(j, []).append((mask, drop))
     falls = sorted(drops.items())
-    levels = [(1 << width) - 1] + [0] * k
+    levels = [sum(masks.values())] + [0] * k
     # the node's state, saved by `add` for each seated candidate and restored
     # by `undo`: its levels and its gains.  The gains run from the node's
     # first candidate to the last, so candidate c's is gains[c - m]
@@ -441,24 +505,7 @@ def _maximize(search: _Search, objective: ScoringObjective, optimum: Optional[in
         return above + heapq.nsmallest(
             seats - len(above), [order[p] for p, gain in enumerate(after, c + 1) if gain == least])
 
-    floor = order = None
-    if optimum is not None:
-        floor = ceiling = optimum
-    elif search.accept is None:
-        # the greedy committee's score, on the search's own rows: every
-        # optimum reaches it
-        floor = 0
-        for winner, offered in _greedy_rounds(search.profile, k, rows):
-            if not offered[winner]:
-                break  # gains only shrink: the remaining seats add nothing
-            floor += offered[winner]
-        if floor < ceiling:
-            # visit the candidates in descending root gain, ties by label
-            order = sorted(range(m), key=lambda c: (-gains[c], c))
-            bits = [bits[c] for c in order]
-            gains = [gains[c] for c in order]
-
-    search.run(add, undo, lambda: scores[-1], bound, ceiling, floor, order)
+    search.run(add, undo, lambda: scores[-1], bound, ceiling, floor)
     if order is not None and search.best_value >= ceiling:
         # the ordered search stops at the ceiling: find the first committee
         # in label order worth it
@@ -466,11 +513,12 @@ def _maximize(search: _Search, objective: ScoringObjective, optimum: Optional[in
 
 
 def _demand_state(search: _Search):
-    """Bitmask state of a search that demands winners of every ballot group:
-    ``hits[j]`` holds the groups approving j or more members so far,
-    ``ahead[i][c]`` those approving i or more candidates >= c.  Returns
+    """Bitmask state of a search that demands winners of every ballot group,
+    in the search's order: ``hits[j]`` holds the groups approving j or more
+    members so far, ``ahead[i][p]`` those approving i or more of the
+    candidates at positions >= p, both read from `_Search.masks`.  Returns
     ``hits`` with the ``add``/``undo`` pair that maintains it and
-    ``hopeless(start, depth, demands)``: whether no completion by candidates
+    ``hopeless(start, depth, demands)``: whether no completion by positions
     >= start meets every demand, a pair ``(want, mask)`` asking ``want``
     winners of each group in ``mask``.  It makes two admissible tests.  The
     first, per demand, is whether some group can no longer reach its winners
@@ -478,11 +526,10 @@ def _demand_state(search: _Search):
     the winners the groups still lack: each open seat pays at most one
     winner to each group still short that approves its candidate, so the
     node is hopeless once the deficit exceeds the ``k - depth`` largest
-    such offers among the candidates >= start.
+    such offers among the candidates at positions >= start.
     """
-    k, m = search.k, search.m
+    k, m, masks = search.k, search.m, search.masks
     everyone = (1 << len(search.sizes)) - 1
-    masks = [sum(1 << g for g in groups) for groups in search.owners]
     # no group approves more than `top` candidates, so the levels above it
     # stay empty and their rows are one shared row of zeros
     top = min(k, max(search.sizes))
@@ -534,50 +581,105 @@ def _demand_state(search: _Search):
     return hits, add, undo, hopeless
 
 
+def _demand_passes(search: _Search, solve: Callable[[int, Optional[int]], None],
+                   optimum: Optional[int], ceiling: int, least: int) -> None:
+    """Run a demand search: ``solve(top, floor)`` runs `_Search.run`
+    strictly, in the search's order, with ``top`` as its ceiling.  If
+    ``optimum``, the best value of any committee, is given, one label-order
+    pass from it ends at the first accepted committee worth it.
+
+    With no ``optimum`` there are two passes.  The first visits the
+    candidates in descending approval score, ties by label: a committee of
+    widely approved candidates meets the demands early, so later subtrees
+    close sooner, but the first optimum it finds need not come first in
+    label order, so it gives only the optimum's value.  The second runs in
+    label order from that value and ends at the first accepted committee
+    worth it.  The incumbent is kept in labels throughout, so ``accept``
+    and a budget that runs out in the first pass see labels, and a budget
+    that runs out in the second reports the first pass's committee
+    (`_again`).  One label-order pass serves where the order cannot help:
+    the approval order is label order, or every committee is worth the
+    ceiling (it is ``least``, a value every committee reaches), where both
+    passes would end at their first accepted committee.
+    """
+    order = None
+    if optimum is None and ceiling > least:
+        # a stable sort keeps ties in label order
+        order = sorted(range(search.m), key=search.profile.approval_scores.__getitem__, reverse=True)
+        if order == list(range(search.m)):
+            order = None
+    search.reorder(order)
+    solve(ceiling if optimum is None else optimum, optimum)
+    if order is not None and search.best_members is not None:
+        value = search.best_value
+        search.reorder(None)
+        _again(search, lambda: solve(value, value))
+
+
 def _maximize_maximin(search: _Search) -> None:
-    """Maximize the least number of winners any ballot group approves."""
+    """Maximize the least number of winners any ballot group approves, in
+    the passes of `_demand_passes`."""
     k = search.k
-    hits, add, undo, hopeless = _demand_state(search)
-    everyone = hits[0]
-    search.run(  # the levels are nested
-        add, undo, lambda: hits.count(everyone) - 1,
-        lambda start, depth, want: None if hopeless(start, depth, ((want, everyone),)) else (),
-        min(min(size, k) for size in search.sizes),
-    )
+    ceiling = min(min(size, k) for size in search.sizes)
+
+    def solve(top: int, floor: Optional[int]) -> None:
+        hits, add, undo, hopeless = _demand_state(search)
+        everyone = hits[0]
+        search.run(  # the levels are nested
+            add, undo, lambda: hits.count(everyone) - 1,
+            lambda start, depth, want: None if hopeless(start, depth, ((want, everyone),)) else (),
+            top, floor, strict=True,
+        )
+
+    _demand_passes(search, solve, None, ceiling, 0)
 
 
 def _maximize_mav(search: _Search, optimum: Optional[int] = None) -> None:
     """Maximize the negated largest distance k + s - 2 * winners from a
-    ballot of s candidates to the committee, one demand per ballot size.  If
-    ``optimum``, the best value of any committee, is given, the search ends
-    at the first accepted committee worth it."""
+    ballot of s candidates to the committee, in the passes of
+    `_demand_passes`; ``optimum`` as there.  A target asks each ballot size
+    for its own number of winners, and the sizes that ask for the same
+    number share one demand: the demand tests are per group and add up over
+    disjoint masks, so sharing prunes the same nodes.  Each target's
+    demands are built once, for every pass."""
     k = search.k
     search.denominator = -1  # the score is the distance
-    hits, add, undo, hopeless = _demand_state(search)
     classes: dict[int, int] = {}  # ballot size -> its groups
     for g, size in enumerate(search.sizes):
         classes[size] = classes.get(size, 0) | 1 << g
 
-    def leaf() -> int:
-        # the levels are nested: a class's fewest winners is the number of
-        # levels holding all of it, minus one
-        return -max(k + size - 2 * (sum(h & mask == mask for h in hits) - 1)
-                    for size, mask in classes.items())
-
-    def bound(start: int, depth: int, target: int) -> Optional[tuple]:
+    @cache
+    def demands(target: int) -> Optional[tuple[tuple[int, int], ...]]:
         # ending at distance -target or less needs (k + s + target) / 2
-        # winners, rounded up, from each group whose ballot has s candidates
-        demands = []
+        # winners, rounded up, from each group whose ballot has s candidates;
+        # None if some ballot has fewer
+        wants: dict[int, int] = {}
         for size, mask in classes.items():
             want = (k + size + target + 1) // 2
             if want > size:
                 return None
             if want > 0:
-                demands.append((want, mask))
-        return None if hopeless(start, depth, demands) else ()  # no bound on the children
+                wants[want] = wants.get(want, 0) | mask
+        return tuple(wants.items())
+
+    def solve(top: int, floor: Optional[int]) -> None:
+        hits, add, undo, hopeless = _demand_state(search)
+
+        def leaf() -> int:
+            # the levels are nested: a class's fewest winners is the number
+            # of levels holding all of it, minus one
+            return -max(k + size - 2 * (sum(h & mask == mask for h in hits) - 1)
+                        for size, mask in classes.items())
+
+        def bound(start: int, depth: int, target: int) -> Optional[tuple]:
+            wanted = demands(target)
+            # no bound on the children
+            return None if wanted is None or hopeless(start, depth, wanted) else ()
+
+        search.run(add, undo, leaf, bound, top, floor, strict=True)
 
     ceiling = -max(abs(k - size) for size in classes)
-    search.run(add, undo, leaf, bound, ceiling if optimum is None else optimum, optimum)
+    _demand_passes(search, solve, optimum, ceiling, -k - max(classes))
 
 
 def _av_separable(profile: BallotProfile, k: int) -> OptimizationResult:
@@ -600,21 +702,25 @@ def optimize_committee(request: OptimizationRequest) -> OptimizationResult:
     Ties go to the first optimum in lexicographic order.  In prefer-JR mode
     the answer is the first optimum that provides justified representation,
     or the first optimum if none does: that optimum is checked for JR once,
-    and only if it fails does a second search run, from its value and with
-    JR as the leaf requirement.  The second pass costs nothing where the
-    first optimum provides JR; elsewhere it walks the tree again and stops
-    at its first accepted leaf, since no committee beats the optimum.
-    The Thiele searches start from the exact score of the greedy committee,
-    which every optimum reaches; while it is below the ceiling, the first
-    pass visits the candidates in descending root gain and still returns the
-    first optimum in label order (see `_maximize`).  Co-optima are not
-    counted (``co_optimal_count`` is None).  Raises `BudgetExhausted`
+    and only if it fails does another search run, in label order, from its
+    value and with JR as the leaf requirement.  That pass costs nothing
+    where the first optimum provides JR; elsewhere it walks the tree again
+    and stops at its first accepted leaf, since no committee beats the
+    optimum.  The Thiele searches start from the exact score of the greedy
+    committee, which every optimum reaches; while it is below the ceiling,
+    the search visits the candidates in descending root gain and still
+    returns the first optimum in label order (see `_maximize`).  MAV finds
+    the optimum's value in descending approval order and then the first
+    committee worth it in label order (see `_demand_passes`).  Co-optima are
+    not counted (``co_optimal_count`` is None).  Raises `BudgetExhausted`
     (carrying the best committee found so far, in labels, and its score)
     once the searches, every pass together, visit more nodes than the
     budget; a child skipped at its parent is not visited, and the separable
     approval fast path never consumes budget.  The best so far comes from
-    the search in the order it visits, so a budget may stop a search in
-    root-gain order at a different committee than one in label order would.
+    the pass the budget stops, in the order it visits, or from the pass
+    before if that one only looks for the first committee worth a value
+    already found; so a budget may stop at a different committee than a
+    search in label order would.
     """
     profile, k, objective = request.profile, request.k, request.objective
 

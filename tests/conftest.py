@@ -3,8 +3,8 @@ and the naive references: the token-by-token document parser, the
 per-ballot rational scorer, the full-enumeration optimizer used as the
 solver's oracle, the greedy committee of an objective built from whole
 committee scores, the ballot-deleting greedy cover, the sequential rule
-recomputed from its definition every round and the l-subset scan for the
-first cohesive candidate set."""
+recomputed from its definition every round, the l-subset scan for the
+first cohesive candidate set, and JR and the maximin read per ballot group."""
 
 import itertools
 import random
@@ -272,6 +272,21 @@ def weighted_instances(seed, count):
         if rng.random() < 0.3:
             groups.append(((), rng.choice((1, 2, 10**9))))
         yield BallotProfile.from_groups(raw.m, groups), k
+
+
+def group_maximin(profile, committee):
+    """Fewest approved winners of any ballot group, so of any voter."""
+    wmask = committee.mask
+    return min((mask & wmask).bit_count() for mask, _mult in profile.masks)
+
+
+def group_jr(profile, k, committee):
+    """JR from its definition, per ballot group: no candidate is approved by
+    n / k or more voters none of whose approved candidates is a winner."""
+    wmask = committee.mask
+    left = [(mask, mult) for mask, mult in profile.masks if not mask & wmask]
+    return all(k * sum(mult for mask, mult in left if mask >> c & 1) < profile.n
+               for c in range(profile.m))
 
 
 def random_committee(rng, m, k):

@@ -33,6 +33,8 @@ from jrvoting.rules import (
 )
 
 from conftest import (
+    group_jr,
+    group_maximin,
     naive_greedy_cover,
     naive_sequential_trace,
     profile_of,
@@ -362,21 +364,6 @@ def _best_justified(profile, k, value):
     return best
 
 
-def _group_maximin(profile, committee):
-    """Fewest approved winners of any ballot group, so of any voter."""
-    wmask = committee.mask
-    return min((mask & wmask).bit_count() for mask, _mult in profile.masks)
-
-
-def _group_jr(profile, k, committee):
-    """JR from its definition, per ballot group: no candidate is approved by
-    n / k or more voters none of whose approved candidates is a winner."""
-    wmask = committee.mask
-    left = [(mask, mult) for mask, mult in profile.masks if not mask & wmask]
-    return all(k * sum(mult for mask, mult in left if mask >> c & 1) < profile.n
-               for c in range(profile.m))
-
-
 class TestRepresentationConstrainedOptimality:
     def test_ujrav_and_ejrav_match_enumeration_at_every_k(self):
         cultures = ["uniform", "urn", "fixed"]
@@ -400,9 +387,9 @@ class TestRepresentationConstrainedOptimality:
         with_incumbent = 0
         for profile, k in weighted_instances(47, 300):
             justified = [Committee(w) for w in itertools.combinations(range(profile.m), k)
-                         if _group_jr(profile, k, Committee(w))]
-            best = max(_group_maximin(profile, w) for w in justified)
-            expected = next(w for w in justified if _group_maximin(profile, w) == best)
+                         if group_jr(profile, k, Committee(w))]
+            best = max(group_maximin(profile, w) for w in justified)
+            expected = next(w for w in justified if group_maximin(profile, w) == best)
             budget = 1
             while True:
                 try:
@@ -411,8 +398,8 @@ class TestRepresentationConstrainedOptimality:
                     assert exc.nodes_explored == budget + 1
                     if exc.best_committee is not None:
                         with_incumbent += 1
-                        assert _group_jr(profile, k, exc.best_committee)
-                        assert exc.best_score == _group_maximin(profile, exc.best_committee)
+                        assert group_jr(profile, k, exc.best_committee)
+                        assert exc.best_score == group_maximin(profile, exc.best_committee)
                     budget += 1
                     continue
                 break

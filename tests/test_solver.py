@@ -35,6 +35,8 @@ from jrvoting.solver import (
 )
 
 from conftest import (
+    group_jr,
+    group_maximin,
     naive_greedy,
     naive_optimize,
     naive_score,
@@ -307,21 +309,25 @@ class TestGreedyFloorAndOnePassTies:
 
     def test_prefer_jr_stops_at_a_tie_on_the_ceiling(self):
         # MAV's ceiling is distance 3, set by the five-candidate ballot.  The
-        # first pass visits the root, {0}, its five leaves (distance 5; {0}
-        # was opened before any incumbent, so it bounds nothing), {1} and
-        # {1, 2}, the first committee at the ceiling: 9 nodes.  {1, 2} leaves
-        # the voter on {3}, a quota at k = 2, unrepresented, so the second
-        # pass runs from distance 3: the root, {0} (pruned: one seat cannot
-        # give the five-candidate ballot its two winners), {1}, {1, 2}
-        # (fails JR) and the tie {1, 3}, which provides JR and ends the
-        # search: 5 more
+        # plain search runs in two passes.  The first visits the candidates
+        # in descending approval score, 3 (two voters), then 1, 2, 4, 5 and
+        # 0: the root, {3} and its first leaf {1, 3}, at the ceiling: 3
+        # nodes.  The second runs in label order from distance 3: the root,
+        # {0} (pruned: one seat cannot give the five-candidate ballot its two
+        # winners), {1} and {1, 2}, the first committee at distance 3: 4
+        # more.  {1, 2} leaves the voter on {3}, a quota at k = 2,
+        # unrepresented, so prefer-JR's pass runs from distance 3: the root,
+        # {0} (pruned), {1}, {1, 2} (fails JR) and the tie {1, 3}, which
+        # provides JR and ends the search: 5 more, 12 in all.  In label
+        # order the plain search took 9 nodes, {0} opening its five leaves
+        # (distance 5) before any incumbent
         profile = profile_of(6, {1, 2, 3, 4, 5}, {3})
         score, co = naive_optimize(profile, 2, MAV)
         assert co[:2] == [(1, 2), (1, 3)]
         assert not oracle_check_jr(profile, 2, Committee(co[0]))
         result = _solve(profile, 2, MAV, TieBreak.PREFER_JR)
         assert (result.committee.members, result.score) == ((1, 3), score)
-        assert result.nodes_explored == 14
+        assert result.nodes_explored == 12
 
     def test_prefer_jr_second_pass_ends_at_its_first_accepted_leaf(self):
         # MAV's ceiling is distance 1, which no committee reaches.  The first
@@ -415,9 +421,9 @@ class TestBitsetSearch:
         floors = []
         real = solver._Search.run
 
-        def spy(search, add, undo, leaf, bound, ceiling, floor=None, labels=None):
+        def spy(search, add, undo, leaf, bound, ceiling, floor=None, strict=False):
             floors.append(search.score(floor))
-            return real(search, add, undo, leaf, bound, ceiling, floor, labels)
+            return real(search, add, undo, leaf, bound, ceiling, floor, strict)
 
         monkeypatch.setattr(solver._Search, "run", spy)
         for profile, k in self._carrying(1717, 40):
@@ -544,7 +550,7 @@ class TestExactChildBound:
         seated, asked = [], []
         real = solver._Search.run
 
-        def spy(search, add, undo, leaf, bound, ceiling, floor=None, labels=None):
+        def spy(search, add, undo, leaf, bound, ceiling, floor=None, strict=False):
             chosen = []
 
             def seat(c):
@@ -569,7 +575,7 @@ class TestExactChildBound:
 
                 return worth, best, test, rest
 
-            return real(search, seat, unseat, leaf, bounds, ceiling, floor, labels)
+            return real(search, seat, unseat, leaf, bounds, ceiling, floor, strict)
 
         monkeypatch.setattr(solver._Search, "run", spy)
         result = _solve(profile, 3, objective)
@@ -695,9 +701,9 @@ class TestRootGainOrder:
         runs = []
         real = solver._Search.run
 
-        def spy(search, add, undo, leaf, bound, ceiling, floor=None, labels=None):
-            runs.append((labels, search.accept))
-            return real(search, add, undo, leaf, bound, ceiling, floor, labels)
+        def spy(search, add, undo, leaf, bound, ceiling, floor=None, strict=False):
+            runs.append((search.labels, search.accept))
+            return real(search, add, undo, leaf, bound, ceiling, floor, strict)
 
         monkeypatch.setattr(solver._Search, "run", spy)
         rng = random.Random("drawn weights")
@@ -741,7 +747,8 @@ class TestRootGainOrder:
         asked = []
         real = solver._Search.run
 
-        def spy(search, add, undo, leaf, bound, ceiling, floor=None, labels=None):
+        def spy(search, add, undo, leaf, bound, ceiling, floor=None, strict=False):
+            labels = search.labels
             assert labels == [1, 2, 3, 0]
 
             def bounds(start, depth, target):
@@ -755,7 +762,7 @@ class TestRootGainOrder:
 
                 return worth, best, test, rest
 
-            return real(search, add, undo, leaf, bounds, ceiling, floor, labels)
+            return real(search, add, undo, leaf, bounds, ceiling, floor, strict)
 
         monkeypatch.setattr(solver._Search, "run", spy)
         result = _solve(profile, 2, objective)
@@ -782,9 +789,9 @@ class TestRootGainOrder:
         runs = []
         real = solver._Search.run
 
-        def spy(search, add, undo, leaf, bound, ceiling, floor=None, labels=None):
-            real(search, add, undo, leaf, bound, ceiling, floor, labels)
-            runs.append((labels, floor, ceiling, search.best_members, search.nodes))
+        def spy(search, add, undo, leaf, bound, ceiling, floor=None, strict=False):
+            real(search, add, undo, leaf, bound, ceiling, floor, strict)
+            runs.append((search.labels, floor, ceiling, search.best_members, search.nodes))
 
         monkeypatch.setattr(solver._Search, "run", spy)
         result = _solve(profile, 2, objective)
@@ -895,33 +902,200 @@ class TestDemandCountingBound:
     def test_open_seats_that_cannot_pay_the_deficit_prune_a_reachable_node(self):
         # one voter on each of {0, 1}, {1, 2}, {2, 3} and {4, 5}, k = 2: no
         # two candidates hit all four ballots, so every committee leaves one
-        # ballot without a winner: MAV distance 4, maximin 0.  The root and
-        # {0} are opened before any incumbent and bound no children, so {0}
-        # visits its five leaves; the first, {0, 1}, is the incumbent (it
-        # provides JR: the two ballots it leaves share no candidate).  The
-        # target is then distance 3, or maximin 1: a winner of every ballot.
-        # - {1} holds one of {0, 1} and {1, 2}; {2, 3} and {4, 5} can each
-        #   still get one from the candidates after 1, so the reach test
-        #   admits it.  They lack two winners, but the one open seat pays at
-        #   most one: 2 and 3 pay {2, 3}, 4 and 5 pay {4, 5}.  {1} is
-        #   pruned; 2 pays {1, 2} too, but that ballot lacks nothing.
-        # - {2}, {3} and {4} leave {0, 1} no candidate: pruned.
-        # 11 nodes: the root, {0}, five leaves, {1}, {2}, {3} and {4}.
-        # Without the count {1} opened its four leaves too
+        # ballot without a winner: MAV distance 4, maximin 0.
+        # The first pass visits the candidates in descending approval
+        # score: 1 and 2 (two voters each), then 0, 3, 4 and 5.  The root
+        # and {1} are opened before any incumbent and bound no children, so
+        # {1} visits its five leaves; the first, {1, 2}, is the incumbent
+        # (it provides JR: it leaves one voter out).  The target is then
+        # distance 3, or maximin 1: a winner of every ballot.
+        # - {2} holds one of {1, 2} and {2, 3}; {0, 1} and {4, 5} can each
+        #   still get one from the candidates after 2 in this order, so the
+        #   reach test admits it.  They lack two winners, but the one open
+        #   seat pays at most one: 0 pays {0, 1}, 4 and 5 pay {4, 5}.  {2}
+        #   is pruned.
+        # - {0}, {3} and {4} leave {1, 2} or {0, 1} no candidate: pruned.
+        # 11 nodes: the root, {1}, five leaves, {2}, {0}, {3} and {4}.
+        # Without the count {2} opened its four leaves too.
+        # The second pass runs in label order from distance 4, which asks
+        # no winners: the root, {0} and {0, 1}, the first committee worth
+        # it: 3 more, 14 in all
         profile = profile_of(6, {0, 1}, {1, 2}, {2, 3}, {4, 5})
         k = 2
         score, co = naive_optimize(profile, k, MAV)
         assert score == 4 and len(co) == math.comb(6, 2)
         for tiebreak in TieBreak:
             result = _solve(profile, k, MAV, tiebreak)
-            assert (result.committee.members, result.score, result.nodes_explored) == ((0, 1), 4, 11)
-        with pytest.raises(BudgetExhausted) as excinfo:
-            _solve(profile, k, MAV, budget=10)
-        assert (excinfo.value.best_committee, excinfo.value.nodes_explored) == (Committee((0, 1)), 11)
+            assert (result.committee.members, result.score, result.nodes_explored) == ((0, 1), 4, 14)
+        # a budget that runs out in the first pass reports its incumbent in
+        # labels, and one that runs out in the second reports the same
+        for budget, nodes in ((10, 11), (12, 13), (13, 14)):
+            with pytest.raises(BudgetExhausted) as excinfo:
+                _solve(profile, k, MAV, budget=budget)
+            err = excinfo.value
+            assert (err.best_committee, err.best_score, err.nodes_explored) == (Committee((1, 2)), 4, nodes)
         # the maximin search behind ejrav visits the same nodes
         search = solver._Search(profile, k, None, accept=lambda w: check_jr(profile, k, w).passed)
         solver._run_search(search, "maximin")
-        assert (search.best_members, search.best_value, search.nodes) == ((0, 1), 0, 11)
+        assert (search.best_members, search.best_value, search.nodes) == ((0, 1), 0, 14)
+
+    def test_the_label_order_pass_prunes_by_the_count(self):
+        # the profile above at k = 3: {1, 2, 4} hits every ballot, and no
+        # three candidates give every ballot two winners, so the optimum is
+        # distance 3, a winner of every ballot.  The label-order pass from
+        # it: the root; {0}, whose two open seats can pay the three winners
+        # its ballots lack (2 pays two, 4 one); {0, 1}, which the reach test
+        # admits but whose one seat cannot pay the two winners {2, 3} and
+        # {4, 5} lack: pruned; {0, 2}; its leaf {0, 2, 3} (distance 5); and
+        # {0, 2, 4}, the first committee at distance 3: 6 nodes.  Without
+        # the count {0, 1} opened its four leaves
+        profile = profile_of(6, {0, 1}, {1, 2}, {2, 3}, {4, 5})
+        k = 3
+        score, co = naive_optimize(profile, k, MAV)
+        assert (score, co[0]) == (3, (0, 2, 4))
+        search = solver._Search(profile, k, None)
+        solver._maximize_mav(search, -3)
+        assert (search.best_members, search.best_value, search.nodes) == ((0, 2, 4), -3, 6)
+
+
+class TestOrderedDemandSearch:
+    """MAV and the maximin search behind ejrav run in two passes: a strict
+    search over the candidates in descending approval score, ties by label,
+    finds the optimum's value, and a label-order search from that value ends
+    at the first accepted committee worth it.  A budget counts both passes;
+    one that runs out in the second reports the first pass's committee."""
+
+    @staticmethod
+    def _instances():
+        # the weighted stream, then an urn-like stream, whose shared ballots
+        # leave wide plateaus of tied committees
+        yield from weighted_instances(2121, 150)
+        yield from random_instances(seed=2121, count=150, max_n=12, min_m=4, max_m=9, cultures=["urn"])
+
+    @staticmethod
+    def _passes(monkeypatch):
+        # for each search run, its order and the incumbent it ended at
+        runs = []
+        real = solver._Search.run
+
+        def spy(search, add, undo, leaf, bound, ceiling, floor=None, strict=False):
+            real(search, add, undo, leaf, bound, ceiling, floor, strict)
+            runs.append((search.labels, floor, ceiling, search.best_members, search.nodes))
+
+        monkeypatch.setattr(solver._Search, "run", spy)
+        return runs
+
+    def test_the_second_pass_picks_the_first_optimum_in_label_order(self, monkeypatch):
+        # one voter on {1, 2, 3, 4, 5} and one on {3}, k = 2: distance 3 is
+        # the ceiling, and {1, 2} and {1, 3} reach it.  The first pass visits
+        # 3 first (two voters), then 1, 2, 4, 5 and 0: the root, {3} and its
+        # first leaf {1, 3}, at the ceiling.  The second pass, in label order
+        # from distance 3, visits the root, {0} (pruned: one seat cannot give
+        # the five-candidate ballot its two winners), {1} and {1, 2}
+        profile = profile_of(6, {1, 2, 3, 4, 5}, {3})
+        assert naive_optimize(profile, 2, MAV)[1][:2] == [(1, 2), (1, 3)]
+        runs = self._passes(monkeypatch)
+        result = _solve(profile, 2, MAV)
+        assert (result.committee.members, result.score, result.nodes_explored) == ((1, 2), 3, 7)
+        assert runs == [([3, 1, 2, 4, 5, 0], None, -3, (1, 3), 3), (None, -3, -3, (1, 2), 7)]
+        # the first pass's incumbent is the best so far, in labels, until
+        # the second pass ends
+        reported = {}
+        for budget in range(1, 7):
+            with pytest.raises(BudgetExhausted) as excinfo:
+                _solve(profile, 2, MAV, budget=budget)
+            err = excinfo.value
+            assert err.nodes_explored == budget + 1
+            reported[budget] = err.best_committee and (err.best_committee.members, err.best_score)
+        assert reported == {1: None, 2: None, 3: ((1, 3), 3), 4: ((1, 3), 3), 5: ((1, 3), 3),
+                            6: ((1, 3), 3)}
+        assert _solve(profile, 2, MAV, budget=7).committee.members == (1, 2)
+
+    def test_sizes_sharing_a_demand_prune_what_one_demand_per_size_prunes(self):
+        # the same passes with one demand per ballot size, as before sizes
+        # asking for the same number of winners shared one, visit the same
+        # nodes and end at the same committee
+        shared = 0
+        for profile, k in self._instances():
+            classes = {}  # ballot size -> its groups
+            for g, members in enumerate(profile.index.members):
+                classes[len(members)] = classes.get(len(members), 0) | 1 << g
+            search = solver._Search(profile, k, None)
+            search.denominator = -1
+
+            def solve(top, floor):
+                hits, add, undo, hopeless = solver._demand_state(search)
+
+                def leaf():
+                    return -max(k + size - 2 * (sum(h & mask == mask for h in hits) - 1)
+                                for size, mask in classes.items())
+
+                def bound(start, depth, target):
+                    demands = []
+                    for size, mask in classes.items():
+                        want = (k + size + target + 1) // 2
+                        if want > size:
+                            return None
+                        if want > 0:
+                            demands.append((want, mask))
+                    return None if hopeless(start, depth, demands) else ()
+
+                search.run(add, undo, leaf, bound, top, floor, strict=True)
+
+            ceiling = -max(abs(k - size) for size in classes)
+            solver._demand_passes(search, solve, None, ceiling, -k - max(classes))
+            result = _solve(profile, k, MAV)
+            assert (search.best_members, search.nodes) == (result.committee.members, result.nodes_explored)
+            # only sizes one apart ever ask for the same number
+            shared += any(size + 1 in classes for size in classes if size)
+        assert shared > 100
+
+    def test_mav_agrees_with_naive_enumeration_under_every_budget(self, monkeypatch):
+        # every budget is tried on every third profile; count the searches
+        # whose second pass moved off the first pass's committee
+        runs = self._passes(monkeypatch)
+        moved = 0
+        for i, (profile, k) in enumerate(self._instances()):
+            score, co = naive_optimize(profile, k, MAV)
+            passing = next((w for w in co if group_jr(profile, k, Committee(w))), co[0])
+            for tiebreak, expected in ((TieBreak.LEXICOGRAPHIC, co[0]), (TieBreak.PREFER_JR, passing)):
+                runs.clear()
+                result = _solve(profile, k, MAV, tiebreak)
+                assert (result.committee.members, result.score) == (expected, score)
+                moved += runs[0][0] is not None and runs[0][3] != runs[1][3]
+                if i % 3 == 0:
+                    TestExactChildBound._check_budgets(
+                        lambda budget: _solve(profile, k, MAV, tiebreak, budget).committee.members,
+                        result.nodes_explored, expected, MAV, profile)
+        assert moved > 100
+
+    def test_ejrav_agrees_with_brute_force_under_every_budget(self, monkeypatch):
+        # every budget is tried on every third profile, each best-so-far
+        # justified and scored as reported
+        runs = self._passes(monkeypatch)
+        moved = with_incumbent = 0
+        for i, (profile, k) in enumerate(self._instances()):
+            justified = [Committee(w) for w in itertools.combinations(range(profile.m), k)
+                         if group_jr(profile, k, Committee(w))]
+            best = max(group_maximin(profile, w) for w in justified)
+            expected = next(w for w in justified if group_maximin(profile, w) == best)
+            runs.clear()
+            assert compute_ejrav(profile, k) == expected
+            moved += runs[0][0] is not None and runs[0][3] != runs[1][3]
+            if i % 3:
+                continue
+            nodes = runs[-1][4]
+            for budget in range(1, nodes):
+                with pytest.raises(BudgetExhausted) as excinfo:
+                    compute_ejrav(profile, k, budget=budget)
+                err = excinfo.value
+                assert err.nodes_explored == budget + 1
+                if err.best_committee is not None:
+                    with_incumbent += 1
+                    assert group_jr(profile, k, err.best_committee)
+                    assert err.best_score == group_maximin(profile, err.best_committee)
+            assert compute_ejrav(profile, k, budget=nodes) == expected
+        assert moved > 50 and with_incumbent > 100
 
 
 class TestBudget:
