@@ -23,7 +23,6 @@ from .core import (
     ScoringObjective,
     TieBreak,
     WeightVector,
-    hamming_distance,
     normalize_profile,
     score_committee,
     wpav_objective,
@@ -31,7 +30,6 @@ from .core import (
 from .solver import (
     OptimizationRequest,
     OptimizationResult,
-    enumerate_committees,
     optimize_committee,
 )
 from .rules import (

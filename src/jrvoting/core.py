@@ -435,11 +435,6 @@ def wpav_objective(weights: WeightVector) -> ScoringObjective:
     return ScoringObjective("wpav", weights)
 
 
-def hamming_distance(set_a: Iterable[int], set_b: Iterable[int]) -> int:
-    """Size of the symmetric difference of two candidate sets."""
-    return len(frozenset(set_a) ^ frozenset(set_b))
-
-
 def _check_committee(profile: BallotProfile, committee: Committee) -> None:
     if committee.members[-1] >= profile.num_candidates:
         raise ProfileError(

@@ -179,10 +179,11 @@ def compute_ejrav(
     """Committee maximizing the least-represented voter's winner count, among
     committees providing justified representation; lexicographic on ties.
 
-    The demand search runs in two passes (`solver._demand_passes`): over the
-    candidates in descending approval score it finds the best maximin of a
-    justified committee, then, in label order from that value, the first
-    justified committee worth it.  A voter with an empty ballot pins the
+    The demand search (`solver._maximize_demands`, on one class holding
+    every ballot group) runs in two passes: over the candidates in
+    descending approval score it finds the best maximin of a justified
+    committee, then, in label order from that value, the first justified
+    committee worth it.  A voter with an empty ballot pins the
     maximin at zero, in which case one label-order pass finds the
     lexicographically first justified committee.  The budget counts search
     nodes over both passes; one that runs out in the second reports the

@@ -44,45 +44,49 @@ below it, which fills its open seats with candidates of its largest gains,
 comes before the incumbent.  A search out of label order that reaches the
 ceiling stops there, and a search in label order from the ceiling finds the
 first committee worth it.  MAV and maximin share one demand search on
-bitmasks over the groups: a node is hopeless once some group can no longer
-reach the winners the target asks of it, counting only its approved
-candidates still to come (MAV asks each ballot size for its own number, and
-the sizes that ask for the same number share one demand, built once per
-target), or once the winners its groups still lack outnumber what its open
-seats can pay: one per open seat to each group still short that approves
-the seat's candidate, from the largest such offers among the candidates
-still to come.  It runs in two passes, since under a tie rule its wide
-plateaus of tied committees would all be entered: a strict search over the
-candidates in descending approval score, ties by label, finds the optimum's
-value (traced seed 0 of the exhaustive-distinct benchmark: MAV 7,456 →
-5,404 nodes over both passes), and a label-order search from that value
-ends at the first committee worth it.  One label-order pass serves when the
-approval order is label order or every committee is worth the ceiling.
-In label order a leaf replaces the incumbent only when it is strictly
-better and passes the leaf requirement, if any, so ties go to the first
-committee visited.  Prefer-JR adds a pass: only if the plain search's
+bitmasks over the groups (`_maximize_demands`).  Each maximizes the least
+value, over classes of groups, of a non-decreasing function of the fewest
+winners a group of the class approves: MAV has one class per ballot size,
+worth the negated distance, and maximin one class of every group, worth
+its winners.  A target asks each class for the fewest winners worth it, and
+the classes that ask for the same number share one demand, built once per
+target.  A node is hopeless once some group can no longer reach its demand,
+counting only its approved candidates still to come, or once the winners
+its groups still lack outnumber what its open seats can pay: one per open
+seat to each group still short that approves the seat's candidate, from the
+largest such offers among the candidates still to come.  It runs in two
+passes, since under a tie rule its wide plateaus of tied committees would
+all be entered: a strict search over the candidates in descending approval
+score, ties by label, finds the optimum's value, and a label-order search
+from that value ends at the first committee worth it.  One label-order pass
+serves when the approval order is label order or every committee is worth
+the ceiling.  In label order a leaf replaces the incumbent only when it is
+strictly better and passes the leaf requirement, if any, so ties go to the
+first committee visited.  Prefer-JR adds a pass: only if the plain search's
 optimum fails JR does a label-order search run from the optimum's value
-with "provides JR" as its leaf requirement.  Every search ends at an
-incumbent worth its objective's ceiling, the best value any committee could
-have; a search from an optimum's value takes that value as its ceiling, and
-the search for any committee passing a leaf requirement values every
-committee at 0, so both end at the first committee that passes.  A node
-budget counts visited nodes only, over every pass; a budget that runs out
-in a later pass reports the earlier pass's answer as the best so far, and
-the best so far is always in labels.  All bookkeeping is done in scaled
-integers, so results are exact and deterministic.  The search is
-sequential; since every input type is immutable, any number of searches may
-run concurrently on shared profiles.
+with "provides JR" as its leaf requirement.  Every search starts from a
+floor that every answer reaches, its target until it holds an incumbent, so
+its first nodes bound their children too: the greedy score, an optimum's
+value, the least value of any committee in a demand search's first pass,
+or 0.  Every search ends at an incumbent worth its objective's ceiling, the
+best value any committee could have; a search from an optimum's value takes
+that value as its ceiling, and the search for any committee passing a leaf
+requirement values every committee at 0, so both end at the first committee
+that passes.  A node budget counts visited nodes only, over every pass; a
+budget that runs out in a later pass reports the earlier pass's answer as
+the best so far, and the best so far is always in labels.  All bookkeeping
+is done in scaled integers, so results are exact and deterministic.  The
+search is sequential; since every input type is immutable, any number of
+searches may run concurrently on shared profiles.
 """
 from __future__ import annotations
 
 import heapq
-import itertools
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import axioms
 from .core import (
@@ -126,14 +130,6 @@ class OptimizationResult:
     score: Fraction
     co_optimal_count: Optional[int]
     nodes_explored: int
-
-
-def enumerate_committees(m: int, k: int) -> Iterator[Committee]:
-    """All C(m, k) committees, in lexicographic order of their sorted members."""
-    if not 0 < k <= m:
-        raise ValueError(f"require 0 < k <= m, got k={k}, m={m}")
-    for members in itertools.combinations(range(m), k):
-        yield Committee(members)
 
 
 class _Search:
@@ -216,8 +212,7 @@ class _Search:
     def score(self, value: int) -> Fraction:
         return Fraction(value, self.denominator)
 
-    def run(self, add, undo, leaf, bound, ceiling: int, floor: Optional[int] = None,
-            strict: bool = False) -> None:
+    def run(self, add, undo, leaf, bound, ceiling: int, floor: int, strict: bool = False) -> None:
         """Visit the committees depth first, in the search's order, maximizing
         ``leaf()``.
 
@@ -236,9 +231,10 @@ class _Search:
         incumbent is skipped unvisited: first by ``worth``, then, unless it
         is a leaf, by ``reaches``, asked just before the child would be
         seated, so that the next ``add`` seats the child last asked of when
-        it passes.  Every answer is worth ``floor`` or more, if given: until
-        the first incumbent, subtrees that cannot reach it are pruned and
-        leaves below it are passed over.
+        it passes.  ``floor`` is a value every answer reaches, or one every
+        committee does: until the first incumbent it is the target, so
+        subtrees that cannot reach it are pruned and leaves below it are
+        passed over.
 
         The incumbent is kept in labels, and ties go to the first committee
         in label order whatever the visiting order.  In label order that is
@@ -253,8 +249,7 @@ class _Search:
         """
         k, m, labels = self.k, self.m, self.labels
         tied = labels is not None and not strict  # whether the tie rule holds
-        if floor is not None:
-            self.best_value = floor - 1  # no incumbent yet: the target is the floor
+        self.best_value = floor - 1  # no incumbent yet: the target is the floor
         chosen: list[int] = []
         stack: list[int] = []  # for each open node, the next position to try
         bounds: list[tuple] = []  # for each open node, the bounds on its children
@@ -284,19 +279,16 @@ class _Search:
                 )
             depth = len(chosen)
             if depth == k:
-                value, held = leaf(), self.best_value
-                if held is None or value >= held:
+                value = leaf()
+                if value >= self.best_value:
                     members = tuple(sorted(labels[p] for p in chosen)) if labels else tuple(chosen)
                     earlier = tied and self.best_members is not None and members < self.best_members
-                    if (held is None or value > held or earlier) and (
+                    if (value > self.best_value or earlier) and (
                         self.accept is None or self.accept(Committee(members))
                     ):
                         self.best_value, self.best_members = value, members
                         if value >= ceiling:
                             return
-            elif self.best_value is None:
-                stack.append(start)
-                bounds.append(())
             else:
                 children = bound(start, depth, bars()[1])
                 if children is not None:
@@ -376,13 +368,13 @@ def _maximize(search: _Search, objective: ScoringObjective, optimum: Optional[in
     sizes, mults, m, k = search.sizes, search.mults, search.m, search.k
     rows, search.denominator = _gain_rows(objective, set(sizes), k)
     ceiling = sum(mult * sum(rows[size][:size]) for size, mult in zip(sizes, mults))
-    floor = order = None
+    floor, order = 0, None  # every committee scores 0 or more
     if optimum is not None:
         floor = ceiling = optimum
     elif search.accept is None:
         # the greedy committee's score, on the search's own rows: every
         # optimum reaches it
-        floor, root = 0, None
+        root = None
         for winner, offered in _greedy_rounds(search.profile, k, rows):
             if root is None:
                 root = offered[:]  # the first round offers the root gains
@@ -581,95 +573,56 @@ def _demand_state(search: _Search):
     return hits, add, undo, hopeless
 
 
-def _demand_passes(search: _Search, solve: Callable[[int, Optional[int]], None],
-                   optimum: Optional[int], ceiling: int, least: int) -> None:
-    """Run a demand search: ``solve(top, floor)`` runs `_Search.run`
-    strictly, in the search's order, with ``top`` as its ceiling.  If
-    ``optimum``, the best value of any committee, is given, one label-order
-    pass from it ends at the first accepted committee worth it.
+def _maximize_demands(search: _Search, classes: Sequence[tuple[int, int, Callable[[int], int]]],
+                      optimum: Optional[int] = None) -> None:
+    """Maximize the least value, over ``classes``, of a class's value of the
+    fewest winners any of its groups approves.  A class is ``(mask, cap,
+    value)``: its groups as a bitmask, the fewest candidates any of them
+    approves, and a non-decreasing ``value(w)``.  A target asks each class
+    for the fewest winners w worth it, and the classes that ask for the same
+    w share one demand: the demand tests are per group and add up over
+    disjoint masks, so sharing prunes the same nodes.  Each target's demands
+    are built once, for every pass.  If ``optimum``, the best value of any
+    committee, is given, one label-order pass from it ends at the first
+    accepted committee worth it.
 
-    With no ``optimum`` there are two passes.  The first visits the
-    candidates in descending approval score, ties by label: a committee of
-    widely approved candidates meets the demands early, so later subtrees
-    close sooner, but the first optimum it finds need not come first in
-    label order, so it gives only the optimum's value.  The second runs in
-    label order from that value and ends at the first accepted committee
-    worth it.  The incumbent is kept in labels throughout, so ``accept``
-    and a budget that runs out in the first pass see labels, and a budget
-    that runs out in the second reports the first pass's committee
-    (`_again`).  One label-order pass serves where the order cannot help:
-    the approval order is label order, or every committee is worth the
-    ceiling (it is ``least``, a value every committee reaches), where both
-    passes would end at their first accepted committee.
+    With no ``optimum`` there are two strict passes.  The first visits the
+    candidates in descending approval score, ties by label, from the floor
+    ``least``, a value every committee reaches: a committee of widely
+    approved candidates meets the demands early, so later subtrees close
+    sooner, but the first optimum it finds need not come first in label
+    order, so it gives only the optimum's value.  The second runs in label
+    order from that value and ends at the first accepted committee worth
+    it.  The incumbent is kept in labels throughout, so ``accept`` and a
+    budget that runs out in the first pass see labels, and a budget that
+    runs out in the second reports the first pass's committee (`_again`).
+    One label-order pass serves where the order cannot help: the approval
+    order is label order, or every committee is worth the ceiling, where
+    both passes would end at their first accepted committee.
     """
-    order = None
-    if optimum is None and ceiling > least:
-        # a stable sort keeps ties in label order
-        order = sorted(range(search.m), key=search.profile.approval_scores.__getitem__, reverse=True)
-        if order == list(range(search.m)):
-            order = None
-    search.reorder(order)
-    solve(ceiling if optimum is None else optimum, optimum)
-    if order is not None and search.best_members is not None:
-        value = search.best_value
-        search.reorder(None)
-        _again(search, lambda: solve(value, value))
-
-
-def _maximize_maximin(search: _Search) -> None:
-    """Maximize the least number of winners any ballot group approves, in
-    the passes of `_demand_passes`."""
     k = search.k
-    ceiling = min(min(size, k) for size in search.sizes)
-
-    def solve(top: int, floor: Optional[int]) -> None:
-        hits, add, undo, hopeless = _demand_state(search)
-        everyone = hits[0]
-        search.run(  # the levels are nested
-            add, undo, lambda: hits.count(everyone) - 1,
-            lambda start, depth, want: None if hopeless(start, depth, ((want, everyone),)) else (),
-            top, floor, strict=True,
-        )
-
-    _demand_passes(search, solve, None, ceiling, 0)
-
-
-def _maximize_mav(search: _Search, optimum: Optional[int] = None) -> None:
-    """Maximize the negated largest distance k + s - 2 * winners from a
-    ballot of s candidates to the committee, in the passes of
-    `_demand_passes`; ``optimum`` as there.  A target asks each ballot size
-    for its own number of winners, and the sizes that ask for the same
-    number share one demand: the demand tests are per group and add up over
-    disjoint masks, so sharing prunes the same nodes.  Each target's
-    demands are built once, for every pass."""
-    k = search.k
-    search.denominator = -1  # the score is the distance
-    classes: dict[int, int] = {}  # ballot size -> its groups
-    for g, size in enumerate(search.sizes):
-        classes[size] = classes.get(size, 0) | 1 << g
+    ceiling = min(value(min(cap, k)) for _, cap, value in classes)
+    least = min(value(0) for _, _, value in classes)
 
     @cache
     def demands(target: int) -> Optional[tuple[tuple[int, int], ...]]:
-        # ending at distance -target or less needs (k + s + target) / 2
-        # winners, rounded up, from each group whose ballot has s candidates;
-        # None if some ballot has fewer
+        # None if some class cannot reach the target from its cap
         wants: dict[int, int] = {}
-        for size, mask in classes.items():
-            want = (k + size + target + 1) // 2
-            if want > size:
+        for mask, cap, value in classes:
+            want = next((w for w in range(cap + 1) if value(w) >= target), None)
+            if want is None:
                 return None
-            if want > 0:
+            if want:
                 wants[want] = wants.get(want, 0) | mask
         return tuple(wants.items())
 
-    def solve(top: int, floor: Optional[int]) -> None:
+    def solve(top: int, floor: int) -> None:
         hits, add, undo, hopeless = _demand_state(search)
 
         def leaf() -> int:
             # the levels are nested: a class's fewest winners is the number
             # of levels holding all of it, minus one
-            return -max(k + size - 2 * (sum(h & mask == mask for h in hits) - 1)
-                        for size, mask in classes.items())
+            return min(value(sum(h & mask == mask for h in hits) - 1) for mask, _, value in classes)
 
         def bound(start: int, depth: int, target: int) -> Optional[tuple]:
             wanted = demands(target)
@@ -678,8 +631,21 @@ def _maximize_mav(search: _Search, optimum: Optional[int] = None) -> None:
 
         search.run(add, undo, leaf, bound, top, floor, strict=True)
 
-    ceiling = -max(abs(k - size) for size in classes)
-    _demand_passes(search, solve, optimum, ceiling, -k - max(classes))
+    order = None
+    if optimum is None and ceiling > least:
+        # a stable sort keeps ties in label order
+        order = sorted(range(search.m), key=search.profile.approval_scores.__getitem__, reverse=True)
+        if order == list(range(search.m)):
+            order = None
+    search.reorder(order)
+    if optimum is None:
+        solve(ceiling, least)
+    else:
+        solve(optimum, optimum)
+    if order is not None and search.best_members is not None:
+        value = search.best_value
+        search.reorder(None)
+        _again(search, lambda: solve(value, value))
 
 
 def _av_separable(profile: BallotProfile, k: int) -> OptimizationResult:
@@ -711,8 +677,8 @@ def optimize_committee(request: OptimizationRequest) -> OptimizationResult:
     the search visits the candidates in descending root gain and still
     returns the first optimum in label order (see `_maximize`).  MAV finds
     the optimum's value in descending approval order and then the first
-    committee worth it in label order (see `_demand_passes`).  Co-optima are
-    not counted (``co_optimal_count`` is None).  Raises `BudgetExhausted`
+    committee worth it in label order (see `_maximize_demands`).  Co-optima
+    are not counted (``co_optimal_count`` is None).  Raises `BudgetExhausted`
     (carrying the best committee found so far, in labels, and its score)
     once the searches, every pass together, visit more nodes than the
     budget; a child skipped at its parent is not visited, and the separable
@@ -764,15 +730,27 @@ def _run_search(search: _Search, objective: ScoringObjective | str | None,
     """Run ``search`` on ``objective``: a `ScoringObjective`, ``"maximin"``
     (winners of the least-represented ballot group) or None (any committee:
     every one is worth the ceiling, 0, so the first accepted one ends the
-    search).  ``optimum``, if given, is the best value of any committee: the
-    search ends at the first accepted committee worth it."""
+    search).  MAV and maximin are demand searches (`_maximize_demands`),
+    MAV with one class per ballot size and maximin with one class of every
+    group; the Thiele objectives go to `_maximize`.  ``optimum``, if given,
+    is the best value of any committee: the search ends at the first
+    accepted committee worth it."""
     if objective is None:
         search.run(lambda c: None, lambda c: None, lambda: 0,
-                   lambda start, depth, target: (), 0)
+                   lambda start, depth, target: (), 0, 0)
     elif objective == "maximin":
-        _maximize_maximin(search)
+        # one class holding every group, worth its fewest winners
+        everyone = (1 << len(search.sizes)) - 1
+        _maximize_demands(search, [(everyone, min(search.sizes), lambda w: w)], optimum)
     elif objective.kind == "mav":
-        _maximize_mav(search, optimum)
+        # the negated largest distance k + s - 2 * winners from a ballot of
+        # s candidates to the committee: one class per ballot size
+        search.denominator = -1  # the score is the distance
+        k, classes = search.k, {}  # ballot size -> its groups
+        for g, size in enumerate(search.sizes):
+            classes[size] = classes.get(size, 0) | 1 << g
+        _maximize_demands(search, [(mask, size, lambda w, s=size: 2 * w - k - s)
+                                   for size, mask in classes.items()], optimum)
     else:
         _maximize(search, objective, optimum)
 

@@ -15,7 +15,6 @@ from jrvoting.core import (
     ProfileError,
     SAV,
     WeightVector,
-    hamming_distance,
     normalize_profile,
     score_committee,
     wpav_objective,
@@ -145,25 +144,6 @@ class TestWeightVector:
     def test_satisfaction_table(self):
         harmonic = WeightVector.harmonic(3)
         assert harmonic.satisfaction_table == (0, 1, Fraction(3, 2), Fraction(11, 6))
-
-
-class TestHamming:
-    def test_identity(self):
-        assert hamming_distance({0, 1}, {0, 1}) == 0
-
-    def test_committee_vs_lone_ballot(self):
-        # two-seat instance: {x1, x2} against the singleton {z}
-        assert hamming_distance({0, 1}, {4}) == 3
-
-    def test_disjoint(self):
-        assert hamming_distance({0, 1}, {2, 3}) == 4
-
-    @given(
-        st.frozensets(st.integers(0, 9)), st.frozensets(st.integers(0, 9))
-    )
-    def test_symmetric_and_zero_iff_equal(self, a, b):
-        assert hamming_distance(a, b) == hamming_distance(b, a)
-        assert (hamming_distance(a, b) == 0) == (a == b)
 
 
 class TestScoreCommittee:

@@ -265,6 +265,21 @@ class TestRepresentationConstrainedRules:
         assert best == (Fraction(4), (0, 1))
         assert compute_ujrav(profile, 2).members == (0, 1)
 
+    def test_ujrav_bounds_the_children_of_nodes_opened_before_its_first_committee(self):
+        # ballots {0} and {1, 2}, k = 2: every committee has approval score
+        # 2.  The search starts from the floor 0, so the root bounds its
+        # children before any incumbent: it visits the root, {0} and
+        # {0, 1}, which provides JR and becomes the incumbent; then {0, 2}
+        # and {1}, bounded at 2 by the nodes that opened them, cannot beat
+        # it and are skipped: 3 nodes.  Without a floor the root and {0}
+        # bounded no children, and {0, 2} and {1} were visited too (5 nodes)
+        profile = profile_of(3, {0}, {1, 2})
+        assert compute_ujrav(profile, 2).members == (0, 1)
+        assert compute_ujrav(profile, 2, budget=3).members == (0, 1)
+        with pytest.raises(BudgetExhausted) as excinfo:
+            compute_ujrav(profile, 2, budget=2)
+        assert excinfo.value.nodes_explored == 3
+
     def test_ejrav_rotated_pairs(self):
         # maximin 1 is achieved by {a,d} and {b,c}; lexicographic picks {a,d}
         profile = build_fixture("example5").profile

@@ -28,11 +28,7 @@ from jrvoting.core import (
 )
 from jrvoting.corpus import build_fixture
 from jrvoting.rules import compute_ejrav, compute_ujrav
-from jrvoting.solver import (
-    OptimizationRequest,
-    enumerate_committees,
-    optimize_committee,
-)
+from jrvoting.solver import OptimizationRequest, optimize_committee
 
 from conftest import (
     group_jr,
@@ -44,27 +40,6 @@ from conftest import (
     random_instances,
     weighted_instances,
 )
-
-
-class TestEnumerate:
-    def test_lexicographic_order(self):
-        assert [c.members for c in enumerate_committees(3, 2)] == [
-            (0, 1),
-            (0, 2),
-            (1, 2),
-        ]
-
-    def test_full_committee(self):
-        assert [c.members for c in enumerate_committees(4, 4)] == [(0, 1, 2, 3)]
-
-    def test_count(self):
-        assert sum(1 for _ in enumerate_committees(4, 2)) == 6
-
-    def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            list(enumerate_committees(3, 0))
-        with pytest.raises(ValueError):
-            list(enumerate_committees(3, 4))
 
 
 def _solve(profile, k, objective, tiebreak=TieBreak.LEXICOGRAPHIC, budget=None):
@@ -421,7 +396,7 @@ class TestBitsetSearch:
         floors = []
         real = solver._Search.run
 
-        def spy(search, add, undo, leaf, bound, ceiling, floor=None, strict=False):
+        def spy(search, add, undo, leaf, bound, ceiling, floor, strict=False):
             floors.append(search.score(floor))
             return real(search, add, undo, leaf, bound, ceiling, floor, strict)
 
@@ -550,7 +525,7 @@ class TestExactChildBound:
         seated, asked = [], []
         real = solver._Search.run
 
-        def spy(search, add, undo, leaf, bound, ceiling, floor=None, strict=False):
+        def spy(search, add, undo, leaf, bound, ceiling, floor, strict=False):
             chosen = []
 
             def seat(c):
@@ -701,7 +676,7 @@ class TestRootGainOrder:
         runs = []
         real = solver._Search.run
 
-        def spy(search, add, undo, leaf, bound, ceiling, floor=None, strict=False):
+        def spy(search, add, undo, leaf, bound, ceiling, floor, strict=False):
             runs.append((search.labels, search.accept))
             return real(search, add, undo, leaf, bound, ceiling, floor, strict)
 
@@ -747,7 +722,7 @@ class TestRootGainOrder:
         asked = []
         real = solver._Search.run
 
-        def spy(search, add, undo, leaf, bound, ceiling, floor=None, strict=False):
+        def spy(search, add, undo, leaf, bound, ceiling, floor, strict=False):
             labels = search.labels
             assert labels == [1, 2, 3, 0]
 
@@ -789,7 +764,7 @@ class TestRootGainOrder:
         runs = []
         real = solver._Search.run
 
-        def spy(search, add, undo, leaf, bound, ceiling, floor=None, strict=False):
+        def spy(search, add, undo, leaf, bound, ceiling, floor, strict=False):
             real(search, add, undo, leaf, bound, ceiling, floor, strict)
             runs.append((search.labels, floor, ceiling, search.best_members, search.nodes))
 
@@ -954,7 +929,7 @@ class TestDemandCountingBound:
         score, co = naive_optimize(profile, k, MAV)
         assert (score, co[0]) == (3, (0, 2, 4))
         search = solver._Search(profile, k, None)
-        solver._maximize_mav(search, -3)
+        solver._run_search(search, MAV, optimum=-3)
         assert (search.best_members, search.best_value, search.nodes) == ((0, 2, 4), -3, 6)
 
 
@@ -978,7 +953,7 @@ class TestOrderedDemandSearch:
         runs = []
         real = solver._Search.run
 
-        def spy(search, add, undo, leaf, bound, ceiling, floor=None, strict=False):
+        def spy(search, add, undo, leaf, bound, ceiling, floor, strict=False):
             real(search, add, undo, leaf, bound, ceiling, floor, strict)
             runs.append((search.labels, floor, ceiling, search.best_members, search.nodes))
 
@@ -988,8 +963,9 @@ class TestOrderedDemandSearch:
     def test_the_second_pass_picks_the_first_optimum_in_label_order(self, monkeypatch):
         # one voter on {1, 2, 3, 4, 5} and one on {3}, k = 2: distance 3 is
         # the ceiling, and {1, 2} and {1, 3} reach it.  The first pass visits
-        # 3 first (two voters), then 1, 2, 4, 5 and 0: the root, {3} and its
-        # first leaf {1, 3}, at the ceiling.  The second pass, in label order
+        # 3 first (two voters), then 1, 2, 4, 5 and 0, from distance 7, which
+        # every committee reaches: the root, {3} and its first leaf {1, 3},
+        # at the ceiling.  The second pass, in label order
         # from distance 3, visits the root, {0} (pruned: one seat cannot give
         # the five-candidate ballot its two winners), {1} and {1, 2}
         profile = profile_of(6, {1, 2, 3, 4, 5}, {3})
@@ -997,7 +973,7 @@ class TestOrderedDemandSearch:
         runs = self._passes(monkeypatch)
         result = _solve(profile, 2, MAV)
         assert (result.committee.members, result.score, result.nodes_explored) == ((1, 2), 3, 7)
-        assert runs == [([3, 1, 2, 4, 5, 0], None, -3, (1, 3), 3), (None, -3, -3, (1, 2), 7)]
+        assert runs == [([3, 1, 2, 4, 5, 0], -7, -3, (1, 3), 3), (None, -3, -3, (1, 2), 7)]
         # the first pass's incumbent is the best so far, in labels, until
         # the second pass ends
         reported = {}
@@ -1012,16 +988,15 @@ class TestOrderedDemandSearch:
         assert _solve(profile, 2, MAV, budget=7).committee.members == (1, 2)
 
     def test_sizes_sharing_a_demand_prune_what_one_demand_per_size_prunes(self):
-        # the same passes with one demand per ballot size, as before sizes
-        # asking for the same number of winners shared one, visit the same
-        # nodes and end at the same committee
+        # the same two passes with one demand per ballot size, as before
+        # sizes asking for the same number of winners shared one, visit the
+        # same nodes and end at the same committee
         shared = 0
         for profile, k in self._instances():
             classes = {}  # ballot size -> its groups
             for g, members in enumerate(profile.index.members):
                 classes[len(members)] = classes.get(len(members), 0) | 1 << g
             search = solver._Search(profile, k, None)
-            search.denominator = -1
 
             def solve(top, floor):
                 hits, add, undo, hopeless = solver._demand_state(search)
@@ -1043,7 +1018,18 @@ class TestOrderedDemandSearch:
                 search.run(add, undo, leaf, bound, top, floor, strict=True)
 
             ceiling = -max(abs(k - size) for size in classes)
-            solver._demand_passes(search, solve, None, ceiling, -k - max(classes))
+            least = -k - max(classes)
+            order = sorted(range(profile.num_candidates), key=lambda c: -profile.approval_scores[c])
+            if ceiling > least and order != sorted(order):
+                # a strict pass in descending approval score finds the value,
+                # then a label-order pass the first committee worth it
+                search.reorder(order)
+                solve(ceiling, least)
+                value, search.best_members = search.best_value, None
+                search.reorder(None)
+                solve(value, value)
+            else:
+                solve(ceiling, least)
             result = _solve(profile, k, MAV)
             assert (search.best_members, search.nodes) == (result.committee.members, result.nodes_explored)
             # only sizes one apart ever ask for the same number
