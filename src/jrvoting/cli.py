@@ -12,6 +12,10 @@ Machine output (``--format machine``) is line-oriented ``key=value`` with
 exact rationals rendered as ``num/den`` and committees as sorted
 comma-separated indices; it contains no timing, so identical inputs produce
 byte-identical output.
+
+The module loads `core` only.  The argument parser loads `rules` (and with
+it `solver` and `axioms`) for its choices, and each command loads the layers
+it runs when it runs, so only the commands that use `corpus` load it.
 """
 
 from __future__ import annotations
@@ -22,9 +26,8 @@ import math
 import sys
 import time
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import axioms, corpus, rules
 from .core import (
     BallotProfile,
     BudgetExhausted,
@@ -34,6 +37,9 @@ from .core import (
     TieBreak,
     WeightVector,
 )
+
+if TYPE_CHECKING:
+    from . import axioms, corpus
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -206,6 +212,8 @@ def serialize_profile(
 
 def parse_graph(text: str) -> corpus.BipartiteGraph:
     """Parse a bipartite graph document: `L <int> R <int>`, then `edge <l> <r>` lines."""
+    from .corpus import BipartiteGraph
+
     sizes: Optional[tuple[int, int]] = None
     edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -240,7 +248,7 @@ def parse_graph(text: str) -> corpus.BipartiteGraph:
     if sizes is None:
         raise ProfileParseError("missing L/R header")
     try:
-        return corpus.BipartiteGraph(sizes[0], sizes[1], frozenset(edges))
+        return BipartiteGraph(sizes[0], sizes[1], frozenset(edges))
     except ValueError as exc:
         raise ProfileParseError(str(exc)) from None
 
@@ -263,6 +271,8 @@ def _parse_committee(spec: str) -> Committee:
 
 
 def _parse_axiom(spec: str) -> tuple[str, Optional[int]]:
+    from . import axioms
+
     name, sep, level = spec.partition(":")
     if name not in axioms.AXIOM_NAMES:
         raise ValueError(f"unknown axiom {name!r}")
@@ -295,6 +305,8 @@ def _parse_weights(spec: str) -> WeightVector:
 
 
 def _parse_culture(spec: str) -> corpus.Culture:
+    from . import corpus
+
     kind, _, rest = spec.partition(":")
     try:
         if kind == "uniform":
@@ -386,6 +398,8 @@ def _witness_fields(report: axioms.AxiomReport) -> list[tuple[str, str]]:
 
 
 def _cmd_compute(args) -> int:
+    from . import rules
+
     started = time.perf_counter()
     profile, file_k = parse_profile(_read_text(args.file))
     k = _resolve_k(args.k, file_k)
@@ -409,6 +423,8 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import axioms
+
     started = time.perf_counter()
     profile, file_k = parse_profile(_read_text(args.file))
     committee = _parse_committee(args.committee)
@@ -426,6 +442,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_find(args) -> int:
+    from . import axioms
+
     started = time.perf_counter()
     profile, file_k = parse_profile(_read_text(args.file))
     k = _resolve_k(args.k, file_k)
@@ -448,6 +466,8 @@ def _cmd_find(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    from . import corpus
+
     fixture = corpus.build_fixture(args.name, **_parse_params(args.param))
     if args.verify:
         all_ok = True
@@ -472,6 +492,8 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from . import corpus
+
     started = time.perf_counter()
     graph = parse_graph(_read_text(args.graph))
     instance = corpus.reduce_biclique(graph, args.ell)
@@ -497,6 +519,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_random(args) -> int:
+    from . import corpus
+
     profile = corpus.random_profile(
         seed=args.seed, n=args.n, m=args.m, k=args.k, culture=_parse_culture(args.culture)
     )
@@ -505,14 +529,17 @@ def _cmd_random(args) -> int:
     return EXIT_OK
 
 
-def _oracle_instances(seed: int, trials: int, max_n: int, max_m: int):
-    """Deterministic stream of (profile, k, committee) cross-check instances."""
+def _oracle_instances(seed: int, trials: int, max_n: int, max_m: int, min_m: int = 2):
+    """Deterministic stream of (profile, k, committee) cross-check instances,
+    each of ``min_m`` to ``max_m`` candidates."""
     import random as _random
+
+    from . import corpus
 
     rng = _random.Random(f"oracle|{seed}")
     for trial in range(trials):
         n = rng.randint(1, max_n)
-        m = rng.randint(2, max_m)
+        m = rng.randint(min_m, max_m)
         k = rng.randint(1, min(m, 4))
         p = rng.choice([0.25, 0.4, 0.6])
         profile = corpus.random_profile(
@@ -522,10 +549,9 @@ def _oracle_instances(seed: int, trials: int, max_n: int, max_m: int):
         yield profile, k, committee
 
 
-_ORACLE_AXIOMS = tuple(name for name, axiom in axioms.AXIOMS.items() if axiom.oracle)
-
-
 def _cmd_oracle(args) -> int:
+    from . import axioms, rules
+
     started = time.perf_counter()
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
@@ -540,12 +566,12 @@ def _cmd_oracle(args) -> int:
         k = args.k if args.k is not None else 3
         if k < 1:
             raise ValueError(f"--k must be >= 1, got {k}")
+        if args.max_m < k:
+            raise ValueError(f"--max-m must be >= --k ({k}), got {args.max_m}")
         found = 0
         for profile, _, _ in _oracle_instances(
-            args.seed, args.trials, args.max_n, max(args.max_m, k)
+            args.seed, args.trials, args.max_n, args.max_m, min_m=max(2, k)
         ):
-            if profile.num_candidates < k:
-                continue
             committee = rules.compute_rule(profile, k, rules.RuleSpec("rav"))
             report = axioms.check_jr(profile, k, committee)
             if report.failed:
@@ -566,13 +592,15 @@ def _cmd_oracle(args) -> int:
         )
         return EXIT_OK
 
-    names = _ORACLE_AXIOMS if args.axiom == "all" else (args.axiom,)
+    entries = [
+        (axiom, entry) for axiom, entry in axioms.AXIOMS.items()
+        if entry.oracle and args.axiom in ("all", axiom)
+    ]
     disagreements = 0
     for profile, k, committee in _oracle_instances(
         args.seed, args.trials, args.max_n, args.max_m
     ):
-        for axiom in names:
-            entry = axioms.AXIOMS[axiom]
+        for axiom, entry in entries:
             for ell in range(1, k + 1) if entry.leveled else (None,):
                 fast = entry.check(profile, k, committee, ell).passed
                 naive = entry.oracle(profile, k, committee, ell)
@@ -605,6 +633,8 @@ def _cmd_oracle(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     """The command's parser, built on the first call and shared after it:
     parsing leaves it unchanged, and each parse fills a new namespace."""
+    from . import axioms, rules
+
     parser = argparse.ArgumentParser(
         prog="jrvoting",
         description="Approval committee rules and representation axiom checks.",
@@ -665,7 +695,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_random)
 
     p = sub.add_parser("oracle", help="cross-check fast axiom checkers against brute force")
-    p.add_argument("--axiom", choices=_ORACLE_AXIOMS + ("all",), default="all")
+    oracle_axioms = tuple(name for name, axiom in axioms.AXIOMS.items() if axiom.oracle)
+    p.add_argument("--axiom", choices=oracle_axioms + ("all",), default="all")
     p.add_argument("--trials", type=_integer, default=100)
     p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--max-n", type=_integer, default=8, dest="max_n")
@@ -680,6 +711,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_oracle)
 
     return parser
+
+
+def _fixture_errors() -> tuple[type[Exception], ...]:
+    """`corpus.FixtureParameterError` once `corpus` is loaded: only a command
+    that loaded it can raise it, so a command that runs without it does not
+    load it to name the error."""
+    corpus = sys.modules.get(f"{__package__}.corpus")
+    return (corpus.FixtureParameterError,) if corpus is not None else ()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -710,7 +749,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return EXIT_BUDGET
-    except corpus.FixtureParameterError as exc:
+    except _fixture_errors() as exc:
         print(f"fixture parameter error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, OSError) as exc:

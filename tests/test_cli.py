@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jrvoting import rules
+from jrvoting import axioms, rules
 from jrvoting.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -397,6 +397,24 @@ class TestCommands:
         assert code == EXIT_OK
         assert "mode=rav-jr-search" in out
 
+    @pytest.mark.parametrize("argv", [(), ("--k", "4", "--max-m", "4")])
+    def test_oracle_search_checks_one_committee_per_trial(self, run, monkeypatch, argv):
+        checked = []
+        check_jr = axioms.check_jr
+
+        def counting(profile, k, committee):
+            checked.append((profile.num_candidates, k))
+            return check_jr(profile, k, committee)
+
+        monkeypatch.setattr(axioms, "check_jr", counting)
+        code, out, _ = run(
+            "oracle", "--rav-jr-search", "--trials", "40", "--seed", "0",
+            "--format", "machine", *argv,
+        )
+        assert code == EXIT_OK and "trials=40" in out
+        assert len(checked) == 40
+        assert all(m >= k for m, k in checked)
+
     @pytest.mark.parametrize(
         "argv, flag",
         [
@@ -411,6 +429,9 @@ class TestCommands:
             # --k sizes the committees of --rav-jr-search only
             (("--k", "0"), "--k applies only with --rav-jr-search"),
             (("--k", "3"), "--k applies only with --rav-jr-search"),
+            # no instance of fewer candidates than --k seats a committee
+            (("--rav-jr-search", "--max-m", "2"), "--max-m must be >= --k (3)"),
+            (("--rav-jr-search", "--k", "4", "--max-m", "3"), "--max-m must be >= --k (4)"),
         ],
     )
     def test_oracle_ranges_name_their_flag(self, run, argv, flag):
