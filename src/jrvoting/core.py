@@ -86,12 +86,14 @@ class GroupIndex:
     """A profile's ballots grouped by approval set.
 
     Group g is one distinct approval set: its candidate indices
-    ``members[g]`` (a tuple, or the approval set of the group's first
-    `Ballot` in a profile built from ballots), the summed multiplicity
-    ``mults[g]`` of the ballots casting it and its bitmask ``masks[g]``,
-    built on first use unless the index was built with it.  ``entries``
-    holds one ``(group, multiplicity)`` pair per distinct ballot (a distinct
-    line of a profile document), and ``order[i]`` is the entry of ballot i.
+    ``members[g]``, the summed multiplicity ``mults[g]`` of the ballots
+    casting it and its bitmask ``masks[g]``, built on first use unless the
+    index was built with it.  The members are a frozenset in a profile built
+    from ``(approval set, multiplicity)`` pairs (`BallotProfile.from_groups`)
+    or from `Ballot` objects, and a tuple of ascending indices in a parsed
+    one (`cli.parse_profile`).  ``entries`` holds one ``(group,
+    multiplicity)`` pair per distinct ballot (a pair, or a distinct line of
+    a profile document), and ``order[i]`` is the entry of ballot i.
     """
 
     members: tuple[Collection[int], ...]
@@ -130,6 +132,18 @@ class GroupIndex:
         return tuple(i for i, entry in enumerate(self.order) if entries[entry][0] in groups)
 
 
+def _check_range(num_candidates: int, approval_sets: list[frozenset[int]]) -> None:
+    """Reject the first index outside ``0 .. num_candidates-1``, scanning the
+    approval sets in order.  One range test covers their union; the sets are
+    scanned one by one only when it fails, for the index the error names."""
+    approved = frozenset().union(*approval_sets)
+    if approved and not 0 <= min(approved) <= max(approved) < num_candidates:
+        for members in approval_sets:
+            for c in members:
+                if not 0 <= c < num_candidates:
+                    raise ProfileError(f"candidate index {c} out of range for m={num_candidates}")
+
+
 class BallotProfile:
     """A multiset of approval ballots over candidates ``0 .. num_candidates-1``.
 
@@ -139,7 +153,9 @@ class BallotProfile:
     and `approval_scores`, and the `Ballot` objects themselves, built only
     when `ballots` is read.
     A profile built from `Ballot` objects derives the index from them;
-    `cli.parse_profile` builds the index directly.  A profile is
+    `from_groups` (and `from_approval_sets` and `expand`, which call it) and
+    `cli.parse_profile` build the index directly, so their profiles build
+    no `Ballot` until `ballots` is read.  A profile is
     semantically identical to its expansion into unit-multiplicity ballots;
     every operation in this package is invariant under that expansion.
     Empty approval sets are legal.  Profiles are immutable and compare by
@@ -154,16 +170,7 @@ class BallotProfile:
             raise ProfileError(f"num_candidates must be >= 1, got {num_candidates}")
         if not ballots:
             raise ProfileError("profile must contain at least one voter")
-        # one range test over every approved index; only a profile that fails
-        # it is scanned ballot by ballot, for the index the error names
-        approved = frozenset().union(*(ballot.approved for ballot in ballots))
-        if approved and not 0 <= min(approved) <= max(approved) < num_candidates:
-            for ballot in ballots:
-                for c in ballot.approved:
-                    if not 0 <= c < num_candidates:
-                        raise ProfileError(
-                            f"candidate index {c} out of range for m={num_candidates}"
-                        )
+        _check_range(num_candidates, [ballot.approved for ballot in ballots])
         object.__setattr__(self, "num_candidates", num_candidates)
         self.__dict__["ballots"] = ballots
 
@@ -197,20 +204,39 @@ class BallotProfile:
     def from_groups(
         cls, num_candidates: int, groups: Iterable[tuple[Iterable[int], int]]
     ) -> "BallotProfile":
-        """Build a profile from ``(approval set, multiplicity)`` pairs."""
-        return cls(
-            num_candidates,
-            tuple(Ballot(frozenset(approved), mult) for approved, mult in groups),
-        )
+        """Build a profile from ``(approval set, multiplicity)`` pairs, one
+        ballot per pair.
+
+        The pairs are read straight into the profile's `GroupIndex`, one
+        group per distinct approval set (a frozenset) in order of first
+        appearance; no `Ballot` is built until ``ballots`` is read.  Errors
+        come in the order a profile of `Ballot` objects raises them: the
+        first multiplicity below 1, then ``num_candidates < 1``, then no
+        pairs, then the first out-of-range index in pair order.
+        """
+        group_of: dict[frozenset[int], int] = {}
+        entries = []
+        for approved, mult in groups:
+            approved = frozenset(approved)
+            if mult < 1:
+                raise ProfileError(f"ballot multiplicity must be >= 1, got {mult}")
+            entries.append((group_of.setdefault(approved, len(group_of)), mult))
+        if num_candidates < 1:
+            raise ProfileError(f"num_candidates must be >= 1, got {num_candidates}")
+        if not entries:
+            raise ProfileError("profile must contain at least one voter")
+        # groups come in order of first appearance, so the first group
+        # holding an out-of-range index is that of the first such pair
+        members = list(group_of)
+        _check_range(num_candidates, members)
+        return cls._of_index(num_candidates, GroupIndex.build(members, entries, range(len(entries))))
 
     @classmethod
     def from_approval_sets(
         cls, num_candidates: int, approval_sets: Iterable[Iterable[int]]
     ) -> "BallotProfile":
         """Build a profile of unit-multiplicity ballots."""
-        return cls(
-            num_candidates, tuple(Ballot(frozenset(a), 1) for a in approval_sets)
-        )
+        return cls.from_groups(num_candidates, ((approved, 1) for approved in approval_sets))
 
     @cached_property
     def index(self) -> GroupIndex:
@@ -270,10 +296,12 @@ class BallotProfile:
 
     def expand(self) -> "BallotProfile":
         """The semantically identical profile of n unit-multiplicity ballots."""
+        index = self.index
         units = []
-        for ballot in self.ballots:
-            units.extend([Ballot(ballot.approved, 1)] * ballot.multiplicity)
-        return BallotProfile(self.num_candidates, tuple(units))
+        for entry in index.order:
+            group, mult = index.entries[entry]
+            units.extend([(index.members[group], 1)] * mult)
+        return BallotProfile.from_groups(self.num_candidates, units)
 
 
 def normalize_profile(profile: BallotProfile) -> BallotProfile:
@@ -344,16 +372,18 @@ class WeightVector:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "weights", tuple(_as_fraction(w) for w in self.weights)
-        )
-        if not self.weights:
+        weights = tuple(map(_as_fraction, self.weights))
+        object.__setattr__(self, "weights", weights)
+        if not weights:
             raise ValueError("weight vector must be non-empty")
-        if self.weights[0] != 1:
-            raise ValueError(f"w_1 must equal 1, got {self.weights[0]}")
-        if any(w < 0 for w in self.weights):
+        # compared as integers: a/c >= b/d iff a*d >= b*c, denominators being
+        # positive
+        ratios = [w.as_integer_ratio() for w in weights]
+        if ratios[0] != (1, 1):
+            raise ValueError(f"w_1 must equal 1, got {weights[0]}")
+        if any(a < 0 for a, _ in ratios):
             raise ValueError("weights must be non-negative")
-        if any(a < b for a, b in zip(self.weights, self.weights[1:])):
+        if any(a * d < b * c for (a, c), (b, d) in zip(ratios, ratios[1:])):
             raise ValueError("weights must be non-increasing")
 
     @classmethod

@@ -115,21 +115,23 @@ def sequential_trace(
     multiplicity-weighted sum, over ballots approving it, of the weight-vector
     entry at one past the ballot's current number of elected approvals.  The
     maximal candidate is elected, ties broken by lowest index.  The rounds
-    run on integers (`core._greedy_rounds`); a candidate's reported weight is
-    rebuilt as a fraction only when its integer weight changes, so the round
-    records share them.
+    run on integers (`core._greedy_rounds`); each distinct integer weight is
+    turned into one fraction, which every candidate and round reporting that
+    weight shares.
     """
     rows, scale = _sequential_rows(profile, k, weights)
     unelected = list(range(profile.num_candidates))
-    scaled: list[Optional[int]] = [None] * profile.num_candidates
-    shown: list[Optional[Fraction]] = [None] * profile.num_candidates
+    shared: dict[int, Fraction] = {}  # integer weight -> its fraction
     trace: list[RoundRecord] = []
     for index, (best, current) in enumerate(_greedy_rounds(profile, k, rows), start=1):
+        table = {}
         for c in unelected:
-            if scaled[c] != current[c]:
-                scaled[c] = current[c]
-                shown[c] = Fraction(current[c], scale)
-        trace.append(RoundRecord(index, best, shown[best], {c: shown[c] for c in unelected}))
+            value = current[c]
+            weight = shared.get(value)
+            if weight is None:
+                weight = shared[value] = Fraction(value, scale)
+            table[c] = weight
+        trace.append(RoundRecord(index, best, table[best], table))
         unelected.remove(best)
     return trace
 

@@ -107,6 +107,104 @@ class TestProfile:
         assert profile.approval_scores == (2, 3, 0)
 
 
+def _pair_stream(seed, count):
+    """Seeded ``(m, pairs)`` cases: a few approval sets reused across pairs,
+    empty ones among them, and multiplicities up to 10^9."""
+    rng = random.Random(f"from-groups|{seed}")
+    for _ in range(count):
+        m = rng.randint(1, 8)
+        sets = [rng.sample(range(m), rng.randint(0, m)) for _ in range(rng.randint(1, 4))]
+        pairs = [
+            (rng.choice(sets), rng.choice([1, 1, 2, rng.randint(1, 10**9)]))
+            for _ in range(rng.randint(1, 12))
+        ]
+        yield m, pairs
+
+
+def _built(build):
+    """The profile ``build()`` returns, or the text of the `ProfileError` it
+    raises."""
+    try:
+        return build()
+    except ProfileError as error:
+        return str(error)
+
+
+def _reference(m, pairs):
+    """The profile of one `Ballot` per pair (its index derived from them)."""
+    return BallotProfile(m, [Ballot(frozenset(approved), mult) for approved, mult in pairs])
+
+
+class TestFromGroups:
+    """`from_groups` builds the index straight from its pairs; it must agree
+    with a profile of `Ballot` objects, which `conftest.profile_of` (built
+    through `from_groups`) cannot show."""
+
+    def test_every_view_matches_a_profile_of_ballots(self):
+        for m, pairs in _pair_stream(seed=1, count=400):
+            reference = _reference(m, pairs)
+            # generator inputs, read once
+            built = [
+                BallotProfile.from_groups(m, ((iter(a), mult) for a, mult in pairs)),
+            ]
+            if all(mult == 1 for _, mult in pairs):
+                built.append(BallotProfile.from_approval_sets(m, (iter(a) for a, _ in pairs)))
+            for profile in built:
+                index, expected = profile.index, reference.index
+                assert "ballots" not in profile.__dict__  # built when first read
+                assert list(map(set, index.members)) == list(map(set, expected.members))
+                assert all(type(group) is frozenset for group in index.members)
+                assert index.mults == expected.mults
+                assert index.entries == expected.entries
+                assert index.order == expected.order
+                assert index.masks == expected.masks
+                assert profile.ballots == reference.ballots
+                assert profile.n == reference.n
+                assert profile.owners == reference.owners
+                assert profile == reference and reference == profile
+                assert hash(profile) == hash(reference)
+
+    def test_expand_gives_one_unit_ballot_per_voter(self):
+        for m, pairs in _pair_stream(seed=2, count=200):
+            pairs = [(approved, mult % 5 + 1) for approved, mult in pairs]
+            expanded = BallotProfile.from_groups(m, pairs).expand()
+            assert "ballots" not in expanded.__dict__
+            units = [Ballot(frozenset(a), 1) for a, mult in pairs for _ in range(mult)]
+            assert expanded.ballots == tuple(units)
+            assert expanded == _reference(m, [(b.approved, 1) for b in units])
+
+    def test_seeded_faults_match_a_profile_of_ballots(self):
+        # a zero or negative multiplicity, m < 1, no pairs and out-of-range
+        # indices, alone and together: the same message, hence the same
+        # precedence
+        rng = random.Random("from-groups-faults")
+        faults = set()  # the first word of each message met
+        for m, pairs in _pair_stream(seed=3, count=600):
+            if rng.random() < 0.2:
+                m = rng.choice([0, -1, m])
+            if rng.random() < 0.3:
+                pairs = pairs[: rng.randint(0, 1)]
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                i = rng.randrange(len(pairs)) if pairs else 0
+                approved, mult = pairs[i] if pairs else ([], 1)
+                if rng.random() < 0.5:
+                    approved = approved + [rng.choice([-2, -1, m, m + 3, 10**12])]
+                else:
+                    mult = rng.choice([0, -1])
+                pairs = pairs[:i] + [(approved, mult)] + pairs[i + 1:]
+            expected = _built(lambda: _reference(m, pairs))
+            actual = _built(lambda: BallotProfile.from_groups(m, iter(pairs)))
+            if all(mult == 1 for _, mult in pairs):
+                unit = _built(lambda: BallotProfile.from_approval_sets(m, (a for a, _ in pairs)))
+                assert unit == actual
+            if isinstance(expected, str):
+                faults.add(expected.split()[0])
+                assert actual == expected, (m, pairs)
+            else:
+                assert actual == expected and actual.index.entries == expected.index.entries
+        assert faults == {"ballot", "num_candidates", "profile", "candidate"}
+
+
 class TestCommittee:
     def test_members_sorted_and_distinct(self):
         assert Committee.of([2, 0]).members == (0, 2)
@@ -122,6 +220,54 @@ class TestCommittee:
         assert len(committee) == 2
 
 
+def _reference_weight_error(values):
+    """The message a weight vector's checks give, compared as fractions, or
+    None if it is valid."""
+    weights = [Fraction(v) for v in values]
+    if weights[0] != 1:
+        return f"w_1 must equal 1, got {weights[0]}"
+    if any(w < 0 for w in weights):
+        return "weights must be non-negative"
+    if any(a < b for a, b in zip(weights, weights[1:])):
+        return "weights must be non-increasing"
+    return None
+
+
+def _weight_stream(seed, count):
+    """Seeded weight vectors: non-increasing runs of fractions with
+    numerators and denominators near 10^9, equal neighbours and zero tails,
+    some spoilt by w_1 != 1, one negative entry or one increase."""
+    rng = random.Random(f"weights|{seed}")
+    big = 10**9
+    for _ in range(count):
+        tail = []
+        for _ in range(rng.randint(0, 8)):
+            den = rng.randint(big - 50, big + 50)
+            tail.append(Fraction(rng.randint(0, den), den))
+        tail.sort(reverse=True)
+        # equal neighbours, by value and as equal fractions spelled apart
+        for i in range(len(tail) - 1):
+            if rng.random() < 0.2:
+                tail[i + 1] = tail[i]
+        tail += [Fraction(0)] * rng.randint(0, 3)
+        values = [Fraction(1)] + tail
+        fault = rng.choice(["none", "none", "w1", "negative", "increase"])
+        if fault == "w1":
+            values[0] = rng.choice([Fraction(big - 1, big), Fraction(big + 1, big), Fraction(0)])
+        elif fault == "negative":
+            i = rng.randrange(1, len(values) + 1)
+            values[i:i + 1] = [Fraction(-rng.randint(1, 3), rng.randint(big - 5, big + 5))]
+        elif fault == "increase" and len(values) > 1:
+            # the smallest step a denominator near 10^9 allows
+            i = rng.randrange(1, len(values))
+            a, d = values[i - 1].as_integer_ratio()
+            if a < d:
+                values[i] = Fraction(a * (d + 1) + 1, d * (d + 1))
+        # the spellings a vector accepts: fractions, integers and strings
+        yield [rng.choice([v, str(v)]) if v.denominator != 1 else rng.choice([v, int(v), str(v)])
+               for v in values]
+
+
 class TestWeightVector:
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -130,6 +276,21 @@ class TestWeightVector:
             WeightVector((Fraction(1), Fraction(2)))
         with pytest.raises(ValueError):
             WeightVector((Fraction(1), Fraction(-1)))
+        # seeded vectors against a reference that compares fractions
+        outcomes = {}
+        for values in _weight_stream(seed=1, count=1500):
+            expected = _reference_weight_error(values)
+            try:
+                vector = WeightVector(tuple(values))
+            except ValueError as error:
+                actual = str(error)
+            else:
+                actual = None
+                assert vector.weights == tuple(map(Fraction, values))
+            assert actual == expected, values
+            kind = expected and expected.split(",")[0]
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+        assert len(outcomes) == 4 and min(outcomes.values()) > 100, outcomes
 
     def test_factories(self):
         assert WeightVector.harmonic(3).weights == (1, Fraction(1, 2), Fraction(1, 3))
