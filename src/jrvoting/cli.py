@@ -14,8 +14,9 @@ comma-separated indices; it contains no timing, so identical inputs produce
 byte-identical output.
 
 The module loads `core` only.  The argument parser loads `rules` (and with
-it `solver` and `axioms`) for its choices, and each command loads the layers
-it runs when it runs, so only the commands that use `corpus` load it.
+it `axioms`) for its choices, and each command loads the layers it runs when
+it runs: only a search loads `solver`, so `check` and `find` never do, and
+only the commands that use `corpus` load it.
 """
 
 from __future__ import annotations
@@ -405,8 +406,7 @@ def _cmd_compute(args) -> int:
     k = _resolve_k(args.k, file_k)
     weights = _parse_weights(args.weights) if args.weights else None
     spec = rules.RuleSpec(args.rule, weights=weights, tiebreak=TieBreak(args.tiebreak))
-    committee = rules.compute_rule(profile, k, spec, budget=args.budget)
-    score = rules.report_score(profile, k, spec, committee)
+    committee, score = rules.compute_with_score(profile, k, spec, budget=args.budget)
     _emit(
         [
             ("command", "compute"),

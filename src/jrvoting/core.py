@@ -517,7 +517,9 @@ def _greedy_rounds(
     so gains never rise and a heap keyed (-gain, candidate) finds each
     winner lazily: a popped entry whose key is stale goes back with its
     current gain, and the first popped entry whose key is current is the
-    lowest-index maximum (the accelerated greedy of Minoux, 1978).
+    lowest-index maximum (the accelerated greedy of Minoux, 1978).  It runs
+    the sequential rules and `find --axiom jr`; the Thiele search runs its
+    greedy floor on its own bitsets instead (`solver._maximize`).
     """
     index, owners = profile.index, profile.owners
     members, mults = index.members, index.mults

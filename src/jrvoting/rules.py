@@ -6,18 +6,24 @@ Two families:
   minimax-distance) dispatch to the exact solver;
 * sequential rules elect one candidate per round, reweighting each voter's
   contribution by how many of their approved candidates are already elected.
-  One round loop, `core._greedy_rounds`, serves them all, and the Thiele
-  search's greedy floor too.  It runs over the profile's ballot groups on
-  the integer gain rows of `core._gain_rows`, so only w_1 .. w_min(s, k) are
-  scaled, for the largest ballot size s, and it takes each round's winner
-  from a lazy max-heap.  `sequential_trace` also keeps every round's weight
-  table, `compute_sequential_rule` only the winners.  With coverage
-  weights (1, 0, ..., 0) it is greedy approval voting, the `gav` rule, which
-  is also the paper's construction of a committee providing justified
-  representation (`axioms.find_jr_committee`).
+  One round loop, `core._greedy_rounds`, serves them all (the Thiele
+  search runs its greedy floor on its own bitsets).  It runs over the
+  profile's ballot groups on the integer gain rows of `core._gain_rows`, so
+  only w_1 .. w_min(s, k) are scaled, for the largest ballot size s, and it
+  takes each round's winner from a lazy max-heap.  `sequential_trace` also
+  keeps every round's weight table, `compute_sequential_rule` only the
+  winners.  With coverage weights (1, 0, ..., 0) it is greedy approval
+  voting, the `gav` rule, which is also the paper's construction of a
+  committee providing justified representation (`axioms.find_jr_committee`).
 
 On top of these sit two representation-constrained rules that optimize over
 the committees providing justified representation only.
+
+`compute_with_score` gives a rule's committee with the score `report_score`
+would give it, from the one computation: a searched rule reports the score
+its search found, and a family rule builds its weight vector once, for the
+committee and its score.  The module loads the solver only when a search
+runs, so a command that runs none never loads it.
 """
 
 from __future__ import annotations
@@ -41,7 +47,18 @@ from .core import (
     score_committee,
     wpav_objective,
 )
-from .solver import OptimizationRequest, _best_accepted, optimize_committee
+
+# the solver's names, read from it when asked for, so that importing this
+# module does not load the solver
+_SOLVER_NAMES = ("OptimizationRequest", "_best_accepted", "optimize_committee")
+
+
+def __getattr__(name: str):
+    if name in _SOLVER_NAMES:
+        from . import solver
+
+        return getattr(solver, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -153,10 +170,17 @@ def compute_score_rule(
     budget: Optional[int] = None,
 ) -> Committee:
     """Winner of a score-optimizing rule, via the exact solver."""
-    request = OptimizationRequest(
-        profile=profile, k=k, objective=objective, tiebreak=tiebreak, budget=budget
-    )
-    return optimize_committee(request).committee
+    return _searched(profile, k, objective, tiebreak, budget)[0]
+
+
+def _searched(profile: BallotProfile, k: int, objective: ScoringObjective,
+              tiebreak: TieBreak, budget: Optional[int]):
+    """The solver's committee, and a call that gives the score its search
+    found."""
+    from .solver import OptimizationRequest, optimize_committee
+
+    result = optimize_committee(OptimizationRequest(profile, k, objective, tiebreak, budget))
+    return result.committee, lambda: result.score
 
 
 def compute_ujrav(
@@ -170,6 +194,8 @@ def compute_ujrav(
     would beat the best one so far.  At least one committee always
     qualifies, so this never fails.  The budget counts search nodes.
     """
+    from .solver import _best_accepted
+
     return _best_accepted(
         profile, k, lambda w: axioms.check_jr(profile, k, w).passed, AV, budget
     )
@@ -191,6 +217,8 @@ def compute_ejrav(
     nodes over both passes; one that runs out in the second reports the
     first pass's committee, justified, as the best so far.
     """
+    from .solver import _best_accepted
+
     return _best_accepted(
         profile, k, lambda w: axioms.check_jr(profile, k, w).passed, "maximin", budget
     )
@@ -204,7 +232,10 @@ def compute_ejrav(
 
 @dataclass(frozen=True)
 class _Rule:
-    compute: Callable[..., Committee]  # (profile, k, spec, budget)
+    # (profile, k, spec, budget) -> the committee, and a call that gives the
+    # score `report_score` reports for it from the same computation, so
+    # `compute_rule` pays nothing for a score it does not report
+    compute: Callable[..., tuple[Committee, Callable[[], Fraction]]]
     score: Callable[..., Fraction]  # (profile, spec, committee)
     family: Optional[Callable[[BallotProfile], WeightVector]] = None
     explicit_weights: bool = False
@@ -213,7 +244,7 @@ class _Rule:
 
 def _score_rule(objective: ScoringObjective, family=None) -> _Rule:
     return _Rule(
-        lambda p, k, s, b: compute_score_rule(p, k, objective, s.tiebreak, b),
+        lambda p, k, s, b: _searched(p, k, objective, s.tiebreak, b),
         lambda p, s, w: score_committee(p, w, objective),
         family,
     )
@@ -221,13 +252,15 @@ def _score_rule(objective: ScoringObjective, family=None) -> _Rule:
 
 def _weighted_rule(family, sequential: bool = False) -> _Rule:
     """The optimal Thiele rule of a weight family (None: the spec's explicit
-    vector) or, if ``sequential``, its round-by-round counterpart."""
+    vector) or, if ``sequential``, its round-by-round counterpart.  Each
+    `compute` builds the vector once, for the committee and its score."""
 
     def compute(p, k, s, b):
-        weights = rule_weights(s, p)
-        if sequential:
-            return compute_sequential_rule(p, k, weights)
-        return compute_score_rule(p, k, wpav_objective(weights), s.tiebreak, b)
+        objective = wpav_objective(rule_weights(s, p))
+        if not sequential:
+            return _searched(p, k, objective, s.tiebreak, b)
+        committee = compute_sequential_rule(p, k, objective.weights)
+        return committee, lambda: score_committee(p, committee, objective)
 
     return _Rule(
         compute,
@@ -236,6 +269,17 @@ def _weighted_rule(family, sequential: bool = False) -> _Rule:
         explicit_weights=family is None,
         searches=not sequential,
     )
+
+
+def _justified_rule(compute, score) -> _Rule:
+    """A rule over the committees providing justified representation; its
+    score is read from its committee, which builds no weight vector."""
+
+    def run(p, k, s, b):
+        committee = compute(p, k, b)
+        return committee, lambda: score(p, s, committee)
+
+    return _Rule(run, score)
 
 
 _RULES: dict[str, _Rule] = {
@@ -252,11 +296,11 @@ _RULES: dict[str, _Rule] = {
     ),
     "wrav": _weighted_rule(None, sequential=True),
     # both tie-break modes coincide: every committee searched provides JR
-    "ujrav": _Rule(
-        lambda p, k, s, b: compute_ujrav(p, k, b), lambda p, s, w: score_committee(p, w, AV)
+    "ujrav": _justified_rule(
+        lambda p, k, b: compute_ujrav(p, k, b), lambda p, s, w: score_committee(p, w, AV)
     ),
-    "ejrav": _Rule(
-        lambda p, k, s, b: compute_ejrav(p, k, b),
+    "ejrav": _justified_rule(
+        lambda p, k, b: compute_ejrav(p, k, b),
         lambda p, s, w: Fraction(min((mask & w.mask).bit_count() for mask in p.index.masks)),
     ),
 }
@@ -269,6 +313,21 @@ def compute_rule(
 ) -> Committee:
     """Run the rule described by ``spec`` on the profile; ``budget`` bounds
     the search nodes of the rules that search."""
+    return _compute(profile, k, spec, budget)[0]
+
+
+def compute_with_score(
+    profile: BallotProfile, k: int, spec: RuleSpec, budget: Optional[int] = None
+) -> tuple[Committee, Fraction]:
+    """`compute_rule`'s committee and the score `report_score` gives it, from
+    one computation: a searched rule reports the score its search found, a
+    sequential rule scores its committee on the weight vector its rounds ran
+    on, and `ujrav` and `ejrav` read theirs from their committee."""
+    committee, score = _compute(profile, k, spec, budget)
+    return committee, score()
+
+
+def _compute(profile: BallotProfile, k: int, spec: RuleSpec, budget: Optional[int]):
     rule = _RULES[spec.name]
     if budget is not None and not rule.searches:
         raise ValueError(f"rule {spec.name!r} elects round by round and takes no search budget")

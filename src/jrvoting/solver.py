@@ -27,18 +27,20 @@ above it keeps those gains.  Until it holds an incumbent the search
 prunes against the exact score of the greedy committee: with
 non-increasing weights the score is monotone submodular, so greedy is
 within 1 - 1/e of the optimum (Nemhauser, Wolsey & Fisher 1978), and every
-optimum reaches its score.  That score is the sum of the winners' gains in
-the sequential rules' round loop (`core._greedy_rounds`), run on the
-search's own rows and denominator.  Each search holds one position → label
-order, and its per-position views (the groups approving each position's
-candidate, as tuples and as a bitmask, and their voter bits) are built once
-per order.  When the greedy floor is below the ceiling and the search has no
-leaf requirement, it visits the candidates in descending root gain, ties by
-label, so that early subtrees no longer keep the strongest candidates for
-later seats and their bounds are tighter (traced seed 0 of the thiele-urn
-benchmark: 4,057 → 1,096 nodes).  Ties still go to the first optimum in
-label order: out of label order, a leaf also replaces an incumbent it ties
-and comes before, and a child whose bound only ties the incumbent is visited
+optimum reaches its score.  That score is the sum of the winners' gains
+over k greedy rounds on the search's own bitsets: each round takes the
+first candidate of largest gain and lowers every gain by the voters it
+moves up a level, the step that gives a child its gains from its parent's.
+Each search holds one position → label order.  Its per-candidate views
+(the groups approving each candidate as a bitmask, and their voter bits)
+are built once per search, in label order, straight from the ballot
+groups, and a reorder permutes them.  When the greedy floor is below the
+ceiling and the search has no leaf requirement, it visits the candidates in
+descending root gain, ties by label, so that early subtrees no longer keep
+the strongest candidates for later seats and their bounds are tighter
+(traced seed 0 of the thiele-urn benchmark: 4,057 → 1,096 nodes).  Ties
+still go to the first optimum in label order: out of label order, a leaf
+also replaces an incumbent it ties and comes before, and a child whose bound only ties the incumbent is visited
 only if the first committee in label order that could reach that bound
 below it, which fills its open seats with candidates of its largest gains,
 comes before the incumbent.  A search out of label order that reaches the
@@ -97,7 +99,6 @@ from .core import (
     ScoringObjective,
     TieBreak,
     _gain_rows,
-    _greedy_rounds,
 )
 
 
@@ -140,15 +141,16 @@ class _Search:
     ballot size and multiplicity.  The search runs over positions 0 .. m - 1
     and visits the position subsets in lexicographic order; position p holds
     the candidate ``labels[p]``, or p itself while ``labels`` is None (label
-    order).  `reorder` sets that order, and the per-position views follow
-    it, each built once per order on first use: ``owners[p]`` the groups
-    approving position p's candidate, ``masks[p]`` the same as a bitmask
-    over the groups, and ``bits[p]`` the voter bits of those groups (see
-    ``spans``).  ``accept`` is a leaf requirement, evaluated only at a leaf
-    that would replace the incumbent: a leaf replaces it only when it is
-    better and passes ``accept``.  The search prunes every subtree that
-    cannot beat the incumbent and ends at an incumbent worth the ceiling or
-    more.
+    order).  Each per-candidate view is built once per search, in label
+    order and straight from the ballot groups, when first read:
+    ``label_masks[c]`` the groups approving candidate c as a bitmask, and
+    ``label_bits[c]`` the voter bits of those groups (see ``spans``).
+    ``masks`` and ``bits`` are the same views by position: `reorder` sets the
+    order, and they are permuted from the label-order builds.  ``accept`` is
+    a leaf requirement, evaluated only at a leaf that would replace the
+    incumbent: a leaf replaces it only when it is better and passes
+    ``accept``.  The search prunes every subtree that cannot beat the
+    incumbent and ends at an incumbent worth the ceiling or more.
     """
 
     def __init__(self, profile: BallotProfile, k: int, budget: Optional[int], *, accept=None):
@@ -168,20 +170,50 @@ class _Search:
 
     def reorder(self, labels: Optional[list[int]]) -> None:
         """Hold the candidate ``labels[p]`` at position p, or p itself if
-        ``labels`` is None; views built for another order are dropped."""
+        ``labels`` is None; the views follow, permuted from their label-order
+        builds."""
         if labels != self.labels:
             self.labels = labels
-            for view in ("owners", "masks", "bits"):
+            for view in ("masks", "bits"):
                 self.__dict__.pop(view, None)
 
+    def _ordered(self, view: list[int]) -> list[int]:
+        # a label-order view in the search's order
+        return view if self.labels is None else [view[c] for c in self.labels]
+
     @cached_property
-    def owners(self) -> Sequence[tuple[int, ...]]:
-        owners = self.profile.owners
-        return owners if self.labels is None else [owners[c] for c in self.labels]
+    def label_masks(self) -> list[int]:
+        """For each candidate, in label order, the groups approving it as a
+        bitmask; built once per search, straight from the ballot groups."""
+        masks = [0] * self.m
+        for g, members in enumerate(self.profile.index.members):
+            bit = 1 << g
+            for c in members:
+                masks[c] |= bit
+        return masks
+
+    @cached_property
+    def label_bits(self) -> list[int]:
+        """For each candidate, in label order, the voter bits of the groups
+        approving it (see ``spans``); built once per search, straight from
+        the ballot groups."""
+        owned = [0] * len(self.sizes)
+        for g, _, span in self.spans:
+            owned[g] |= span
+        bits = [0] * self.m
+        for members, mine in zip(self.profile.index.members, owned):
+            if mine:
+                for c in members:
+                    bits[c] |= mine
+        return bits
 
     @cached_property
     def masks(self) -> list[int]:
-        return [sum(1 << g for g in groups) for groups in self.owners]
+        return self._ordered(self.label_masks)
+
+    @cached_property
+    def bits(self) -> list[int]:
+        return self._ordered(self.label_bits)
 
     @cached_property
     def spans(self) -> list[tuple[int, int, int]]:
@@ -201,13 +233,6 @@ class _Search:
                     width += count
                 digit += 1
         return spans
-
-    @cached_property
-    def bits(self) -> list[int]:
-        owned = [0] * len(self.sizes)
-        for g, _, span in self.spans:
-            owned[g] |= span
-        return [sum(owned[g] for g in groups) for groups in self.owners]
 
     def score(self, value: int) -> Fraction:
         return Fraction(value, self.denominator)
@@ -329,20 +354,24 @@ def _maximize(search: _Search, objective: ScoringObjective, optimum: Optional[in
     of any committee, is given, the search ends at the first accepted
     committee worth it.
 
-    With no leaf requirement and no ``optimum``, and a greedy floor below
-    the ceiling, the search visits the candidates in descending root gain,
-    ties by label: the first greedy round offers the root gains, `_Search`
-    holds that order and builds ``bits`` in it, and `run` maps the winners
-    back to labels.  A committee below a child that ties the child's bound
-    fills its open seats with candidates of the child's largest gains, so
-    `rest` gives the first such filling in label order: every candidate of
-    a gain above the smallest of those gains and the earliest labels of
-    that gain, read from the child's own gains if `reaches` just built
-    them, else from the node's.  An ordered search that reaches the ceiling stops there, and the
-    search runs again in label order with the ceiling as ``optimum``, which
-    ends at the first committee worth it; a budget that runs out there
-    reports the ordered search's committee.  A floor at the ceiling keeps
-    label order, so that search ends at its first committee worth it.
+    Without a leaf requirement or an ``optimum``, the floor is the greedy
+    committee's score: k rounds on the search's bitsets, each taking the
+    first candidate, in label order, of largest gain and lowering every gain
+    by the voters it moves up a level (`lowered`, the step `child_gains`
+    applies to later candidates).  While that floor is below the ceiling,
+    the search visits the candidates in descending root gain, ties by
+    label: `_Search` holds that order and permutes ``bits`` into it, and
+    `run` maps the winners back to labels.  A committee below a child that
+    ties the child's bound fills its open seats with candidates of the
+    child's largest gains, so `rest` gives the first such filling in label
+    order: every candidate of a gain above the smallest of those gains and
+    the earliest labels of that gain, read from the child's own gains if
+    `reaches` just built them, else from the node's.  An ordered search that
+    reaches the ceiling stops there, and the search runs again in label
+    order with the ceiling as ``optimum``, which ends at the first committee
+    worth it; a budget that runs out there reports the ordered search's
+    committee.  A floor at the ceiling keeps label order, so that search
+    ends at its first committee worth it.
 
     A group owns one bit per unit of each base-64 digit of its multiplicity
     (`_Search.spans`), worth 64 ** d for digit d.  ``levels[j]`` holds the
@@ -368,24 +397,6 @@ def _maximize(search: _Search, objective: ScoringObjective, optimum: Optional[in
     sizes, mults, m, k = search.sizes, search.mults, search.m, search.k
     rows, search.denominator = _gain_rows(objective, set(sizes), k)
     ceiling = sum(mult * sum(rows[size][:size]) for size, mult in zip(sizes, mults))
-    floor, order = 0, None  # every committee scores 0 or more
-    if optimum is not None:
-        floor = ceiling = optimum
-    elif search.accept is None:
-        # the greedy committee's score, on the search's own rows: every
-        # optimum reaches it
-        root = None
-        for winner, offered in _greedy_rounds(search.profile, k, rows):
-            if root is None:
-                root = offered[:]  # the first round offers the root gains
-            if not offered[winner]:
-                break  # gains only shrink: the remaining seats add nothing
-            floor += offered[winner]
-        if floor < ceiling:
-            # descending root gain; a stable sort keeps ties in label order
-            order = sorted(range(m), key=root.__getitem__, reverse=True)
-    search.reorder(order)
-    bits = search.bits
     masks: dict[tuple[tuple[int, ...], int], int] = {}  # (row, digit) -> its bits
     for g, digit, span in search.spans:
         key = rows[sizes[g]], digit
@@ -401,22 +412,12 @@ def _maximize(search: _Search, objective: ScoringObjective, optimum: Optional[in
             if drop:
                 drops.setdefault(j, []).append((mask, drop))
     falls = sorted(drops.items())
-    levels = [sum(masks.values())] + [0] * k
-    # the node's state, saved by `add` for each seated candidate and restored
-    # by `undo`: its levels and its gains.  The gains run from the node's
-    # first candidate to the last, so candidate c's is gains[c - m]
-    gains = [sum(row[0] * (mine & mask).bit_count() for mask, row in classes) for mine in bits]
-    saved: list[tuple[list[int], list[int]]] = []
-    tested: Optional[tuple[int, list[int]]] = None  # the child last asked of, and its gains
-    passed = False  # whether the node last seated passed `reaches`
-    scores = [0]  # the score of each prefix of the committee
 
-    def child_gains(c: int, depth: int) -> list[int]:
-        # the node's gains after c, less each gain's share of the voters
-        # that seating c moves up from a level where their unit gain drops;
-        # the child is not a leaf, so c < m - 1 and the slice is not empty
-        mine, after = bits[c], bits[c + 1:]
-        child = gains[c + 1 - m:]
+    def lowered(gains: list[int], after: Sequence[int], mine: int, levels: list[int],
+                depth: int) -> list[int]:
+        # the gains of the candidates whose bits are `after`, each less its
+        # share of the voters that seating the bits `mine` moves up from a
+        # level where their unit gain drops; no voter is above `depth`
         for j, here in falls:
             if j > depth:
                 break
@@ -425,23 +426,71 @@ def _maximize(search: _Search, objective: ScoringObjective, optimum: Optional[in
                 for mask, drop in here:
                     held = moved & mask
                     if held:
-                        child = [gain - drop * (b & held).bit_count() for gain, b in zip(child, after)]
-        return child
+                        gains = [gain - drop * (b & held).bit_count() for gain, b in zip(gains, after)]
+        return gains
+
+    def raised(levels: list[int], mine: int, depth: int) -> list[int]:
+        # the levels after seating the bits `mine`: each of its voters moves
+        # up one level
+        levels = levels[:]
+        for j in range(depth, -1, -1):
+            moved = levels[j] & mine
+            if moved:
+                levels[j] ^= moved
+                levels[j + 1] |= moved
+        return levels
+
+    levels = [sum(masks.values())] + [0] * k
+    bits = search.label_bits
+    # the root's gains, with every voter at level 0, in label order
+    gains = [sum(row[0] * (mine & mask).bit_count() for mask, row in classes) for mine in bits]
+    floor, order = 0, None  # every committee scores 0 or more
+    if optimum is not None:
+        floor = ceiling = optimum
+    elif search.accept is None:
+        # the greedy committee's score, on the search's own bitsets: each
+        # round seats the first candidate of largest gain, and every optimum
+        # reaches the sum of those gains.  A seated candidate's gain is
+        # negative, so it is not taken again
+        offered, rising = gains[:], levels
+        for depth in range(k):
+            gain = max(offered)
+            if gain <= 0:
+                break  # gains only shrink: the remaining seats add nothing
+            floor += gain
+            if depth + 1 < k:
+                winner = offered.index(gain)
+                offered[winner] = -1
+                offered = lowered(offered, bits, bits[winner], rising, depth)
+                rising = raised(rising, bits[winner], depth)
+        if floor < ceiling:
+            # descending root gain; a stable sort keeps ties in label order
+            order = sorted(range(m), key=gains.__getitem__, reverse=True)
+            gains = [gains[c] for c in order]
+    search.reorder(order)
+    bits = search.bits
+    # the node's state, saved by `add` for each seated candidate and restored
+    # by `undo`: its levels and its gains.  The gains run from the node's
+    # first candidate to the last, so candidate c's is gains[c - m]
+    saved: list[tuple[list[int], list[int]]] = []
+    tested: Optional[tuple[int, list[int]]] = None  # the child last asked of, and its gains
+    passed = False  # whether the node last seated passed `reaches`
+    scores = [0]  # the score of each prefix of the committee
+
+    def child_gains(c: int, depth: int) -> list[int]:
+        # the node's gains after c, less the drops seating c causes; the
+        # child is not a leaf, so c < m - 1 and the slice is not empty
+        return lowered(gains[c + 1 - m:], bits[c + 1:], bits[c], levels, depth)
 
     def add(c: int) -> None:
         nonlocal levels, gains, tested, passed
-        depth, mine = len(saved), bits[c]
+        depth = len(saved)
         scores.append(scores[-1] + gains[c - m])
         saved.append((levels, gains))
         passed = tested is not None and tested[0] == c
         if depth + 1 < k:  # a leaf reads only its score
             gains = tested[1] if passed else child_gains(c, depth)
-            levels = levels[:]
-            for j in range(depth, -1, -1):
-                moved = levels[j] & mine
-                if moved:
-                    levels[j] ^= moved
-                    levels[j + 1] |= moved
+            levels = raised(levels, bits[c], depth)
         tested = None
 
     def undo(c: int) -> None:

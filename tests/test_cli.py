@@ -646,7 +646,7 @@ class TestExitCodes:
         def broken(*args, **kwargs):
             raise RuntimeError("broken rule")
 
-        monkeypatch.setattr(rules, "compute_rule", broken)
+        monkeypatch.setattr(rules, "compute_with_score", broken)
         code, out, err = run("compute", "--rule", "pav", "--k", "3", thm7_file)
         assert code == EXIT_INTERNAL and out == ""
         assert err.startswith("internal error: RuntimeError")

@@ -159,6 +159,24 @@ class TestWhatEachEntryPointLoads:
         assert code == status
         assert "jrvoting.corpus" not in layers and "jrvoting.rules" in layers
 
+    @pytest.mark.parametrize(
+        "argv, searches",
+        [
+            (("compute", "--rule", "pav"), True),
+            (("compute", "--rule", "ujrav"), True),
+            (("compute", "--rule", "rav"), False),
+            (("check", "--axiom", "jr", "--committee", "0,1,2"), False),
+            (("check", "--axiom", "ejr", "--committee", "0,1,2"), False),
+            (("check", "--axiom", "sjr", "--committee", "0,1,2"), False),
+            (("find", "--axiom", "jr"), False),
+            (("find", "--axiom", "ell-jr:2"), False),
+        ],
+    )
+    def test_only_a_command_that_searches_loads_the_solver(self, intro_file, argv, searches):
+        code, layers = _fresh(_MAIN, *argv, intro_file)
+        assert code in (0, 1)
+        assert ("jrvoting.solver" in layers) == searches
+
     def test_corpus_command_loads_the_corpus(self):
         code, layers = _fresh(_MAIN, "corpus", "--name", "example1", "--verify")
         assert code == 0 and "jrvoting.corpus" in layers

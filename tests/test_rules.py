@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jrvoting import core
+from jrvoting import core, rules
+from jrvoting.cli import main, serialize_profile
 from jrvoting.axioms import check_ejr, check_jr, find_jr_committee, oracle_check_jr
 from jrvoting.core import (
     AV,
@@ -15,6 +16,7 @@ from jrvoting.core import (
     BudgetExhausted,
     Committee,
     MAV,
+    TieBreak,
     WeightVector,
     normalize_profile,
     score_committee,
@@ -22,11 +24,13 @@ from jrvoting.core import (
 )
 from jrvoting.corpus import UrnLike, build_fixture, random_profile
 from jrvoting.rules import (
+    RULE_NAMES,
     RuleSpec,
     compute_ejrav,
     compute_rule,
     compute_sequential_rule,
     compute_ujrav,
+    compute_with_score,
     report_score,
     rule_weights,
     sequential_trace,
@@ -446,6 +450,70 @@ class TestRepresentationConstrainedOptimality:
                         assert check_jr(profile, k, best).passed
                         assert exc.best_score == value(profile, best)
         assert exhausted > 50 and with_incumbent > 20
+
+
+class TestComputeWithScore:
+    # multiplicities that carry into a new base-64 digit of the search's
+    # voter bits, or sit just below one
+    MULTIPLICITIES = (1, 2, 63, 64, 65, 4096, 10**9)
+
+    def test_printed_score_is_the_report_score_of_the_committee(self, tmp_path, capsys):
+        # every rule, both tie-breaks, with and without a budget: the score
+        # the computation found, and the one `compute` prints, is what
+        # `report_score` gives the committee
+        rng = random.Random("compute-with-score")
+        path = tmp_path / "profile.txt"
+        runs = 0
+        for raw, k in random_instances(seed=2525, count=25, max_n=8, max_m=6, cultures=CULTURES):
+            groups = [(b.approved, rng.choice(self.MULTIPLICITIES))
+                      for b in normalize_profile(raw).ballots]
+            profile = BallotProfile.from_groups(raw.m, groups)
+            path.write_text(serialize_profile(profile, k))
+            values = ([1, 1, Fraction(1, 3), Fraction(1, 3)] + [0] * raw.m)[:raw.m]
+            for name in RULE_NAMES:
+                rule = rules._RULES[name]
+                weights = WeightVector.from_values(values) if rule.explicit_weights else None
+                for tiebreak in TieBreak:
+                    for budget in (None, 10**6):
+                        if not rule.searches and (budget or tiebreak is TieBreak.PREFER_JR):
+                            continue
+                        spec = RuleSpec(name, weights=weights, tiebreak=tiebreak)
+                        committee, score = compute_with_score(profile, k, spec, budget)
+                        assert committee == compute_rule(profile, k, spec, budget)
+                        assert score == report_score(profile, k, spec, committee), (name, spec)
+                        argv = ["compute", "--rule", name, "--tiebreak", tiebreak.value,
+                                "--format", "machine"]
+                        if weights:
+                            argv += ["--weights", ",".join(map(str, values))]
+                        if budget:
+                            argv += ["--budget", str(budget)]
+                        assert main(argv + [str(path)]) == 0
+                        out = capsys.readouterr().out.splitlines()
+                        assert f"committee={','.join(map(str, committee))}" in out
+                        assert f"score={score}" in out
+                        runs += 1
+        assert runs == 25 * 36
+
+    def test_compute_builds_each_family_vector_once(self, monkeypatch, tmp_path, capsys):
+        built = []
+        for family in ("harmonic", "coverage", "geometric", "all_ones"):
+            real = getattr(WeightVector, family)
+
+            def spy(*args, real=real, family=family):
+                built.append(family)
+                return real(*args)
+
+            monkeypatch.setattr(WeightVector, family, staticmethod(spy))
+        path = tmp_path / "profile.txt"
+        path.write_text("m 5\nk 3\n3: 0 1\n2: 2\n1: 3\n1: 0 3\n2: 4\n")
+        for name, family in (("pav", "harmonic"), ("cc", "coverage"), ("rav", "harmonic"),
+                             ("gav", "coverage"), ("geometric-rav", "geometric")):
+            for tiebreak in ("lex", "prefer-jr") if rules._RULES[name].searches else ("lex",):
+                built.clear()
+                argv = ["compute", "--rule", name, "--tiebreak", tiebreak, str(path)]
+                assert main(argv) == 0
+                capsys.readouterr()
+                assert built == [family], (name, tiebreak)
 
 
 class TestProportionality:

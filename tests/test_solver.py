@@ -1,5 +1,7 @@
 """Exact solver: enumeration, optimality against naive search, pruning, budget."""
 
+import collections
+import functools
 import itertools
 import math
 import random
@@ -1150,6 +1152,61 @@ class TestBudget:
         profile = profile_of(4, ({0}, 1))
         with pytest.raises(ValueError):
             OptimizationRequest(profile, 2, SAV, budget=0)
+
+
+class TestOneSetUpPerSearch:
+    """A search builds its per-candidate views once, in label order, straight
+    from the ballot groups; a reorder permutes them, and every later pass on
+    the search reads them again."""
+
+    def test_each_view_is_built_at_most_once_per_search(self, monkeypatch):
+        built = collections.Counter()  # (search, view) -> builds
+        for view in ("label_masks", "label_bits", "spans"):
+            real = getattr(solver._Search, view).func
+
+            def spy(search, real=real, view=view):
+                built[search, view] += 1
+                return real(search)
+
+            prop = functools.cached_property(spy)
+            prop.__set_name__(solver._Search, view)
+            monkeypatch.setattr(solver._Search, view, prop)
+        runs = collections.Counter()  # search -> passes
+        orders = collections.defaultdict(set)  # search -> the orders it held
+        real_run = solver._Search.run
+
+        def run_spy(search, *args, **kwargs):
+            runs[search] += 1
+            orders[search].add(None if search.labels is None else tuple(search.labels))
+            return real_run(search, *args, **kwargs)
+
+        monkeypatch.setattr(solver._Search, "run", run_spy)
+        rng = random.Random("one set-up")
+        for profile, k in itertools.islice(TestRootGainOrder._instances(), 0, None, 7):
+            for objective in TestRootGainOrder._objectives(profile.m, rng) + (MAV,):
+                for tiebreak in TieBreak:
+                    # a budget keeps approval voting off its separable fast path
+                    _solve(profile, k, objective, tiebreak, budget=10**6)
+            compute_ujrav(profile, k)
+            compute_ejrav(profile, k)
+        assert max(built.values()) == 1
+        again = [search for search, passes in runs.items() if passes > 1]
+        # passes in two orders: the Thiele search handing over to label
+        # order, the demand search's two passes, and the prefer-JR pass
+        assert sum(len(orders[search]) > 1 for search in again) > 150
+        assert {view for _, view in built} == {"label_masks", "label_bits", "spans"}
+
+    def test_lex_thiele_searches_read_no_per_candidate_owners(self):
+        # the search reads the ballot groups, not `BallotProfile.owners`
+        # (nor `approval_scores`, built with it)
+        rng = random.Random("no owners")
+        for raw, k in random_instances(seed=2626, count=40, max_n=9, max_m=8,
+                                       cultures=["uniform", "urn", "fixed"]):
+            for objective in TestRootGainOrder._objectives(raw.m, rng):
+                profile = BallotProfile.from_groups(raw.m, zip(raw.index.members, raw.index.mults))
+                result = _solve(profile, k, objective, budget=10**6)
+                assert result == _solve(raw, k, objective, budget=10**6)
+                assert "_tallies" not in vars(profile)
 
 
 class TestDeepSearch:
