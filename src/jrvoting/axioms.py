@@ -10,15 +10,32 @@ Quota comparisons never materialize the rational threshold l*n/k: a group of
 total multiplicity ``size`` meets the level-l quota iff ``k * size >= l * n``,
 which is the same inequality over integers and avoids boundary errors for
 groups of exactly quota size.
+
+The fast checkers work on the profile's ballot groups as integer bitmasks:
+a voter set is a mask over the groups, a candidate's approvers its column
+(`BallotProfile.columns`, built once per profile and shared by every level,
+round and check on it), and a mask's voters an exact weighted popcount
+(`GroupIndex.weigh`).  A check reads the columns only after the cheap test
+that the voters it could name reach the quota at all.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Callable, Optional
 
-from .core import BallotProfile, Committee, WeightVector
+from .core import (
+    BallotProfile,
+    Committee,
+    WeightVector,
+    _columns,
+    _flags_mask,
+    _mask_flags,
+    _weigher,
+)
 
 JR = "jr"
 ELL_JR = "ell-jr"
@@ -67,14 +84,7 @@ def _validate(profile: BallotProfile, k: int, committee: Committee) -> None:
 
 
 def _mask_bits(mask: int) -> tuple[int, ...]:
-    bits = []
-    c = 0
-    while mask:
-        if mask & 1:
-            bits.append(c)
-        mask >>= 1
-        c += 1
-    return tuple(bits)
+    return tuple(itertools.compress(itertools.count(), _mask_flags(mask, 0)))
 
 
 def check_jr(profile: BallotProfile, k: int, committee: Committee) -> AxiomReport:
@@ -111,51 +121,95 @@ def _check_level(profile: BallotProfile, k: int, committee: Committee, ell: int)
     found = _cohesive_set(profile, k, ell, committee.mask)
     if found is None:
         return AxiomReport(ELL_JR, passed=True)
-    return AxiomReport(ELL_JR, passed=False, witness=Witness(ell, *found))
+    candidates, held, size = found
+    witness = Witness(ell, candidates, profile.index.positions(held), size)
+    return AxiomReport(ELL_JR, passed=False, witness=witness)
+
+
+def _active_view(profile: BallotProfile, k: int, ell: int, wmask: int):
+    """The view `_cohesive_set` searches: the active groups, those holding
+    fewer than l members of ``wmask``, as ``(columns, weigh, active, ids)``,
+    or None if all of their voters together miss the level-l quota.
+
+    ``columns[c]`` holds the groups approving candidate c and ``active`` the
+    active groups as bitmasks, and ``weigh`` gives a bitmask's voters.  One
+    pass over the groups' bitmasks counts each group's winners, before any
+    column is read.  The view is the profile's own, with ``ids`` None, where
+    its columns are built or more than an eighth of the groups are active;
+    otherwise it is built over the active groups alone, bit i for group
+    ``ids[i]``.  That build costs about the active share of the profile's
+    and is not kept, so past an eighth the profile's columns, kept for the
+    later levels, rounds and checks on the profile, are built instead.
+    """
+    quota = ell * profile.n
+    index = profile.index
+    groups = len(index.mults)
+    if ell == 1:
+        held = bytes([not mask & wmask for mask in index.masks])
+    else:
+        held = bytes([(mask & wmask).bit_count() < ell for mask in index.masks])
+    if k * sum(itertools.compress(index.mults, held)) < quota:
+        return None
+    count = held.count(1)  # of the active groups
+    if "columns" in vars(profile) or 8 * count > groups:
+        active = (1 << groups) - 1 if count == groups else _flags_mask(held)
+        return profile.columns, index.weigh, active, None
+    ids = list(itertools.compress(itertools.count(), held))
+    columns = _columns(map(index.members.__getitem__, ids), profile.num_candidates)
+    return columns, _weigher([index.mults[g] for g in ids]), (1 << len(ids)) - 1, ids
 
 
 def _cohesive_set(
     profile: BallotProfile, k: int, ell: int, wmask: int, skip: int = 0
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...], int]]:
+) -> Optional[tuple[tuple[int, ...], bytes, int]]:
     """The lexicographically first l-set of candidates outside ``skip`` whose
     common approvers among the active ballots, those holding fewer than l
-    members of ``wmask``, reach the level-l quota, as ``(candidates, ballot
-    indices, voters)``; None if there is none.
+    members of ``wmask``, reach the level-l quota, as ``(candidates, held,
+    voters)``, ``held`` flagging those approvers' groups, one flag per
+    group (`GroupIndex.positions` names their ballots); None if there is
+    none.
 
-    Depth-first over the candidates that reach quota on their own, in index
-    order, carrying the common approvers of the chosen prefix as ballot
-    groups (`BallotProfile.index`).  A prefix below quota is pruned, since
-    support only shrinks as the set grows (Eclat's itemset search).  The
-    stack is explicit because l can exceed Python's recursion limit.
+    It runs on integers, over the bitmasks of `_active_view`, which ends
+    the search if the active voters together miss the quota: depth-first
+    over the candidates whose active approvers reach quota on their own, in
+    index order, carrying the common active approvers of the chosen prefix
+    as one bitmask, weighed by an exact weighted popcount
+    (`core._weigher`).  A prefix below quota is pruned, since support only
+    shrinks as the set grows (Eclat's itemset search on its vertical bit
+    vectors).  The stack is explicit because l can exceed Python's
+    recursion limit.
     """
-    quota = ell * profile.n
-    index = profile.index
-    mults = [
-        mult if (mask & wmask).bit_count() < ell else 0
-        for mask, mult in zip(index.masks, index.mults)
-    ]
-    if k * sum(mults) < quota:
+    view = _active_view(profile, k, ell, wmask)
+    if view is None:
         return None
-    active = frozenset(g for g, mult in enumerate(mults) if mult)
-    columns = [
-        (c, active.intersection(groups))
-        for c, groups in enumerate(profile.owners)
-        if not skip >> c & 1 and k * sum(map(mults.__getitem__, groups)) >= quota
-    ]
-    # (next column, chosen candidates, their common active groups)
+    columns, weigh, active, ids = view
+    quota = ell * profile.n
+    candidates = []
+    for c, column in enumerate(columns):
+        if not skip >> c & 1:
+            column &= active
+            if column and k * weigh(column) >= quota:
+                candidates.append((c, column))
+    # (next candidate, chosen candidates, their common active groups)
     stack = [(0, (), active)]
     while stack:
         j, chosen, common = stack.pop()
-        if len(columns) - j < ell - len(chosen):
+        if len(candidates) - j < ell - len(chosen):
             continue
-        c, column = columns[j]
+        c, column = candidates[j]
         stack.append((j + 1, chosen, common))
         common &= column
-        size = sum(map(mults.__getitem__, common))
+        size = weigh(common)
         if k * size >= quota:
             chosen += (c,)
             if len(chosen) == ell:
-                return chosen, index.positions(common), size
+                groups = len(profile.index.mults)
+                if ids is None:
+                    return chosen, _mask_flags(common, groups), size
+                held = bytearray(groups)
+                for g in itertools.compress(ids, _mask_flags(common, len(ids))):
+                    held[g] = 1
+                return chosen, bytes(held), size
             stack.append((j + 1, chosen, common))
     return None
 
@@ -194,11 +248,12 @@ def check_sjr(profile: BallotProfile, k: int, committee: Committee) -> AxiomRepo
         if wmask >> c & 1 or k * size < n:
             continue
         groups = profile.owners[c]
-        inter = -1
-        for g in groups:
-            inter &= index.masks[g]
+        inter = reduce(and_, map(index.masks.__getitem__, groups))
         if inter & wmask == 0:
-            witness = Witness(1, _mask_bits(inter), index.positions(groups), size)
+            held = bytearray(len(index.mults))
+            for g in groups:
+                held[g] = 1
+            witness = Witness(1, _mask_bits(inter), index.positions(held), size)
             return AxiomReport(SJR, passed=False, witness=witness)
     return AxiomReport(SJR, passed=True)
 

@@ -21,7 +21,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappushpop
-from typing import Collection, Iterable, Iterator, Optional, Union
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -61,6 +61,22 @@ def _as_fraction(value: RationalLike) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_TO_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _flags_mask(flags: bytes) -> int:
+    """The bitmask whose bit i is ``flags[i]``, every flag 0 or 1, read in
+    one pass as a binary numeral."""
+    return int(flags.translate(_TO_DIGITS)[::-1], 2)
+
+
+def _mask_flags(mask: int, length: int) -> bytes:
+    """The inverse of `_flags_mask`: ``length`` flags, flag i the bit i of
+    ``mask``, which has no bit at ``length`` or above."""
+    return bin(mask)[:1:-1].encode().translate(_TO_FLAGS).ljust(length, b"\0")
+
+
 @dataclass(frozen=True)
 class Ballot:
     """One distinct approval set together with the number of voters casting it."""
@@ -90,10 +106,14 @@ class GroupIndex:
     casting it and its bitmask ``masks[g]``, built on first use unless the
     index was built with it.  The members are a frozenset in a profile built
     from ``(approval set, multiplicity)`` pairs (`BallotProfile.from_groups`)
-    or from `Ballot` objects, and a tuple of ascending indices in a parsed
-    one (`cli.parse_profile`).  ``entries`` holds one ``(group,
-    multiplicity)`` pair per distinct ballot (a pair, or a distinct line of
-    a profile document), and ``order[i]`` is the entry of ballot i.
+    or from `Ballot` objects, and a tuple in a parsed one
+    (`cli.parse_profile`), in the order of the first line casting the group:
+    ``1: 3 1`` gives ``(3, 1)``, and only a line read token by token
+    (`cli._read_indices`) gives ascending indices.  ``entries`` holds one
+    ``(group, multiplicity)`` pair per distinct ballot (a pair, or a
+    distinct line of a profile document), and ``order[i]`` is the entry of
+    ballot i.  A set of groups is a bitmask too, bit g for group g: `weigh`
+    gives its voters and `positions` its ballots.
     """
 
     members: tuple[Collection[int], ...]
@@ -126,10 +146,57 @@ class GroupIndex:
             masks.append(mask)
         return tuple(masks)
 
-    def positions(self, groups: Iterable[int]) -> tuple[int, ...]:
-        """The ascending indices of the ballots in ``groups``."""
-        groups, entries = set(groups), self.entries
-        return tuple(i for i, entry in enumerate(self.order) if entries[entry][0] in groups)
+    @cached_property
+    def weigh(self) -> Callable[[int], int]:
+        """``weigh(groups)``: the summed multiplicity of the groups in the
+        bitmask ``groups`` (`_weigher`)."""
+        return _weigher(self.mults)
+
+    def positions(self, held: bytes) -> tuple[int, ...]:
+        """The ascending indices of the ballots of the groups flagged in
+        ``held``, one flag (0 or 1) per group."""
+        entries = self.entries
+        return tuple([i for i, entry in enumerate(self.order) if held[entries[entry][0]]])
+
+
+def _weigher(mults: Sequence[int]) -> Callable[[int], int]:
+    """The exact weighted popcount over groups of multiplicities ``mults``:
+    a function of a bitmask, bit g for group g, giving the summed
+    multiplicity of its groups.  Where every group has one multiplicity it
+    is that multiplicity times the popcount.  Otherwise it adds, over a few
+    masks of groups, a weight times the popcount of the groups in the mask:
+    the most common multiplicity times the popcount, and one mask per other
+    multiplicity, weighted by its excess over the most common one; or, where
+    that takes more masks, one per binary digit of the multiplicities,
+    weighted by its place value."""
+    values = set(mults)
+    if len(values) == 1:
+        mult = mults[0]
+        return int.bit_count if mult == 1 else lambda groups: mult * groups.bit_count()
+    digits = max(values).bit_length()
+    if len(values) <= digits:
+        base = max(values, key=mults.count)
+        planes = [(v - base, bytes([mult == v for mult in mults])) for v in values if v != base]
+    else:
+        base = 0
+        planes = [(1 << d, bytes([mult >> d & 1 for mult in mults])) for d in range(digits)]
+    planes = [(weight, _flags_mask(flags)) for weight, flags in planes if any(flags)]
+    if len(planes) == 1:
+        (weight, plane), = planes
+        return lambda groups: base * groups.bit_count() + weight * (groups & plane).bit_count()
+    return lambda groups: base * groups.bit_count() + sum(
+        [weight * (groups & plane).bit_count() for weight, plane in planes])
+
+
+def _columns(members: Iterable[Iterable[int]], m: int) -> list[int]:
+    """For each of the ``m`` candidates, the bitmask of the groups approving
+    it, bit i for the i-th approval set of ``members``."""
+    columns = [0] * m
+    for i, group in enumerate(members):
+        bit = 1 << i
+        for c in group:
+            columns[c] |= bit
+    return columns
 
 
 def _check_range(num_candidates: int, approval_sets: list[frozenset[int]]) -> None:
@@ -149,9 +216,10 @@ class BallotProfile:
 
     A profile holds one index, `index`, of its ballots grouped by approval
     set, and derives every other view from it when first read: the voter
-    count `n`, the per-ballot `masks`, the per-candidate `owners` (groups)
-    and `approval_scores`, and the `Ballot` objects themselves, built only
-    when `ballots` is read.
+    count `n`, the per-ballot `masks`, the per-candidate `columns` (groups
+    as one bitmask), `owners` (groups as a tuple) and `approval_scores`,
+    and the `Ballot` objects themselves, built only when `ballots` is
+    read.
     A profile built from `Ballot` objects derives the index from them;
     `from_groups` (and `from_approval_sets` and `expand`, which call it) and
     `cli.parse_profile` build the index directly, so their profiles build
@@ -271,6 +339,14 @@ class BallotProfile:
         index = self.index
         pairs = [(index.masks[group], mult) for group, mult in index.entries]
         return tuple(map(pairs.__getitem__, index.order))
+
+    @cached_property
+    def columns(self) -> tuple[int, ...]:
+        """For each candidate, the groups approving it as one bitmask, bit g
+        for group g: the profile's vertical bit-vector layout (Eclat's).
+        The axiom checks and every search on the profile share this one
+        build; a set of groups weighs its voters with `GroupIndex.weigh`."""
+        return tuple(_columns(self.index.members, self.num_candidates))
 
     @cached_property
     def _tallies(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:

@@ -32,9 +32,9 @@ over k greedy rounds on the search's own bitsets: each round takes the
 first candidate of largest gain and lowers every gain by the voters it
 moves up a level, the step that gives a child its gains from its parent's.
 Each search holds one position → label order.  Its per-candidate views
-(the groups approving each candidate as a bitmask, and their voter bits)
-are built once per search, in label order, straight from the ballot
-groups, and a reorder permutes them.  When the greedy floor is below the
+(the groups approving each candidate as a bitmask, the profile's columns,
+built once per profile, and their voter bits, built once per search) are
+in label order; a reorder permutes them.  When the greedy floor is below the
 ceiling and the search has no leaf requirement, it visits the candidates in
 descending root gain, ties by label, so that early subtrees no longer keep
 the strongest candidates for later seats and their bounds are tighter
@@ -141,12 +141,14 @@ class _Search:
     ballot size and multiplicity.  The search runs over positions 0 .. m - 1
     and visits the position subsets in lexicographic order; position p holds
     the candidate ``labels[p]``, or p itself while ``labels`` is None (label
-    order).  Each per-candidate view is built once per search, in label
-    order and straight from the ballot groups, when first read:
-    ``label_masks[c]`` the groups approving candidate c as a bitmask, and
-    ``label_bits[c]`` the voter bits of those groups (see ``spans``).
-    ``masks`` and ``bits`` are the same views by position: `reorder` sets the
-    order, and they are permuted from the label-order builds.  ``accept`` is
+    order).  Its per-candidate views are in label order: the groups
+    approving candidate c as a bitmask, the profile's ``columns[c]``, built
+    once per profile and shared with its other searches and axiom checks
+    (`BallotProfile.columns`), and ``label_bits[c]`` the voter bits of those
+    groups (see ``spans``), built once per search, straight from the ballot
+    groups, when first read.  ``masks`` and ``bits`` are the same views by
+    position: `reorder` sets the order, and they are permuted from the
+    label-order views.  ``accept`` is
     a leaf requirement, evaluated only at a leaf that would replace the
     incumbent: a leaf replaces it only when it is better and passes
     ``accept``.  The search prunes every subtree that cannot beat the
@@ -177,20 +179,9 @@ class _Search:
             for view in ("masks", "bits"):
                 self.__dict__.pop(view, None)
 
-    def _ordered(self, view: list[int]) -> list[int]:
+    def _ordered(self, view: Sequence[int]) -> Sequence[int]:
         # a label-order view in the search's order
         return view if self.labels is None else [view[c] for c in self.labels]
-
-    @cached_property
-    def label_masks(self) -> list[int]:
-        """For each candidate, in label order, the groups approving it as a
-        bitmask; built once per search, straight from the ballot groups."""
-        masks = [0] * self.m
-        for g, members in enumerate(self.profile.index.members):
-            bit = 1 << g
-            for c in members:
-                masks[c] |= bit
-        return masks
 
     @cached_property
     def label_bits(self) -> list[int]:
@@ -208,11 +199,11 @@ class _Search:
         return bits
 
     @cached_property
-    def masks(self) -> list[int]:
-        return self._ordered(self.label_masks)
+    def masks(self) -> Sequence[int]:
+        return self._ordered(self.profile.columns)
 
     @cached_property
-    def bits(self) -> list[int]:
+    def bits(self) -> Sequence[int]:
         return self._ordered(self.label_bits)
 
     @cached_property
@@ -429,11 +420,15 @@ def _maximize(search: _Search, objective: ScoringObjective, optimum: Optional[in
                         gains = [gain - drop * (b & held).bit_count() for gain, b in zip(gains, after)]
         return gains
 
+    # a voter holds no more winners than its ballot has candidates, so no
+    # voter can move up from a level above `top`
+    top = max(sizes, default=0) - 1
+
     def raised(levels: list[int], mine: int, depth: int) -> list[int]:
         # the levels after seating the bits `mine`: each of its voters moves
-        # up one level
+        # up one level; no voter is above `depth` or `top`
         levels = levels[:]
-        for j in range(depth, -1, -1):
+        for j in range(min(depth, top), -1, -1):
             moved = levels[j] & mine
             if moved:
                 levels[j] ^= moved

@@ -4,7 +4,9 @@ per-ballot rational scorer, the full-enumeration optimizer used as the
 solver's oracle, the greedy committee of an objective built from whole
 committee scores, the ballot-deleting greedy cover, the sequential rule
 recomputed from its definition every round, the l-subset scan for the
-first cohesive candidate set, and JR and the maximin read per ballot group."""
+first cohesive candidate set, the frozenset search for it and the
+owner-loop strong check that the column engine replaced, and JR and the
+maximin read per ballot group."""
 
 import itertools
 import random
@@ -239,6 +241,70 @@ def naive_first_cohesive_set(profile, k, ell, wmask, skip=0):
         size = sum(mult for _, mult in group)
         if k * size >= ell * profile.n:
             return combo, tuple(i for i, _ in group), size
+    return None
+
+
+def _ballots_of_groups(index, groups):
+    # the ascending indices of the ballots in the set `groups` of group ids
+    return tuple(i for i, entry in enumerate(index.order) if index.entries[entry][0] in groups)
+
+
+def frozenset_cohesive_set(profile, k, ell, wmask, skip=0):
+    """The cohesive-set search as it ran on frozensets of ballot groups,
+    kept as the column engine's reference: the lexicographically first
+    l-set of candidates outside ``skip`` whose common approvers among the
+    groups holding fewer than l members of ``wmask`` reach the level-l
+    quota, as ``(candidates, ballot indices, voters)``; None if there is
+    none.  Only the naming of the ballots is inlined."""
+    quota = ell * profile.n
+    index = profile.index
+    mults = [
+        mult if (mask & wmask).bit_count() < ell else 0
+        for mask, mult in zip(index.masks, index.mults)
+    ]
+    if k * sum(mults) < quota:
+        return None
+    active = frozenset(g for g, mult in enumerate(mults) if mult)
+    columns = [
+        (c, active.intersection(groups))
+        for c, groups in enumerate(profile.owners)
+        if not skip >> c & 1 and k * sum(map(mults.__getitem__, groups)) >= quota
+    ]
+    # (next column, chosen candidates, their common active groups)
+    stack = [(0, (), active)]
+    while stack:
+        j, chosen, common = stack.pop()
+        if len(columns) - j < ell - len(chosen):
+            continue
+        c, column = columns[j]
+        stack.append((j + 1, chosen, common))
+        common &= column
+        size = sum(map(mults.__getitem__, common))
+        if k * size >= quota:
+            chosen += (c,)
+            if len(chosen) == ell:
+                return chosen, _ballots_of_groups(index, common), size
+            stack.append((j + 1, chosen, common))
+    return None
+
+
+def owner_loop_sjr_witness(profile, k, committee):
+    """The strong check as it looped over each candidate's owner groups:
+    the witness ``(candidates, ballot indices, voters)`` of the first
+    candidate outside the committee whose approvers reach n / k voters and
+    approve in common no committee member; None if there is none."""
+    wmask = committee.mask
+    index = profile.index
+    for c, size in enumerate(profile.approval_scores):
+        if wmask >> c & 1 or k * size < profile.n:
+            continue
+        groups = profile.owners[c]
+        inter = -1
+        for g in groups:
+            inter &= index.masks[g]
+        if inter & wmask == 0:
+            candidates = tuple(d for d in range(profile.m) if inter >> d & 1)
+            return candidates, _ballots_of_groups(index, set(groups)), size
     return None
 
 

@@ -1,5 +1,7 @@
 """Axiom checkers vs. brute-force oracles, greedy constructions, witnesses."""
 
+import collections
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -7,6 +9,11 @@ from fractions import Fraction
 import pytest
 
 from jrvoting.axioms import (
+    EJR,
+    ELL_JR,
+    JR,
+    SJR,
+    AxiomReport,
     check_ejr,
     check_ell_jr,
     check_jr,
@@ -34,7 +41,9 @@ from jrvoting.corpus import (
 from jrvoting.rules import compute_sequential_rule
 
 from conftest import (
+    frozenset_cohesive_set,
     naive_first_cohesive_set,
+    owner_loop_sjr_witness,
     profile_of,
     random_committee,
     random_instances,
@@ -281,6 +290,161 @@ class TestCohesiveSetSearch:
         assert report.witness == Witness(1099, tuple(range(1, 1100)), (0,), 1)
         committee = find_ell_jr_committee(profile, 1099, 1099)
         assert committee.members == tuple(range(1, 1100))
+
+
+def _column_documents(seed, count):
+    """Profile documents for the column engine: multiplicities from 1 to a
+    billion, drawn from palettes of one to seven distinct values, now and
+    then an empty ballot, and lines repeated verbatim."""
+    rng = random.Random(f"columns|{seed}")
+    palettes = [(1,), (3,), (1, 2), (1, 2, 3, 4, 5, 6, 7), (1, 3, 64, 10**9), (10**9,), (5, 7, 10**9)]
+    for raw, k in random_instances(seed=seed, count=count, max_n=30, min_m=5, max_m=9,
+                                   cultures=["uniform", "fixed", "urn"]):
+        palette = rng.choice(palettes)
+        lines = [f"{rng.choice(palette)}:" + "".join(f" {c}" for c in sorted(ballot.approved))
+                 for ballot in raw.ballots]
+        if rng.random() < 0.3:
+            lines.append(f"{rng.choice(palette)}:")
+        for _ in range(rng.randint(0, 3)):
+            lines.insert(rng.randint(0, len(lines)), rng.choice(lines))
+        yield "\n".join([f"m {raw.m}"] + lines) + "\n", k
+
+
+def _column_committees(rng, profile, k):
+    """A random committee, one that covers no voter, one that covers every
+    voter with a nonempty ballot and one that covers every voter but those
+    of the heaviest ballot group, where such committees exist."""
+    committees = [random_committee(rng, profile.m, k)]
+    groups = [set(members) for members in profile.index.members]
+    idle = [c for c in range(profile.m) if c not in set().union(*groups)]
+    if len(idle) >= k:
+        committees.append(Committee.of(idle[:k]))
+    mults = profile.index.mults
+    for left in (set(), groups[mults.index(max(mults))]):
+        cover = set()
+        for members in groups:
+            if members and members != left and not cover & members:
+                cover.add(min(members - left, default=min(members)))
+        rest = [c for c in range(profile.m) if c not in cover | left]
+        if len(cover) <= k <= len(cover) + len(rest):
+            committees.append(Committee.of(sorted(cover) + rest[: k - len(cover)]))
+    return committees
+
+
+def _reference_report(axiom, profile, k, committee, ell):
+    found = frozenset_cohesive_set(profile, k, ell, committee.mask)
+    if found is None:
+        return AxiomReport(axiom, passed=True)
+    return AxiomReport(axiom, passed=False, witness=Witness(ell, *found))
+
+
+def _reference_ell_greedy(profile, k, ell):
+    wmask = 0
+    for _ in range(k // ell):
+        found = frozenset_cohesive_set(profile, k, ell, wmask, wmask)
+        if found is None:
+            break
+        wmask |= sum(1 << c for c in found[0])
+    chosen = [c for c in range(profile.m) if wmask >> c & 1]
+    rest = [c for c in range(profile.m) if not wmask >> c & 1]
+    return Committee.of(chosen + rest[: k - len(chosen)])
+
+
+class TestColumnEngine:
+    """The axiom checks on the profile's candidate columns give the reports
+    and committees of the frozenset search and the owner loop they
+    replaced, whether the columns are built before a check or not."""
+
+    def test_reports_and_committees_match_the_frozenset_search(self):
+        rng = random.Random("column engine")
+        failures = few_active = deep = 0
+        for text, k in _column_documents(seed=2626, count=700):
+            parsed = parse_profile(text)[0]
+            for committee in _column_committees(rng, parsed, k):
+                expected = {}
+                for ell in range(1, k + 1):
+                    expected[ell] = _reference_report(ELL_JR, parsed, k, committee, ell)
+                jr = _reference_report(JR, parsed, k, committee, 1)
+                ejr = next((AxiomReport(EJR, passed=False, witness=report.witness)
+                            for report in expected.values() if report.failed),
+                           AxiomReport(EJR, passed=True))
+                found = owner_loop_sjr_witness(parsed, k, committee)
+                sjr = AxiomReport(SJR, passed=found is None,
+                                  witness=None if found is None else Witness(1, *found))
+                # a fresh profile reads the groups' bitmasks first; a second
+                # profile has its columns built before every check
+                for built in (False, True):
+                    profile = parse_profile(text)[0]
+                    if built:
+                        assert len(profile.columns) == profile.m
+                    reports = [(check_jr(profile, k, committee), jr),
+                               (check_ejr(profile, k, committee), ejr),
+                               (check_sjr(profile, k, committee), sjr)]
+                    reports += [(check_ell_jr(profile, k, committee, ell), expected[ell])
+                                for ell in expected]
+                    for report, reference in reports:
+                        assert repr(report) == repr(reference)
+                        if report.failed:
+                            failures += 1
+                            assert replay_witness(profile, k, committee, report)
+                index = parsed.index
+                for ell, report in expected.items():
+                    held = [g for g, mask in enumerate(index.masks)
+                            if (mask & committee.mask).bit_count() < ell]
+                    # the searches over the few active groups alone
+                    few_active += (8 * len(held) <= len(index.masks)
+                                   and k * sum(index.mults[g] for g in held) >= ell * parsed.n)
+                    deep += report.failed and ell > 1
+            for ell in range(1, k + 1):
+                assert find_ell_jr_committee(parsed, k, ell) == _reference_ell_greedy(parsed, k, ell)
+        # the stream fails checks at deep levels and searches few active groups
+        assert failures > 2000 and deep > 100 and few_active > 40
+
+    def test_columns_are_built_once_per_profile(self, monkeypatch):
+        built = collections.Counter()  # profile id -> column builds
+        real = BallotProfile.columns.func
+        kept = []  # the profiles, alive so that their ids stay theirs
+
+        def spy(profile):
+            built[id(profile)] += 1
+            kept.append(profile)
+            return real(profile)
+
+        prop = functools.cached_property(spy)
+        prop.__set_name__(BallotProfile, "columns")
+        monkeypatch.setattr(BallotProfile, "columns", prop)
+        rng = random.Random("built once")
+        profiles = 0
+        for text, k in _column_documents(seed=77, count=200):
+            for committee in _column_committees(rng, parse_profile(text)[0], k):
+                profile = parse_profile(text)[0]
+                check_ejr(profile, k, committee)
+                for ell in range(1, k + 1):
+                    find_ell_jr_committee(profile, k, ell)
+                    check_ell_jr(profile, k, committee, ell)
+                profiles += 1
+        assert max(built.values()) == 1
+        assert len(built) > profiles // 2  # most profiles reach a search
+
+    def test_witness_over_few_active_groups_names_only_its_own(self):
+        # 14 covered groups and 2 uncovered ones: the search runs over those
+        # two alone, and the witness names the ballots of one of them
+        lines = [f"1: {c}" for c in range(10)] + [f"1: {c} {c + 1}" for c in range(4)]
+        text = "\n".join(["m 12", "1: 11", *lines, "100: 10"]) + "\n"
+        profile = parse_profile(text)[0]
+        committee = Committee.of(range(10))
+        report = check_jr(profile, 10, committee)
+        assert report.witness == Witness(1, (10,), (15,), 100)
+        assert "columns" not in vars(profile)
+        assert repr(report) == repr(_reference_report(JR, profile, 10, committee, 1))
+
+    def test_jr_check_passing_by_the_early_exit_builds_no_columns(self):
+        # 3 of 10 voters go unrepresented, below the quota n / k = 5
+        profile = parse_profile("m 5\n7: 0 1\n2: 2 3\n1: 4\n")[0]
+        assert check_jr(profile, 2, Committee((0, 1))).passed
+        assert check_ejr(profile, 2, Committee((0, 1))).passed
+        assert "columns" not in vars(profile)
+        assert "_tallies" not in vars(profile)
 
 
 class TestExistsSJR:

@@ -15,6 +15,9 @@ from jrvoting.core import (
     ProfileError,
     SAV,
     WeightVector,
+    _flags_mask,
+    _mask_flags,
+    _weigher,
     normalize_profile,
     score_committee,
     wpav_objective,
@@ -203,6 +206,41 @@ class TestFromGroups:
             else:
                 assert actual == expected and actual.index.entries == expected.index.entries
         assert faults == {"ballot", "num_candidates", "profile", "candidate"}
+
+
+class TestColumns:
+    """The per-candidate columns and the exact weighted popcount over them."""
+
+    def test_columns_hold_the_owner_groups(self):
+        for m, pairs in _pair_stream(seed=4, count=300):
+            profile = BallotProfile.from_groups(m, pairs)
+            assert profile.columns == tuple(
+                sum(1 << g for g in owners) for owners in profile.owners
+            )
+
+    @pytest.mark.parametrize("palette", [
+        (1,), (7,), (10**9,), (1, 2), (1, 3, 64, 10**9), (1, 2, 3, 4, 5, 6, 7), tuple(range(1, 40)),
+    ])
+    def test_weigh_sums_the_multiplicities_of_the_groups(self, palette):
+        rng = random.Random(f"weigh|{palette}")
+        for _ in range(200):
+            mults = [rng.choice(palette) for _ in range(rng.randint(1, 90))]
+            weigh = _weigher(mults)
+            for _ in range(5):
+                groups = rng.getrandbits(len(mults))
+                assert weigh(groups) == sum(
+                    mult for g, mult in enumerate(mults) if groups >> g & 1
+                )
+            assert weigh(0) == 0 and weigh((1 << len(mults)) - 1) == sum(mults)
+
+    def test_flags_and_masks_convert_both_ways(self):
+        rng = random.Random("flags")
+        for length in (1, 2, 7, 8, 9, 64, 65, 300):
+            for _ in range(20):
+                mask = rng.getrandbits(length)
+                flags = _mask_flags(mask, length)
+                assert list(flags) == [mask >> i & 1 for i in range(length)]
+                assert _flags_mask(flags) == mask
 
 
 class TestCommittee:

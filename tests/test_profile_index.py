@@ -86,6 +86,15 @@ class TestParsedAgreesWithConstructed:
         assert swapped == Ballot(frozenset({0, 2}), 2)
         assert empty.approved == frozenset()
 
+    def test_members_keep_the_order_of_the_first_line(self):
+        # a group's members are read in the order of the first line casting
+        # it; only a line read token by token comes out in ascending order
+        profile, _ = parse_profile("m 4\n1: 3 1\n2: 1 3\n1: 2 00\n1: 0 2\n")
+        index = profile.index
+        assert index.members == ((3, 1), (0, 2))
+        assert index.mults == (3, 2)
+        assert profile.columns == (0b10, 0b01, 0b10, 0b01)
+
     def test_profiles_stay_immutable_values(self):
         parsed, _ = parse_profile("m 3\n1: 0 1\n2: 2\n")
         constructed = BallotProfile.from_groups(3, [({0, 1}, 1), ({2}, 2)])

@@ -1155,22 +1155,29 @@ class TestBudget:
 
 
 class TestOneSetUpPerSearch:
-    """A search builds its per-candidate views once, in label order, straight
-    from the ballot groups; a reorder permutes them, and every later pass on
-    the search reads them again."""
+    """A search builds its voter bits once, in label order, straight from
+    the ballot groups, and reads the groups approving each candidate from
+    the profile's columns, built once per profile; a reorder permutes them,
+    and every later pass on the search reads them again."""
 
     def test_each_view_is_built_at_most_once_per_search(self, monkeypatch):
-        built = collections.Counter()  # (search, view) -> builds
-        for view in ("label_masks", "label_bits", "spans"):
-            real = getattr(solver._Search, view).func
+        built = collections.Counter()  # (search or profile id, view) -> builds
+        kept = []  # the profiles, alive so that their ids stay theirs
 
-            def spy(search, real=real, view=view):
-                built[search, view] += 1
-                return real(search)
+        def spy_on(owner, view, key):
+            real = getattr(owner, view).func
+
+            def spy(obj):
+                built[key(obj), view] += 1
+                return real(obj)
 
             prop = functools.cached_property(spy)
-            prop.__set_name__(solver._Search, view)
-            monkeypatch.setattr(solver._Search, view, prop)
+            prop.__set_name__(owner, view)
+            monkeypatch.setattr(owner, view, prop)
+
+        for view in ("label_bits", "spans"):
+            spy_on(solver._Search, view, lambda search: search)
+        spy_on(BallotProfile, "columns", lambda profile: kept.append(profile) or id(profile))
         runs = collections.Counter()  # search -> passes
         orders = collections.defaultdict(set)  # search -> the orders it held
         real_run = solver._Search.run
@@ -1194,7 +1201,9 @@ class TestOneSetUpPerSearch:
         # passes in two orders: the Thiele search handing over to label
         # order, the demand search's two passes, and the prefer-JR pass
         assert sum(len(orders[search]) > 1 for search in again) > 150
-        assert {view for _, view in built} == {"label_masks", "label_bits", "spans"}
+        assert {view for _, view in built} == {"columns", "label_bits", "spans"}
+        # every search on a profile, and its JR checks, share one build
+        assert sum(view == "columns" for _, view in built) < len(runs) / 10
 
     def test_lex_thiele_searches_read_no_per_candidate_owners(self):
         # the search reads the ballot groups, not `BallotProfile.owners`
