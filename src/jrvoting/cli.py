@@ -114,6 +114,14 @@ def parse_profile(text: str) -> tuple[BallotProfile, Optional[int]]:
     candidates, however spelled, fall in one group, keyed by its bitmask
     when every index is below top and by its ascending indices otherwise, so
     that no bitmask past the tables is built before it is used.
+
+    A leading byte-order mark is ignored.  The whole text is tested once for
+    plain numbers (`_plain_integers`); if it passes, a new line that starts
+    with ASCII digits and a ``:`` goes straight to the ballot checks, since
+    no comment, blank line or header starts so.  Every other line, and every
+    line of a text that fails (say, for a ``+`` in a comment), is tested
+    first as a comment or blank line, then for plain numbers, then as a
+    header, and a line left over is a ballot line with the same checks.
     """
     m: Optional[int] = None
     k: Optional[int] = None
@@ -125,45 +133,51 @@ def parse_profile(text: str) -> tuple[BallotProfile, Optional[int]]:
     entries: list[tuple[int, int]] = []
     order: list[int] = []
     beyond = False  # whether some group holds an index of top or more
+    text = text.removeprefix("\ufeff")  # a byte-order mark
+    plain = _plain_integers(text)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         entry = read.get(line)
         if entry is not None:
             order.append(entry)
             continue
-        if not line or line.startswith("#"):
-            continue
-        if not _plain_integers(line):
-            raise ProfileParseError(f"numbers must be ASCII decimal digits in {line!r}", lineno)
-        head, _, rest = line.partition(" ")
-        if head == "m":
-            if m is not None:
-                raise ProfileParseError("duplicate m header", lineno)
-            try:
-                m = int(rest)
-            except ValueError:
-                raise ProfileParseError(f"bad m header {rest!r}", lineno) from None
-            if m < 1:
-                raise ProfileParseError(f"m must be >= 1, got {m}", lineno)
-            top = min(m, math.isqrt(16 * len(text)))
-            index = {str(c): c for c in range(top)}
-            bits = [1 << c for c in range(top)]
-            continue
-        if head == "k":
-            if k is not None:
-                raise ProfileParseError("duplicate k header", lineno)
-            try:
-                k = int(rest)
-            except ValueError:
-                raise ProfileParseError(f"bad k header {rest!r}", lineno) from None
-            continue
         mult_text, sep, indices_text = line.partition(":")
-        if not sep:
-            raise ProfileParseError(f"unrecognized line {line!r}", lineno)
+        if not (plain and sep and mult_text.isdigit()):
+            # any line but a ballot line of a plain text: comments, blank
+            # lines, headers and lines such as `1 : 3` or `+1: 0`
+            if not line or line.startswith("#"):
+                continue
+            if not _plain_integers(line):
+                raise ProfileParseError(f"numbers must be ASCII decimal digits in {line!r}", lineno)
+            head, _, rest = line.partition(" ")
+            if head == "m":
+                if m is not None:
+                    raise ProfileParseError("duplicate m header", lineno)
+                try:
+                    m = int(rest)
+                except ValueError:
+                    raise ProfileParseError(f"bad m header {rest!r}", lineno) from None
+                if m < 1:
+                    raise ProfileParseError(f"m must be >= 1, got {m}", lineno)
+                top = min(m, math.isqrt(16 * len(text)))
+                index = {str(c): c for c in range(top)}
+                bits = [1 << c for c in range(top)]
+                continue
+            if head == "k":
+                if k is not None:
+                    raise ProfileParseError("duplicate k header", lineno)
+                try:
+                    k = int(rest)
+                except ValueError:
+                    raise ProfileParseError(f"bad k header {rest!r}", lineno) from None
+                continue
+            if not sep:
+                raise ProfileParseError(f"unrecognized line {line!r}", lineno)
+            mult_text = mult_text.strip()
         try:
-            mult = int(mult_text.strip())
+            mult = int(mult_text)
         except ValueError:
-            raise ProfileParseError(f"bad multiplicity {mult_text.strip()!r}", lineno) from None
+            raise ProfileParseError(f"bad multiplicity {mult_text!r}", lineno) from None
         if mult < 1:
             raise ProfileParseError(f"multiplicity must be >= 1, got {mult}", lineno)
         if m is None:
@@ -217,6 +231,7 @@ def parse_graph(text: str) -> corpus.BipartiteGraph:
 
     sizes: Optional[tuple[int, int]] = None
     edges: set[tuple[int, int]] = set()
+    text = text.removeprefix("\ufeff")  # a byte-order mark
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -340,10 +355,19 @@ def _parse_params(pairs: Sequence[str]) -> dict[str, object]:
 
 
 def _read_text(path: str) -> str:
+    """The document at ``path``, or on stdin for ``-``, decoded one way for
+    both: as UTF-8, each undecodable byte kept as a lone surrogate, which
+    only a comment line may hold (the parsers take no non-ASCII text
+    elsewhere).  A text stream without bytes underneath is read as it is."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        stream = getattr(sys.stdin, "buffer", None)
+        if stream is None:
+            return sys.stdin.read()
+        data = stream.read()
+    else:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    return data.decode("utf-8", "surrogateescape")
 
 
 def _resolve_k(args_k: Optional[int], file_k: Optional[int], fallback: Optional[int] = None) -> int:

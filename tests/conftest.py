@@ -355,5 +355,32 @@ def group_jr(profile, k, committee):
                for c in range(profile.m))
 
 
+def party_list_instances(seed, count):
+    """Deterministic stream of party-list instances ``(profile, k, lists,
+    votes)``: 1-5 parties with disjoint lists of 1-5 candidates, their
+    labels shuffled among 0-3 candidates that nobody approves, and every
+    voter approving exactly one party's list.  ``votes[p]`` is party p's
+    voter count, spread over one to three ballot lines of multiplicities up
+    to a billion, and drawn from a few multiples of one base so that
+    parties often tie."""
+    rng = random.Random(f"party-list|{seed}")
+    for _ in range(count):
+        sizes = [rng.randint(1, 5) for _ in range(rng.randint(1, 5))]
+        m = sum(sizes) + rng.randint(0, 3)
+        labels = rng.sample(range(m), sum(sizes))
+        lists = []
+        for size in sizes:
+            lists.append(sorted(labels[:size]))
+            del labels[:size]
+        base = rng.choice([1, 7, 10**8, 3 * 10**8])
+        groups, votes = [], []
+        for party in lists:
+            parts = [base * rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+            votes.append(sum(parts))
+            groups += [(party, mult) for mult in parts]
+        rng.shuffle(groups)
+        yield BallotProfile.from_groups(m, groups), rng.randint(1, m), lists, votes
+
+
 def random_committee(rng, m, k):
     return Committee.of(rng.sample(range(m), k))

@@ -44,6 +44,7 @@ from conftest import (
     frozenset_cohesive_set,
     naive_first_cohesive_set,
     owner_loop_sjr_witness,
+    party_list_instances,
     profile_of,
     random_committee,
     random_instances,
@@ -140,6 +141,32 @@ class TestCheckEJR:
             committee = random_committee(rng, profile.m, k)
             if check_ejr(profile, k, committee).passed:
                 assert check_jr(profile, k, committee).passed
+
+    def test_party_lists_fail_exactly_where_a_party_is_owed_a_seat(self):
+        # on party lists a cohesive group lies within one party, so level l
+        # fails iff some party p with s_p seats and a list longer than s_p
+        # has votes_p * k >= l * n for an l > s_p; the least failing level
+        # is the least such s_p + 1
+        rng = random.Random(15)
+        failed = 0
+        for profile, k, lists, votes in party_list_instances(seed=16, count=400):
+            n = profile.n
+            for _ in range(5):
+                committee = random_committee(rng, profile.m, k)
+                owed = {}  # level -> the lists of the parties owed a seat there
+                for party, party_votes in zip(lists, votes):
+                    seats = len(set(party) & set(committee.members))
+                    if seats < len(party) and party_votes * k >= (seats + 1) * n:
+                        owed.setdefault(seats + 1, []).append(set(party))
+                report = check_ejr(profile, k, committee)
+                if not owed:
+                    assert report.passed, (lists, votes, committee)
+                    continue
+                level = min(owed)
+                assert report.failed and report.witness.level == level, (lists, votes, committee)
+                assert any(set(report.witness.candidates) <= party for party in owed[level])
+                failed += 1
+        assert 500 < failed < 1500, failed
 
 
 class TestCheckSJR:

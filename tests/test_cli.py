@@ -21,6 +21,7 @@ from jrvoting.cli import (
     EXIT_USAGE,
     ProfileParseError,
     _build_parser,
+    _plain_integers,
     main,
     parse_graph,
     parse_profile,
@@ -108,6 +109,12 @@ class TestParseProfile:
         profile, _ = parse_profile("# \u00fcber_alles + \u0663\nm 2\n1: 1\n")
         assert profile.ballots[0].approved == {1}
 
+    def test_leading_byte_order_mark_is_ignored(self):
+        assert parse_profile("\ufeffm 2\n1: 1\n") == parse_profile("m 2\n1: 1\n")
+        with pytest.raises(ProfileParseError) as excinfo:
+            parse_profile("\ufeffm 2\n1: 2\n")
+        assert excinfo.value.line == 2
+
     def test_comments_and_blank_lines_ignored(self):
         profile, _ = parse_profile("# header\n\nm 2\n# ballots\n2: 1\n")
         assert profile.n == 2
@@ -137,13 +144,17 @@ class TestParseProfile:
     @staticmethod
     def _valid_documents(seed, count):
         """Valid documents in the spellings the grammar allows: repeated
-        ballot lines, ``01`` and ``-0``, tabs and runs of spaces, CRLF
-        endings, comments and blank lines between ballots, a k header before
-        or after the ballots, and empty ballots."""
+        ballot lines, ``01`` and ``-0``, tabs and runs of spaces (also
+        before a line's ``:``), CRLF endings, comments and blank lines
+        between ballots, a k header before or after the ballots, and empty
+        ballots.  Some comments hold ``+``, ``_`` or non-ASCII text, so that
+        their documents fail the whole-text plainness test."""
         rng = random.Random(f"documents|{seed}")
 
         def gap():
             return rng.choice([" ", "  ", "\t", " \t "])
+
+        comments = ["# culture=uniform:0.15+consensus", "# a_b", "# \u00e9t\u00e9"]
 
         def spell(c):
             return rng.choice([str(c), str(c), f"0{c}", "-0" if c == 0 else str(c)])
@@ -156,27 +167,30 @@ class TestParseProfile:
                     body.append(rng.choice(written))
                 else:
                     approved = rng.sample(range(m), rng.randint(0, m))
-                    line = rng.choice(["", " ", "\t"]) + f"{rng.randint(1, 5)}:"
+                    line = rng.choice(["", " ", "\t"]) + f"{rng.randint(1, 5)}"
+                    line += rng.choice([":", ":", ":", " :", "\t:"])
                     line += "".join(gap() + spell(c) for c in approved)
                     written.append(line)
                     body.append(line)
                 if rng.random() < 0.25:
-                    body.append(rng.choice(["", "   ", "# between ballots", "\t# indented"]))
+                    body.append(rng.choice(["", "   ", "# between ballots", "\t# indented", *comments]))
             k_line = f"k {rng.randint(1, m)}"
             if rng.random() < 0.5:
                 body.append(k_line)
             elif rng.random() < 0.8:
                 body.insert(0, k_line)
             newline = rng.choice(["\n", "\r\n"])
-            yield newline.join(["# seeded", f"m {m}"] + body) + newline
+            top = rng.choice(["# seeded", "# seeded", *comments])
+            yield newline.join([top, f"m {m}"] + body) + newline
 
     def test_documents_parse_as_the_token_by_token_reference(self):
-        repeated = 0
+        repeated = plain = 0
         for text in self._valid_documents(seed=5, count=300):
             profile, k = parse_profile(text)
             assert (profile, k) == naive_parse_profile(text), text
             repeated += len(profile.ballots) - len(set(map(id, profile.ballots)))
-        assert repeated > 100
+            plain += _plain_integers(text)
+        assert repeated > 100 and 50 < plain < 250, (repeated, plain)
 
     def test_repeated_lines_share_one_ballot(self):
         profile, _ = parse_profile("m 3\n2: 0 1\n1: 2\n 2: 0 1\t\n2: 1 0\n")
@@ -212,8 +226,18 @@ class TestParseGraph:
         with pytest.raises(ProfileParseError):
             parse_graph("L 2 Q 2\n")
 
+    def test_byte_order_mark_and_undecodable_comment_bytes_are_ignored(self):
+        graph = parse_graph("\ufeff# caf\udce9\nL 2 R 3\nedge 1 2\n")
+        assert graph.left_size == 2 and graph.edges == {(1, 2)}
+
     @pytest.mark.parametrize(
-        "text, line", [("L 2 R \u0663\n", 1), ("L 2 R 2\nedge 0 0_1\n", 2), ("L 2 R 2\nedge +1 0\n", 2)]
+        "text, line",
+        [
+            ("L 2 R \u0663\n", 1),
+            ("L 2 R 2\nedge 0 0_1\n", 2),
+            ("L 2 R 2\nedge +1 0\n", 2),
+            ("L 2 R 2\nedge 0\udce9 1\n", 2),  # an undecodable byte
+        ],
     )
     def test_numbers_are_ascii_decimal_digits(self, text, line):
         with pytest.raises(ProfileParseError) as excinfo:
@@ -253,6 +277,52 @@ class TestCommands:
         piped = run(*argv, "-")
         assert piped[0] in (EXIT_OK, EXIT_FAIL) and piped[1]
         assert piped == run(*argv, thm7_file)
+
+    @pytest.fixture()
+    def read_bytes(self, run, tmp_path, monkeypatch):
+        # runs a command on a document given as bytes, from a file or from a
+        # stdin that decodes strictly, as under a UTF-8 locale
+        def _read_bytes(data, source, *argv):
+            if source == "stdin":
+                stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict")
+                monkeypatch.setattr("sys.stdin", stdin)
+                return run(*argv, "-")
+            path = tmp_path / "document.profile"
+            path.write_bytes(data)
+            return run(*argv, str(path))
+
+        return _read_bytes
+
+    CHECK = ("check", "--axiom", "jr", "--committee", "0", "--format", "machine")
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"\xef\xbb\xbf# exported\nm 3\nk 1\n1: 0 1\n",  # a UTF-8 byte-order mark
+            b"\xef\xbb\xbfm 3\nk 1\n1: 0 1\n",
+            b"# caf\xe9, in Latin-1\nm 3\nk 1\n1: 0 1\n",
+            b"m 3\r\nk 1\r\n# \xff\xfe\r\n1: 0 1\r\n",
+        ],
+    )
+    def test_document_bytes_are_read_one_way(self, read_bytes, data, source):
+        assert read_bytes(data, source, *self.CHECK) == (
+            EXIT_OK, "command=check\naxiom=jr\nk=1\ncommittee=0\nverdict=pass\n", ""
+        )
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"m 3\nk 1\n# fine\n1: 0\xe91\n",  # a Latin-1 byte
+            b"m 3\nk 1\n# fine\n1: 0\xc2\xa01\n",  # U+00A0, a no-break space
+            b"m 3\nk 1\n# fine\n\xef\xbb\xbf1: 0 1\n",  # a byte-order mark past the start
+        ],
+    )
+    def test_non_ascii_outside_comments_is_a_parse_error(self, read_bytes, data, source):
+        code, out, err = read_bytes(data, source, *self.CHECK)
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("parse error: line 4: numbers must be ASCII decimal digits in ")
 
     def test_compute_sequential_on_1199_voters(self, run, thm7_file):
         code, out, _ = run(
@@ -693,9 +763,16 @@ class TestExitCodes:
 
 
 class TestParseErrorLines:
-    # one token of a valid document changed to each kind of bad number or
-    # index: the error names the changed line, and the command exits 3
-    MUTATIONS = ("non-integer", "underscore", "out-of-range", "duplicate", "zero multiplicity")
+    # one token or line of a valid document changed to each kind of bad
+    # number, index or header: the error names the changed line, and the
+    # command exits 3; the documents' comments and line endings vary, so
+    # that both documents that pass the whole-text plainness test and those
+    # that do not are read
+    MUTATIONS = (
+        "non-integer", "underscore", "out-of-range", "duplicate", "zero multiplicity",
+        "no-break space", "header colon", "zero multiplicity before m", "bare multiplicity",
+    )
+    COMMENTS = ("seeded", "seeded +consensus", "seeded a_b", "seeded \u00e9t\u00e9")
 
     def test_one_bad_token_is_reported_on_its_line(self, run, tmp_path):
         rng = random.Random("parse-error-lines")
@@ -703,42 +780,58 @@ class TestParseErrorLines:
         tried = dict.fromkeys(self.MUTATIONS, 0)
         for profile, k in random_instances(seed=909, count=40, max_n=8, max_m=9):
             m = profile.num_candidates
-            lines = serialize_profile(profile, k, comments=["seeded"]).splitlines()
+            comment = rng.choice(self.COMMENTS)
+            lines = serialize_profile(profile, k, comments=[comment]).splitlines()
             ballots = [i for i, text in enumerate(lines) if ":" in text]
+            newline = rng.choice(["\n", "\r\n"])
             for kind in self.MUTATIONS:
-                # the ballot lines with enough candidate indices to change
-                need = {"duplicate": 2, "zero multiplicity": 0}.get(kind, 1)
-                fits = [i for i in ballots if len(lines[i].split()) > need]
-                if not fits:
-                    continue
-                index = rng.choice(fits)
-                mult, _, rest = lines[index].partition(":")
-                indices = rest.split()
-                spot = rng.randrange(len(indices)) if indices else 0
-                if kind == "non-integer":
-                    indices[spot] = rng.choice(["x", "1.5", "\u0663", "+1", "0x1"])
-                elif kind == "underscore":
-                    indices[spot] = "0_1"
-                elif kind == "out-of-range":
-                    indices[spot] = str(m + rng.randrange(3))
-                elif kind == "duplicate":
-                    indices[spot] = indices[spot - 1]
+                if kind == "header colon":
+                    # `m 5:3` and `k 2:1`: a header, not a ballot line
+                    index = rng.choice([1, 2])
+                    head = lines[index].split()[0]
+                    line = f"{head} {rng.randint(1, 5)}:{rng.randint(0, 3)}"
+                elif kind == "zero multiplicity before m":
+                    index, line = 0, "0: 1"
+                elif kind == "bare multiplicity":
+                    # digits with no `:`, which is no ballot line
+                    index, line = rng.choice(ballots), str(rng.randint(0, 5))
                 else:
-                    mult = "0"
-                mutated = lines[:index] + [f"{mult}: {' '.join(indices)}"] + lines[index + 1:]
-                text = "\n".join(mutated) + "\n"
+                    # the ballot lines with enough candidate indices to change
+                    need = {"duplicate": 2, "no-break space": 2, "zero multiplicity": 0}.get(kind, 1)
+                    fits = [i for i in ballots if len(lines[i].split()) > need]
+                    if not fits:
+                        continue
+                    index = rng.choice(fits)
+                    mult, _, rest = lines[index].partition(":")
+                    indices = rest.split()
+                    spot = rng.randrange(len(indices)) if indices else 0
+                    gap = " "
+                    if kind == "non-integer":
+                        indices[spot] = rng.choice(["x", "1.5", "\u0663", "+1", "0x1"])
+                    elif kind == "underscore":
+                        indices[spot] = "0_1"
+                    elif kind == "out-of-range":
+                        indices[spot] = str(m + rng.randrange(3))
+                    elif kind == "duplicate":
+                        indices[spot] = indices[spot - 1]
+                    elif kind == "no-break space":
+                        gap = "\u00a0"
+                    else:
+                        mult = "0"
+                    line = f"{mult}: {gap.join(indices)}"
+                mutated = lines[:index] + [line] + lines[index + 1:]
+                text = newline.join(mutated) + newline
                 with pytest.raises(ProfileParseError) as excinfo:
                     parse_profile(text)
                 assert excinfo.value.line == index + 1, (kind, text)
                 with pytest.raises(ProfileParseError) as reference:
                     naive_parse_profile(text)
                 assert str(excinfo.value) == str(reference.value), (kind, text)
-                path.write_text(text)
+                path.write_bytes(text.encode())
                 code, out, err = run("compute", "--rule", "av", "--format", "machine", str(path))
                 assert code == EXIT_PARSE and out == "" and f"line {index + 1}:" in err
                 tried[kind] += 1
         assert min(tried.values()) >= 10, tried
-
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

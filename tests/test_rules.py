@@ -41,6 +41,7 @@ from conftest import (
     group_maximin,
     naive_greedy_cover,
     naive_sequential_trace,
+    party_list_instances,
     profile_of,
     random_instances,
     weighted_instances,
@@ -220,6 +221,50 @@ class TestIdentities:
             greedy = naive_greedy_cover(profile, k)
             assert find_jr_committee(profile, k) == greedy
             assert compute_rule(profile, k, RuleSpec("gav")) == greedy
+
+
+def capped_dhondt(lists, votes, k, m):
+    """D'Hondt in integers, each party capped at its list: every seat goes
+    to the party of largest votes / (seats + 1), ties to the party whose
+    next candidate has the lowest label, which gets the seat; once every
+    list is elected, the lowest unelected labels fill the seats left.
+    Also returns how many seats were decided by a tie."""
+    seats = [0] * len(lists)
+    elected, ties = [], 0
+    while len(elected) < k:
+        best, tied = None, False
+        for p, party in enumerate(lists):
+            if seats[p] == len(party):
+                continue
+            if best is not None:
+                ahead = votes[p] * (seats[best] + 1) - votes[best] * (seats[p] + 1)
+                if ahead < 0:
+                    continue
+                tied = ahead == 0
+                if tied and party[seats[p]] > lists[best][seats[best]]:
+                    continue
+            best = p
+        if best is None:
+            break
+        elected.append(lists[best][seats[best]])
+        seats[best] += 1
+        ties += tied
+    elected += [c for c in range(m) if c not in elected][: k - len(elected)]
+    return Committee.of(elected), ties
+
+
+class TestPartyLists:
+    def test_rav_elects_capped_dhondt_seats(self):
+        # sequential PAV on party lists is D'Hondt (Brill, Laslier and
+        # Skowron, JTP 2018): a round's weight of party p's next candidate
+        # is votes_p / (seats_p + 1)
+        ties = filled = 0
+        for profile, k, lists, votes in party_list_instances(seed=15, count=400):
+            expected, tied = capped_dhondt(lists, votes, k, profile.m)
+            assert compute_rule(profile, k, RuleSpec("rav")) == expected, (lists, votes, k)
+            ties += tied > 0
+            filled += k > sum(map(len, lists))
+        assert ties > 50 and filled > 50, (ties, filled)
 
 
 class TestDensityCounterexamples:
