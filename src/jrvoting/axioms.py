@@ -16,7 +16,8 @@ a voter set is a mask over the groups, a candidate's approvers its column
 (`BallotProfile.columns`, built once per profile and shared by every level,
 round and check on it), and a mask's voters an exact weighted popcount
 (`GroupIndex.weigh`).  A check reads the columns only after the cheap test
-that the voters it could name reach the quota at all.
+that the voters it could name reach the quota at all.  The paper's JR
+construction, `find_jr_committee`, is greedy cover on the same columns.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
+from heapq import heapify, heappop, heappushpop
 from operator import and_
 from typing import Callable, Optional
 
 from .core import (
     BallotProfile,
     Committee,
-    WeightVector,
     _columns,
     _flags_mask,
     _mask_flags,
@@ -278,18 +279,38 @@ def check_unanimity(profile: BallotProfile, k: int, committee: Committee) -> Axi
 def find_jr_committee(profile: BallotProfile, k: int) -> Committee:
     """Greedy construction of a committee providing justified representation.
 
-    This is greedy approval voting, the `gav` rule: the sequential rule with
-    coverage weights (1, 0, ..., 0).  Each round elects the candidate
-    approved by the most voters who approve no winner yet, lowest index on
-    ties; once every ballot is covered (or empty) the rounds elect the
-    lowest-index unelected candidates.  The output always passes `check_jr`.
-    """
-    # deferred: the rules module imports this one for its JR-constrained rules
-    from .rules import compute_sequential_rule
+    This is the paper's construction and the `gav` rule (greedy approval
+    voting, the sequential rule with coverage weights (1, 0, ..., 0)):
+    each round elects the candidate approved by the most voters who
+    approve no winner yet, lowest index on ties; once every ballot is
+    covered (or empty) the lowest-index unelected candidates fill the
+    remaining seats.  The output always passes `check_jr`.
 
-    if not 1 <= k <= profile.num_candidates:  # before the length-m weights
-        raise ValueError(f"k={k} out of range for m={profile.num_candidates}")
-    return compute_sequential_rule(profile, k, WeightVector.coverage(profile.num_candidates))
+    It is greedy cover on the profile's columns: the uncovered groups are
+    one bitmask, and a candidate's gain is its column's uncovered voters
+    (`GroupIndex.weigh`).  Gains never rise, so a heap keyed (-gain,
+    candidate, round) gives each winner lazily: an entry popped with a key
+    from an earlier round goes back with its current gain, and the first
+    entry popped with a key of this round is the lowest-index maximum (the
+    accelerated greedy of Minoux, 1978).  Once every approving voter is
+    covered, every gain is 0 and the heap gives the unelected candidates in
+    index order.
+    """
+    m = profile.num_candidates
+    if not 1 <= k <= m:  # before anything per candidate
+        raise ValueError(f"k={k} out of range for m={m}")
+    columns, weigh = profile.columns, profile.index.weigh
+    uncovered = -1  # every group
+    heap = [(-weigh(column), c, 0) for c, column in enumerate(columns)]
+    heapify(heap)
+    chosen = []
+    for seat in range(k):
+        key, best, seen = heappop(heap)
+        while seen != seat:
+            key, best, seen = heappushpop(heap, (-weigh(columns[best] & uncovered), best, seat))
+        chosen.append(best)
+        uncovered &= ~columns[best]
+    return Committee.of(chosen)
 
 
 def find_ell_jr_committee(profile: BallotProfile, k: int, ell: int) -> Committee:

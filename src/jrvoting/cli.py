@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -71,6 +72,14 @@ def _plain_integers(text: str) -> bool:
     return text.isascii() and "_" not in text and "+" not in text
 
 
+# the pattern of a comment line that starts right after a "\n" (or the
+# text): its spaces and tabs, its "#" and the rest of the line up to the next
+# character at which `str.splitlines` breaks; the lines `parse_profile` skips
+# as comments include every line it matches.  `re` compiles it on first use,
+# so that importing this module compiles nothing
+_COMMENT_LINES = "(?m)^[ \t]*#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*"
+
+
 def _integer(text: str) -> int:
     """`int` held to the documents' spelling of numbers, for command-line
     arguments and the integer fields of axiom, culture and parameter specs."""
@@ -116,12 +125,14 @@ def parse_profile(text: str) -> tuple[BallotProfile, Optional[int]]:
     that no bitmask past the tables is built before it is used.
 
     A leading byte-order mark is ignored.  The whole text is tested once for
-    plain numbers (`_plain_integers`); if it passes, a new line that starts
+    plain numbers (`_plain_integers`), and, if it fails, the text without
+    its comment lines (`_COMMENT_LINES`), so that a ``+`` or non-ASCII text
+    in a comment does not matter; if either passes, a new line that starts
     with ASCII digits and a ``:`` goes straight to the ballot checks, since
     no comment, blank line or header starts so.  Every other line, and every
-    line of a text that fails (say, for a ``+`` in a comment), is tested
-    first as a comment or blank line, then for plain numbers, then as a
-    header, and a line left over is a ballot line with the same checks.
+    line of a text whose other lines fail, is tested first as a comment or
+    blank line, then for plain numbers, then as a header, and a line left
+    over is a ballot line with the same checks.
     """
     m: Optional[int] = None
     k: Optional[int] = None
@@ -134,7 +145,7 @@ def parse_profile(text: str) -> tuple[BallotProfile, Optional[int]]:
     order: list[int] = []
     beyond = False  # whether some group holds an index of top or more
     text = text.removeprefix("\ufeff")  # a byte-order mark
-    plain = _plain_integers(text)
+    plain = _plain_integers(text) or _plain_integers(re.sub(_COMMENT_LINES, "", text))
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         entry = read.get(line)

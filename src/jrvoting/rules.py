@@ -6,15 +6,18 @@ Two families:
   minimax-distance) dispatch to the exact solver;
 * sequential rules elect one candidate per round, reweighting each voter's
   contribution by how many of their approved candidates are already elected.
-  One round loop, `core._greedy_rounds`, serves them all (the Thiele
-  search runs its greedy floor on its own bitsets).  It runs over the
-  profile's ballot groups on the integer gain rows of `core._gain_rows`, so
-  only w_1 .. w_min(s, k) are scaled, for the largest ballot size s, and it
-  takes each round's winner from a lazy max-heap.  `sequential_trace` also
-  keeps every round's weight table, `compute_sequential_rule` only the
-  winners.  With coverage weights (1, 0, ..., 0) it is greedy approval
-  voting, the `gav` rule, which is also the paper's construction of a
-  committee providing justified representation (`axioms.find_jr_committee`).
+  One round loop, `core._greedy_rounds`, runs `rav`, `geometric-rav`,
+  `wrav` and every `sequential_trace` (the Thiele search runs its greedy
+  floor on its own bitsets).  It runs over the profile's ballot groups on
+  the integer gain rows of `core._gain_rows`, so only w_1 .. w_min(s, k)
+  are scaled, for the largest ballot size s, and it takes each round's
+  winner from a lazy max-heap.  `sequential_trace` also keeps every
+  round's weight table, `compute_sequential_rule` only the winners.  With
+  coverage weights (1, 0, ..., 0) the rule is greedy approval voting, the
+  `gav` rule, which is also the paper's construction of a committee
+  providing justified representation: `gav` takes its committee from that
+  construction, greedy cover on the profile's columns
+  (`axioms.find_jr_committee`), which elects the same candidates.
 
 On top of these sit two representation-constrained rules that optimize over
 the committees providing justified representation only.
@@ -250,16 +253,17 @@ def _score_rule(objective: ScoringObjective, family=None) -> _Rule:
     )
 
 
-def _weighted_rule(family, sequential: bool = False) -> _Rule:
+def _weighted_rule(family, rounds=None) -> _Rule:
     """The optimal Thiele rule of a weight family (None: the spec's explicit
-    vector) or, if ``sequential``, its round-by-round counterpart.  Each
-    `compute` builds the vector once, for the committee and its score."""
+    vector) or, given ``rounds(profile, k, weights)``, its round-by-round
+    counterpart.  Each `compute` builds the vector once, for the committee
+    and its score."""
 
     def compute(p, k, s, b):
         objective = wpav_objective(rule_weights(s, p))
-        if not sequential:
+        if rounds is None:
             return _searched(p, k, objective, s.tiebreak, b)
-        committee = compute_sequential_rule(p, k, objective.weights)
+        committee = rounds(p, k, objective.weights)
         return committee, lambda: score_committee(p, committee, objective)
 
     return _Rule(
@@ -267,8 +271,12 @@ def _weighted_rule(family, sequential: bool = False) -> _Rule:
         lambda p, s, w: score_committee(p, w, wpav_objective(rule_weights(s, p))),
         family,
         explicit_weights=family is None,
-        searches=not sequential,
+        searches=rounds is None,
     )
+
+
+def _sequential(p: BallotProfile, k: int, weights: WeightVector) -> Committee:
+    return compute_sequential_rule(p, k, weights)
 
 
 def _justified_rule(compute, score) -> _Rule:
@@ -289,12 +297,16 @@ _RULES: dict[str, _Rule] = {
     "pav": _weighted_rule(lambda p: WeightVector.harmonic(p.num_candidates)),
     "cc": _weighted_rule(lambda p: WeightVector.coverage(p.num_candidates)),
     "wpav": _weighted_rule(None),
-    "rav": _weighted_rule(lambda p: WeightVector.harmonic(p.num_candidates), sequential=True),
-    "gav": _weighted_rule(lambda p: WeightVector.coverage(p.num_candidates), sequential=True),
-    "geometric-rav": _weighted_rule(
-        lambda p: WeightVector.geometric(p.num_candidates, Fraction(1, p.n)), sequential=True
+    "rav": _weighted_rule(lambda p: WeightVector.harmonic(p.num_candidates), _sequential),
+    # the paper's JR construction elects gav's committee
+    "gav": _weighted_rule(
+        lambda p: WeightVector.coverage(p.num_candidates),
+        lambda p, k, weights: axioms.find_jr_committee(p, k),
     ),
-    "wrav": _weighted_rule(None, sequential=True),
+    "geometric-rav": _weighted_rule(
+        lambda p: WeightVector.geometric(p.num_candidates, Fraction(1, p.n)), _sequential
+    ),
+    "wrav": _weighted_rule(None, _sequential),
     # both tie-break modes coincide: every committee searched provides JR
     "ujrav": _justified_rule(
         lambda p, k, b: compute_ujrav(p, k, b), lambda p, s, w: score_committee(p, w, AV)

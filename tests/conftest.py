@@ -119,10 +119,9 @@ def naive_score(profile, committee, objective: ScoringObjective) -> Fraction:
             raise ValueError(
                 f"weight vector length {len(weights)} != number of candidates {profile.num_candidates}"
             )
-        table = weights.satisfaction_table
         total = Fraction(0)
         for mask, mult in profile.masks:
-            total += mult * table[(mask & wmask).bit_count()]
+            total += mult * sum(weights.weights[: (mask & wmask).bit_count()], Fraction(0))
         return total
     # mav: maximum symmetric-difference distance over distinct ballots
     k = committee.k

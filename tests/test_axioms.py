@@ -29,7 +29,7 @@ from jrvoting.axioms import (
     replay_witness,
     Witness,
 )
-from jrvoting.cli import parse_profile
+from jrvoting.cli import main, parse_profile
 from jrvoting.core import BallotProfile, BudgetExhausted, Committee, WeightVector
 from jrvoting.corpus import (
     BipartiteGraph,
@@ -38,11 +38,12 @@ from jrvoting.corpus import (
     has_balanced_biclique,
     reduce_biclique,
 )
-from jrvoting.rules import compute_sequential_rule
+from jrvoting.rules import compute_sequential_rule, sequential_trace
 
 from conftest import (
     frozenset_cohesive_set,
     naive_first_cohesive_set,
+    naive_greedy_cover,
     owner_loop_sjr_witness,
     party_list_instances,
     profile_of,
@@ -223,6 +224,65 @@ class TestFindJRCommittee:
         for profile, k in random_instances(seed=57, count=300, max_n=10, max_m=8):
             committee = find_jr_committee(profile, k)
             assert check_jr(profile, k, committee).passed
+
+    def test_cover_loop_elects_the_coverage_rounds(self):
+        # the committee is the winners of the sequential rounds with coverage
+        # weights and the naive greedy cover, on parsed documents (repeated
+        # lines, empty ballots, multiplicities up to a billion) and on the
+        # same ballots as pairs, with k up to m
+        rng = random.Random("greedy cover")
+        early = whole = huge = 0
+        for _ in range(400):
+            m = rng.randint(1, 12)
+            k = m if rng.random() < 0.25 else rng.randint(1, m)
+            lines = []
+            for _ in range(rng.randint(1, 10)):
+                if lines and rng.random() < 0.3:
+                    lines.append(rng.choice(lines))
+                    continue
+                size = rng.choice([0, 1, 2, rng.randint(0, m)])
+                mult = rng.choice([1, 1, 2, 7, 10**9, rng.randint(1, 10**9)])
+                approved = sorted(rng.sample(range(m), min(size, m)))
+                lines.append(f"{mult}:" + "".join(f" {c}" for c in approved))
+            parsed = parse_profile("\n".join([f"m {m}", *lines]) + "\n")[0]
+            pairs = [(ballot.approved, ballot.multiplicity) for ballot in parsed.ballots]
+            for profile in (parsed, BallotProfile.from_groups(m, pairs)):
+                trace = sequential_trace(profile, k, WeightVector.coverage(m))
+                committee = find_jr_committee(profile, k)
+                assert committee == Committee.of(record.candidate for record in trace)
+                assert committee == naive_greedy_cover(profile, k)
+            early += trace[-1].weight == 0  # covered before the last seat
+            whole += k == m
+            huge += max(parsed.index.mults) >= 10**9
+        assert early > 100 and whole > 50 and huge > 100, (early, whole, huge)
+
+    def test_cover_loop_reads_only_the_columns(self, tmp_path, monkeypatch, capsys):
+        # `find --axiom jr` builds neither `owners` nor `approval_scores` nor
+        # any weight vector, and `compute --rule gav` builds no `owners`
+        built = collections.Counter()
+        real_tallies = BallotProfile._tallies.func
+        real_weights = WeightVector.__post_init__
+
+        def tallies(profile):
+            built["tallies"] += 1
+            return real_tallies(profile)
+
+        def weights(vector):
+            built["weights"] += 1
+            real_weights(vector)
+
+        prop = functools.cached_property(tallies)
+        prop.__set_name__(BallotProfile, "_tallies")
+        monkeypatch.setattr(BallotProfile, "_tallies", prop)
+        monkeypatch.setattr(WeightVector, "__post_init__", weights)
+        path = tmp_path / "profile.txt"
+        path.write_text("m 5\nk 3\n3: 0 1\n2: 2\n1: 3\n1: 0 3\n1:\n")
+        assert main(["find", "--axiom", "jr", "--format", "machine", str(path)]) == 0
+        assert "committee=0,2,3" in capsys.readouterr().out.splitlines()
+        assert built == {}
+        assert main(["compute", "--rule", "gav", "--format", "machine", str(path)]) == 0
+        assert "committee=0,2,3" in capsys.readouterr().out.splitlines()
+        assert built["tallies"] == 0 and built["weights"] == 1  # the score's vector
 
 
 class TestFindEllJRCommittee:

@@ -192,6 +192,35 @@ class TestParseProfile:
             plain += _plain_integers(text)
         assert repeated > 100 and 50 < plain < 250, (repeated, plain)
 
+    def test_plain_lines_of_a_text_with_plus_in_a_comment_skip_the_line_tests(self, monkeypatch):
+        # the whole text fails the plainness test and the text without its
+        # comments passes it, so only the header line is tested on its own
+        from jrvoting import cli
+
+        tested = []
+        monkeypatch.setattr(cli, "_plain_integers", lambda text: tested.append(text) or _plain_integers(text))
+        text = "# culture=uniform:0.15+consensus\n  # a_b \u00e9t\u00e9\nm 3\n2: 0 1\n1: 2\n2: 0 1\n"
+        assert parse_profile(text) == naive_parse_profile(text)
+        assert tested[2:] == ["m 3"]
+
+    def test_a_plus_in_a_comment_keeps_a_plus_ballot_line_an_error(self, run, tmp_path):
+        path = tmp_path / "plus.profile"
+        path.write_text("# culture=uniform:0.15+consensus\nm 3\nk 1\n1: 0 1\n+1: 0\n1: 2\n")
+        code, out, err = run("check", "--axiom", "jr", "--committee", "0", str(path))
+        assert code == EXIT_PARSE and out == ""
+        assert err == "parse error: line 5: numbers must be ASCII decimal digits in '+1: 0'\n"
+
+    @pytest.mark.parametrize("newline", ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_a_comment_ends_where_its_line_does(self, newline):
+        # every character at which `str.splitlines` breaks ends a comment, so
+        # the bad ballot line after one is read as a ballot line
+        text = f"m 3\n# a+b{newline}1: 0 \u0663\n"
+        with pytest.raises(ProfileParseError) as excinfo:
+            parse_profile(text)
+        with pytest.raises(ProfileParseError) as reference:
+            naive_parse_profile(text)
+        assert excinfo.value.line == 3 and str(excinfo.value) == str(reference.value)
+
     def test_repeated_lines_share_one_ballot(self):
         profile, _ = parse_profile("m 3\n2: 0 1\n1: 2\n 2: 0 1\t\n2: 1 0\n")
         first, _, again, swapped = profile.ballots

@@ -15,13 +15,17 @@ from jrvoting.core import (
     ProfileError,
     SAV,
     WeightVector,
+    _columns,
     _flags_mask,
     _mask_flags,
+    _transposed_columns,
     _weigher,
     normalize_profile,
     score_committee,
     wpav_objective,
 )
+from jrvoting import core
+from jrvoting.cli import parse_profile, serialize_profile
 from jrvoting.corpus import build_fixture
 
 from conftest import naive_score, profile_of, random_committee, random_instances
@@ -218,6 +222,52 @@ class TestColumns:
                 sum(1 << g for g in owners) for owners in profile.owners
             )
 
+    def test_transpose_matches_the_incidence_loop(self):
+        rng = random.Random("transpose")
+        for _ in range(300):
+            m = rng.randint(1, 70)
+            members = [rng.sample(range(m), rng.randint(0, m)) for _ in range(rng.randint(1, 40))]
+            members += [[], list(range(m))]  # an empty ballot and one approving everyone
+            rng.shuffle(members)
+            masks = [sum(1 << c for c in group) for group in members]
+            assert _transposed_columns(masks, m) == _columns(members, m)
+
+    def test_columns_on_both_sides_of_the_transpose(self, monkeypatch):
+        # `BallotProfile.columns` transposes the bitmasks of at least 256
+        # groups approving on average an eighth of the candidates or more,
+        # and runs the incidence loop otherwise; both give its columns, on
+        # parsed profiles and on profiles of pairs
+        sides = []
+        real = core._transposed_columns
+
+        def spy(masks, m):
+            sides.append(m)
+            return real(masks, m)
+
+        monkeypatch.setattr(core, "_transposed_columns", spy)
+        rng = random.Random("columns switch")
+        cases = [  # (m, distinct approval sets, chance of approving)
+            (1, 2, 0.5), (3, 6, 0.5), (12, 30, 0.3), (40, 255, 0.5), (40, 256, 0.5),
+            (40, 300, 0.15), (40, 300, 0.1), (64, 400, 0.13), (64, 400, 0.05), (64, 600, 0.3),
+        ]
+        loops = 0
+        for m, groups, chance in cases * 3:
+            sets = {frozenset(), frozenset(range(m))}
+            while len(sets) < groups:
+                sets.add(frozenset(c for c in range(m) if rng.random() < chance))
+            pairs = [(approved, rng.choice([1, 2, 10**9])) for approved in sets]
+            pairs += rng.choices(pairs, k=len(pairs) // 4)  # repeated ballots
+            constructed = BallotProfile.from_groups(m, pairs)
+            parsed, _ = parse_profile(serialize_profile(constructed))
+            for profile in (constructed, parsed):
+                before = len(sides)
+                assert profile.columns == tuple(_columns(profile.index.members, m))
+                index = profile.index
+                dense = 8 * sum(map(len, index.members)) >= len(index.mults) * m
+                assert len(sides) - before == (len(index.mults) >= 256 and dense)
+                loops += len(sides) == before
+        assert len(sides) >= 20 and loops >= 20, (len(sides), loops)
+
     @pytest.mark.parametrize("palette", [
         (1,), (7,), (10**9,), (1, 2), (1, 3, 64, 10**9), (1, 2, 3, 4, 5, 6, 7), tuple(range(1, 40)),
     ])
@@ -339,10 +389,6 @@ class TestWeightVector:
             Fraction(1, 4),
             Fraction(1, 16),
         )
-
-    def test_satisfaction_table(self):
-        harmonic = WeightVector.harmonic(3)
-        assert harmonic.satisfaction_table == (0, 1, Fraction(3, 2), Fraction(11, 6))
 
 
 class TestScoreCommittee:
