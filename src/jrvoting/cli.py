@@ -665,9 +665,10 @@ def _cmd_oracle(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command's parser, built on the first call and shared after it:
-    parsing leaves it unchanged, and each parse fills a new namespace."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's parser by name, built on the
+    first call and shared after it: parsing leaves them unchanged, and each
+    parse fills a new namespace."""
     from . import axioms, rules
 
     parser = argparse.ArgumentParser(
@@ -745,7 +746,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(handler=_cmd_oracle)
 
-    return parser
+    return parser, sub.choices
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser (`_parsers`)."""
+    return _parsers()[0]
 
 
 def _fixture_errors() -> tuple[type[Exception], ...]:
@@ -759,13 +765,28 @@ def _fixture_errors() -> tuple[type[Exception], ...]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command and return its exit code.
 
-    The argument parser is built once per process, on the first call, so an
-    in-process caller that runs many commands skips its set-up on every
-    later call; a single shell invocation builds it once either way and is
-    no faster.
+    The argument parsers are built once per process, on the first call, so
+    an in-process caller that runs many commands skips their set-up on every
+    later call; a single shell invocation builds them once either way and is
+    no faster.  An argv that starts with a command name goes straight to
+    that command's parser, one argparse pass where the top-level parser
+    would take two: the top-level parser hands the same arguments on to the
+    command's parser.  Its leftover arguments get the top-level parser's own
+    error, so help, usage errors, exit codes and the namespace are those of
+    the top-level parser, which parses every other argv.
     """
+    parser, commands = _parsers()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(argv)
+        command = commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            args.command = argv[0]
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

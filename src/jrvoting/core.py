@@ -160,6 +160,9 @@ class GroupIndex:
         return tuple([i for i, entry in enumerate(self.order) if held[entries[entry][0]]])
 
 
+_RANK_FLAGS = b"0" * 256
+
+
 def _weigher(mults: Sequence[int]) -> Callable[[int], int]:
     """The exact weighted popcount over groups of multiplicities ``mults``:
     a function of a bitmask, bit g for group g, giving the summed
@@ -168,20 +171,30 @@ def _weigher(mults: Sequence[int]) -> Callable[[int], int]:
     masks of groups, a weight times the popcount of the groups in the mask:
     the most common multiplicity times the popcount, and one mask per other
     multiplicity, weighted by its excess over the most common one; or, where
-    that takes more masks, one per binary digit of the multiplicities,
-    weighted by its place value."""
+    that takes more masks (or more than a byte's 256 ranks), one per binary
+    digit of the multiplicities, weighted by its place value.
+
+    The per-multiplicity masks come from one pass over the groups, which
+    writes each group's multiplicity as a one-byte rank, the last group's
+    first; each multiplicity's count and mask are then a `bytes.count` and
+    a `bytes.translate` of that row, read back as a binary numeral."""
     values = set(mults)
     if len(values) == 1:
         mult = mults[0]
         return int.bit_count if mult == 1 else lambda groups: mult * groups.bit_count()
     digits = max(values).bit_length()
-    if len(values) <= digits:
-        base = max(values, key=mults.count)
-        planes = [(v - base, bytes([mult == v for mult in mults])) for v in values if v != base]
+    if len(values) <= min(digits, 256):
+        ranks = {v: i for i, v in enumerate(values)}
+        row = bytes(map(ranks.__getitem__, reversed(mults)))
+        base = max(values, key=lambda v: row.count(ranks[v]))
+        planes = [
+            (v - base, int(row.translate(_RANK_FLAGS[:i] + b"1" + _RANK_FLAGS[i + 1:]), 2))
+            for v, i in ranks.items() if v != base
+        ]
     else:
         base = 0
         planes = [(1 << d, bytes([mult >> d & 1 for mult in mults])) for d in range(digits)]
-    planes = [(weight, _flags_mask(flags)) for weight, flags in planes if any(flags)]
+        planes = [(weight, _flags_mask(flags)) for weight, flags in planes if any(flags)]
     if len(planes) == 1:
         (weight, plane), = planes
         return lambda groups: base * groups.bit_count() + weight * (groups & plane).bit_count()

@@ -33,6 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Callable, Mapping, Optional
 
 from . import axioms
@@ -253,6 +255,10 @@ def _score_rule(objective: ScoringObjective, family=None) -> _Rule:
     )
 
 
+def _weighted_score(p: BallotProfile, s: RuleSpec, w: Committee) -> Fraction:
+    return score_committee(p, w, wpav_objective(rule_weights(s, p)))
+
+
 def _weighted_rule(family, rounds=None) -> _Rule:
     """The optimal Thiele rule of a weight family (None: the spec's explicit
     vector) or, given ``rounds(profile, k, weights)``, its round-by-round
@@ -268,11 +274,21 @@ def _weighted_rule(family, rounds=None) -> _Rule:
 
     return _Rule(
         compute,
-        lambda p, s, w: score_committee(p, w, wpav_objective(rule_weights(s, p))),
+        _weighted_score,
         family,
         explicit_weights=family is None,
         searches=rounds is None,
     )
+
+
+def _gav(p: BallotProfile, k: int, s: RuleSpec, b) -> tuple[Committee, Callable[[], Fraction]]:
+    """gav's committee, from the paper's JR construction, which elects it,
+    and its coverage score, the voters of the groups in the OR of its
+    winners' columns: no length-m weight vector."""
+    committee = axioms.find_jr_committee(p, k)
+    columns = p.columns
+    return committee, lambda: Fraction(
+        p.index.weigh(reduce(or_, map(columns.__getitem__, committee.members), 0)))
 
 
 def _sequential(p: BallotProfile, k: int, weights: WeightVector) -> Committee:
@@ -298,10 +314,8 @@ _RULES: dict[str, _Rule] = {
     "cc": _weighted_rule(lambda p: WeightVector.coverage(p.num_candidates)),
     "wpav": _weighted_rule(None),
     "rav": _weighted_rule(lambda p: WeightVector.harmonic(p.num_candidates), _sequential),
-    # the paper's JR construction elects gav's committee
-    "gav": _weighted_rule(
-        lambda p: WeightVector.coverage(p.num_candidates),
-        lambda p, k, weights: axioms.find_jr_committee(p, k),
+    "gav": _Rule(
+        _gav, _weighted_score, lambda p: WeightVector.coverage(p.num_candidates), searches=False
     ),
     "geometric-rav": _weighted_rule(
         lambda p: WeightVector.geometric(p.num_candidates, Fraction(1, p.n)), _sequential
@@ -334,7 +348,8 @@ def compute_with_score(
     """`compute_rule`'s committee and the score `report_score` gives it, from
     one computation: a searched rule reports the score its search found, a
     sequential rule scores its committee on the weight vector its rounds ran
-    on, and `ujrav` and `ejrav` read theirs from their committee."""
+    on, `gav` weighs the OR of its winners' columns, and `ujrav` and `ejrav`
+    read theirs from their committee."""
     committee, score = _compute(profile, k, spec, budget)
     return committee, score()
 

@@ -4,6 +4,7 @@ import collections
 import functools
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -38,7 +39,13 @@ from jrvoting.corpus import (
     has_balanced_biclique,
     reduce_biclique,
 )
-from jrvoting.rules import compute_sequential_rule, sequential_trace
+from jrvoting.rules import (
+    RuleSpec,
+    compute_sequential_rule,
+    compute_with_score,
+    report_score,
+    sequential_trace,
+)
 
 from conftest import (
     frozenset_cohesive_set,
@@ -229,7 +236,8 @@ class TestFindJRCommittee:
         # the committee is the winners of the sequential rounds with coverage
         # weights and the naive greedy cover, on parsed documents (repeated
         # lines, empty ballots, multiplicities up to a billion) and on the
-        # same ballots as pairs, with k up to m
+        # same ballots as pairs, with k up to m; gav's score, read from the
+        # columns, is the one its weight vector gives
         rng = random.Random("greedy cover")
         early = whole = huge = 0
         for _ in range(400):
@@ -251,14 +259,17 @@ class TestFindJRCommittee:
                 committee = find_jr_committee(profile, k)
                 assert committee == Committee.of(record.candidate for record in trace)
                 assert committee == naive_greedy_cover(profile, k)
+                spec = RuleSpec("gav")
+                assert compute_with_score(profile, k, spec) == (
+                    committee, report_score(profile, k, spec, committee))
             early += trace[-1].weight == 0  # covered before the last seat
             whole += k == m
             huge += max(parsed.index.mults) >= 10**9
         assert early > 100 and whole > 50 and huge > 100, (early, whole, huge)
 
     def test_cover_loop_reads_only_the_columns(self, tmp_path, monkeypatch, capsys):
-        # `find --axiom jr` builds neither `owners` nor `approval_scores` nor
-        # any weight vector, and `compute --rule gav` builds no `owners`
+        # neither `find --axiom jr` nor `compute --rule gav` builds `owners`,
+        # `approval_scores` or any weight vector
         built = collections.Counter()
         real_tallies = BallotProfile._tallies.func
         real_weights = WeightVector.__post_init__
@@ -282,7 +293,24 @@ class TestFindJRCommittee:
         assert built == {}
         assert main(["compute", "--rule", "gav", "--format", "machine", str(path)]) == 0
         assert "committee=0,2,3" in capsys.readouterr().out.splitlines()
-        assert built["tallies"] == 0 and built["weights"] == 1  # the score's vector
+        assert built == {}
+
+    def test_gav_takes_no_more_memory_than_the_cover_loop(self, tmp_path, capsys):
+        # on 200,000 candidates, `compute --rule gav` peaks where
+        # `find --axiom jr` does: scoring the committee builds nothing per
+        # candidate, where a length-m weight vector would add 1.7 MB
+        path = tmp_path / "wide.profile"
+        path.write_text("m 200000\n1: 199999 0\n1: 5\n")
+        peaks = []
+        for argv in (["find", "--axiom", "jr"], ["compute", "--rule", "gav"]):
+            tracemalloc.start()
+            try:
+                assert main([*argv, "--k", "1", "--format", "machine", str(path)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert "committee=0" in capsys.readouterr().out.splitlines()
+        assert peaks[1] < peaks[0] + 500_000, peaks
 
 
 class TestFindEllJRCommittee:

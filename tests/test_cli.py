@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jrvoting import axioms, rules
+from jrvoting import axioms, cli, rules
 from jrvoting.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -930,3 +930,92 @@ class TestParserReuse:
         assert code == EXIT_OK and out.startswith(f"usage: jrvoting {' '.join(argv)}".rstrip())
         if not argv:
             assert "{" + ",".join(SUBCOMMANDS) + "}" in out
+
+
+# one argv per row: a valid call of every command, every command's help, and
+# the usage errors; PROFILE and GRAPH name a small document of each kind
+DISPATCH_ARGVS = [
+    ("compute", "--rule", "pav", "--format", "machine", "PROFILE"),
+    ("check", "--axiom", "jr", "--committee", "0,2", "--format", "machine", "PROFILE"),
+    ("find", "--axiom", "jr", "--format", "machine", "PROFILE"),
+    ("corpus", "--name", "example5", "--verify"),
+    ("reduce", "--graph", "GRAPH", "--ell", "3", "--format", "machine"),
+    ("random", "--seed", "1", "--n", "5", "--m", "4", "--k", "2", "--culture", "uniform:0.5"),
+    ("oracle", "--trials", "3", "--seed", "2", "--format", "machine"),
+    *((sub, "--help") for sub in SUBCOMMANDS),
+    (),
+    ("-h",),
+    ("nope",),
+    ("--format", "machine", "check", "--axiom", "jr", "--committee", "0", "PROFILE"),
+    ("check", "--axiom", "jr", "--committee", "0", "--bogus", "PROFILE"),
+    ("check", "--axiom", "jr", "--committee", "0", "PROFILE", "extra"),
+    ("check", "PROFILE"),
+    ("compute", "--rule", "nope", "PROFILE"),
+]
+VALID_ARGVS = DISPATCH_ARGVS[:len(SUBCOMMANDS)]
+
+
+class TestDispatch:
+    # `main` sends an argv that starts with a command name straight to that
+    # command's parser: each call must behave as the top-level parser's parse
+    # of the same argv does
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        profile = tmp_path / "small.profile"
+        profile.write_text("m 4\nk 2\n3: 0 1\n2: 2\n1: 3\n1: 0 3\n")
+        graph = tmp_path / "small.graph"
+        graph.write_text("L 3 R 3\n" + "".join(f"edge {u} {v}\n" for u in range(3) for v in range(3)))
+        return {"PROFILE": str(profile), "GRAPH": str(graph)}
+
+    @pytest.fixture()
+    def namespaces(self, monkeypatch):
+        # parsers of this test's own, whose handlers record each namespace
+        # they are given before running
+        parser, commands = cli._parsers.__wrapped__()
+        seen = []
+        for command in commands.values():
+            def spy(args, handler=command.get_default("handler")):
+                seen.append(vars(args))
+                return handler(args)
+
+            command.set_defaults(handler=spy)
+        monkeypatch.setattr(cli, "_parsers", lambda: (parser, commands))
+        return seen
+
+    @staticmethod
+    def reference(argv):
+        """`main`'s answer from one top-level parse of the whole argv."""
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+        return args.handler(args)
+
+    @pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=" ".join)
+    def test_matches_the_top_level_parse(self, capsysbinary, monkeypatch, files, namespaces, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        valid = argv in VALID_ARGVS
+        argv = [files.get(arg, arg) for arg in argv]
+        code = main(argv)
+        out, err = capsysbinary.readouterr()
+        assert (code, out, err) == (self.reference(argv), *capsysbinary.readouterr())
+        assert len(namespaces) == (2 if valid else 0)
+        if namespaces:
+            dispatched, parsed = namespaces
+            assert dispatched == parsed and dispatched["command"] == argv[0]
+
+    @pytest.mark.parametrize("argv", VALID_ARGVS, ids=lambda argv: argv[0])
+    def test_a_command_skips_the_top_level_parse(self, run, monkeypatch, files, argv):
+        parser = _build_parser()
+        calls = []
+
+        def parse_known_args(*args, **kwargs):
+            calls.append(args)
+            return type(parser).parse_known_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_known_args", parse_known_args)
+        code, out, _ = run(*(files.get(arg, arg) for arg in argv))
+        assert code in (EXIT_OK, EXIT_FAIL) and out
+        assert calls == []
+        assert run("nope")[0] == EXIT_USAGE and len(calls) == 1

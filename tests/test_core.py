@@ -270,11 +270,18 @@ class TestColumns:
 
     @pytest.mark.parametrize("palette", [
         (1,), (7,), (10**9,), (1, 2), (1, 3, 64, 10**9), (1, 2, 3, 4, 5, 6, 7), tuple(range(1, 40)),
+        # fewer multiplicities than binary digits, up to more than a byte's
+        # 256 ranks
+        tuple(range(2**40, 2**40 + 30)), tuple(range(2**300, 2**300 + 300)),
     ])
     def test_weigh_sums_the_multiplicities_of_the_groups(self, palette):
         rng = random.Random(f"weigh|{palette}")
         for _ in range(200):
-            mults = [rng.choice(palette) for _ in range(rng.randint(1, 90))]
+            size = rng.randint(1, 300)
+            if rng.random() < 0.5:
+                mults = [rng.choice(palette) for _ in range(size)]
+            else:  # as many distinct multiplicities as the palette allows
+                mults = rng.sample(palette, min(size, len(palette)))
             weigh = _weigher(mults)
             for _ in range(5):
                 groups = rng.getrandbits(len(mults))
