@@ -23,7 +23,6 @@ construction, `find_jr_committee`, is greedy cover on the same columns.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import reduce
 from heapq import heapify, heappop, heappushpop
 from operator import and_
@@ -32,6 +31,7 @@ from typing import Callable, Optional
 from .core import (
     BallotProfile,
     Committee,
+    Record,
     _columns,
     _flags_mask,
     _mask_flags,
@@ -45,8 +45,7 @@ SJR = "sjr"
 UNANIMITY = "unanimity"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """A concrete violation: a cohesive voter group and its common candidates.
 
     ``ballot_indices`` are the ascending indices of the referenced ballots
@@ -56,19 +55,27 @@ class Witness:
     (`BallotProfile.index`) and name a group's ballots only here.
     """
 
-    level: int
-    candidates: tuple[int, ...]
-    ballot_indices: tuple[int, ...]
-    group_size: int
+    _fields = ("level", "candidates", "ballot_indices", "group_size")
+
+    def __init__(self, level: int, candidates: tuple[int, ...],
+                 ballot_indices: tuple[int, ...], group_size: int):
+        fields = self.__dict__
+        fields["level"] = level
+        fields["candidates"] = candidates
+        fields["ballot_indices"] = ballot_indices
+        fields["group_size"] = group_size
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     """Verdict of an axiom check, with a witness when the check fails."""
 
-    axiom: str
-    passed: bool
-    witness: Optional[Witness] = None
+    _fields = ("axiom", "passed", "witness")
+
+    def __init__(self, axiom: str, passed: bool, witness: Optional[Witness] = None):
+        fields = self.__dict__
+        fields["axiom"] = axiom
+        fields["passed"] = passed
+        fields["witness"] = witness
 
     @property
     def failed(self) -> bool:
@@ -482,17 +489,26 @@ def oracle_check_sjr(profile: BallotProfile, k: int, committee: Committee) -> bo
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Axiom:
+class Axiom(Record):
     """``check(profile, k, committee, ell)`` gives the fast checker's report,
     ``oracle`` (same arguments) the brute-force verdict and ``find(profile,
     k, ell)`` a committee with the axiom; ``ell`` is the level of a
     ``leveled`` axiom and ignored otherwise."""
 
-    check: Callable[[BallotProfile, int, Committee, Optional[int]], AxiomReport]
-    oracle: Optional[Callable[[BallotProfile, int, Committee, Optional[int]], bool]] = None
-    find: Optional[Callable[[BallotProfile, int, Optional[int]], Committee]] = None
-    leveled: bool = False
+    _fields = ("check", "oracle", "find", "leveled")
+
+    def __init__(
+        self,
+        check: Callable[[BallotProfile, int, Committee, Optional[int]], AxiomReport],
+        oracle: Optional[Callable[[BallotProfile, int, Committee, Optional[int]], bool]] = None,
+        find: Optional[Callable[[BallotProfile, int, Optional[int]], Committee]] = None,
+        leveled: bool = False,
+    ):
+        fields = self.__dict__
+        fields["check"] = check
+        fields["oracle"] = oracle
+        fields["find"] = find
+        fields["leveled"] = leveled
 
 
 AXIOMS: dict[str, Axiom] = {

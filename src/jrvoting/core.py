@@ -11,13 +11,19 @@ anywhere, so tied scores and quota boundaries are resolved exactly.
 
 All types are immutable after construction and all operations are pure
 functions of their inputs, so they can safely be shared across threads.
+The records here and in the other layers (`Ballot`, `Committee`, `RuleSpec`,
+`AxiomReport`, `OptimizationRequest`, `Fixture`, ...) are plain classes on
+one base, `Record`: each names its fields in ``_fields`` and sets them in
+its own ``__init__``, and the base gives the equality, hash and repr a
+frozen dataclass would, and raises `FrozenInstanceError` on assignment and
+deletion.  So no layer imports `dataclasses` (which loads `inspect`, `ast`,
+`dis` and `tokenize`), and a one-shot command does not pay for it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappushpop
@@ -29,6 +35,50 @@ RationalLike = Union[int, str, Fraction]
 
 class ProfileError(ValueError):
     """A ballot profile (or committee used with it) is structurally invalid."""
+
+
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or deletion of, an attribute of a `Record` or a
+    `BallotProfile`."""
+
+
+class Record:
+    """The base of the package's immutable records.
+
+    A subclass lists its fields in ``_fields`` and sets them in its
+    ``__init__`` straight into the instance ``__dict__``, then calls its
+    ``__post_init__``, if it has one, for the checks.  The base gives what
+    ``@dataclass(frozen=True)`` gives: a record equals only an instance of
+    its own class with equal fields, hashes as the tuple of its fields (so
+    one holding a dict is unhashable), has the repr ``Name(field=value,
+    ...)``, and raises `FrozenInstanceError` on assignment and deletion.
+    Pickling and copying restore the ``__dict__`` and run no ``__init__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        fields = self.__dict__
+        return tuple([fields[name] for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = self.__dict__
+        shown = ", ".join([f"{name}={fields[name]!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class BudgetExhausted(RuntimeError):
@@ -78,15 +128,18 @@ def _mask_flags(mask: int, length: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_TO_FLAGS).ljust(length, b"\0")
 
 
-@dataclass(frozen=True)
-class Ballot:
+class Ballot(Record):
     """One distinct approval set together with the number of voters casting it."""
 
-    approved: frozenset[int]
-    multiplicity: int = 1
+    _fields = ("approved", "multiplicity")
+
+    def __init__(self, approved: Iterable[int], multiplicity: int = 1):
+        fields = self.__dict__
+        fields["approved"] = frozenset(approved)
+        fields["multiplicity"] = multiplicity
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "approved", frozenset(self.approved))
         if self.multiplicity < 1:
             raise ProfileError(f"ballot multiplicity must be >= 1, got {self.multiplicity}")
 
@@ -98,8 +151,7 @@ class Ballot:
         return m
 
 
-@dataclass(frozen=True, eq=False)
-class GroupIndex:
+class GroupIndex(Record):
     """A profile's ballots grouped by approval set.
 
     Group g is one distinct approval set: its candidate indices
@@ -114,13 +166,21 @@ class GroupIndex:
     ``(group, multiplicity)`` pair per distinct ballot (a pair, or a
     distinct line of a profile document), and ``order[i]`` is the entry of
     ballot i.  A set of groups is a bitmask too, bit g for group g: `weigh`
-    gives its voters and `positions` its ballots.
+    gives its voters and `positions` its ballots.  Two indices are equal
+    only if they are the same object.
     """
 
-    members: tuple[Collection[int], ...]
-    mults: tuple[int, ...]
-    entries: tuple[tuple[int, int], ...]
-    order: tuple[int, ...]
+    _fields = ("members", "mults", "entries", "order")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, members: tuple[Collection[int], ...], mults: tuple[int, ...],
+                 entries: tuple[tuple[int, int], ...], order: tuple[int, ...]):
+        fields = self.__dict__
+        fields["members"] = members
+        fields["mults"] = mults
+        fields["entries"] = entries
+        fields["order"] = order
 
     @classmethod
     def build(cls, members: list[Collection[int]], entries: list[tuple[int, int]],
@@ -429,14 +489,16 @@ def normalize_profile(profile: BallotProfile) -> BallotProfile:
     return BallotProfile.from_groups(profile.num_candidates, groups)
 
 
-@dataclass(frozen=True)
-class Committee:
+class Committee(Record):
     """A size-k set of candidate indices, stored as a strictly increasing tuple."""
 
-    members: tuple[int, ...]
+    _fields = ("members",)
+
+    def __init__(self, members: Iterable[int]):
+        self.__dict__["members"] = tuple(members)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
         if not self.members:
             raise ValueError("committee must not be empty")
         if any(c < 0 for c in self.members):
@@ -470,8 +532,7 @@ class Committee:
         return candidate in self.members
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(Record):
     """A non-increasing score vector w_1 >= w_2 >= ... >= 0 with w_1 = 1.
 
     Drives both the committee-score family (total satisfaction of a voter
@@ -482,11 +543,14 @@ class WeightVector:
     to the profile's number of candidates.
     """
 
-    weights: tuple[Fraction, ...]
+    _fields = ("weights",)
+
+    def __init__(self, weights: Iterable[RationalLike]):
+        self.__dict__["weights"] = tuple(map(_as_fraction, weights))
+        self.__post_init__()
 
     def __post_init__(self):
-        weights = tuple(map(_as_fraction, self.weights))
-        object.__setattr__(self, "weights", weights)
+        weights = self.weights
         if not weights:
             raise ValueError("weight vector must be non-empty")
         # compared as integers: a/c >= b/d iff a*d >= b*c, denominators being
@@ -534,8 +598,7 @@ class WeightVector:
         return self.weights[j - 1]
 
 
-@dataclass(frozen=True)
-class ScoringObjective:
+class ScoringObjective(Record):
     """One of the four committee-scoring objectives.
 
     ``av``    total number of approved winners over all voters (maximize);
@@ -545,8 +608,13 @@ class ScoringObjective:
               (minimize; multiplicities beyond presence are irrelevant).
     """
 
-    kind: str
-    weights: Optional[WeightVector] = None
+    _fields = ("kind", "weights")
+
+    def __init__(self, kind: str, weights: Optional[WeightVector] = None):
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["weights"] = weights
+        self.__post_init__()
 
     def __post_init__(self):
         if self.kind not in ("av", "sav", "wpav", "mav"):

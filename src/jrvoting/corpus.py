@@ -10,17 +10,18 @@ construction's reading order and are documented per fixture via
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union, get_args, get_type_hints
+from typing import (
+    Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union, get_args, get_type_hints,
+)
 
 from . import axioms, rules
 from .core import (
     BallotProfile,
     Committee,
+    Record,
     ScoringObjective,
     TieBreak,
     WeightVector,
@@ -32,32 +33,57 @@ class FixtureParameterError(ValueError):
     """Fixture parameters violate the construction's constraints."""
 
 
-@dataclass(frozen=True)
-class Expectation:
+class Expectation(Record):
     """One machine-checkable claim about a fixture."""
 
-    op: str
-    inputs: Mapping[str, object]
-    expected: Mapping[str, object]
+    _fields = ("op", "inputs", "expected")
+
+    def __init__(self, op: str, inputs: Mapping[str, object], expected: Mapping[str, object]):
+        fields = self.__dict__
+        fields["op"] = op
+        fields["inputs"] = inputs
+        fields["expected"] = expected
 
 
-@dataclass(frozen=True)
-class Fixture:
-    name: str
-    params: Mapping[str, object]
-    profile: BallotProfile
-    k: int
-    expectations: tuple[Expectation, ...]
-    citation: str
-    weights: Optional[WeightVector] = None
-    candidate_names: Mapping[int, str] = field(default_factory=dict)
+class Fixture(Record):
+    """A named construction: its profile, committee size and expectations.
+    Without ``candidate_names`` a fixture gets a fresh empty dict."""
+
+    _fields = (
+        "name", "params", "profile", "k", "expectations", "citation", "weights",
+        "candidate_names",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        params: Mapping[str, object],
+        profile: BallotProfile,
+        k: int,
+        expectations: tuple[Expectation, ...],
+        citation: str,
+        weights: Optional[WeightVector] = None,
+        candidate_names: Optional[Mapping[int, str]] = None,
+    ):
+        fields = self.__dict__
+        fields["name"] = name
+        fields["params"] = params
+        fields["profile"] = profile
+        fields["k"] = k
+        fields["expectations"] = expectations
+        fields["citation"] = citation
+        fields["weights"] = weights
+        fields["candidate_names"] = {} if candidate_names is None else candidate_names
 
 
-@dataclass(frozen=True)
-class ExpectationResult:
-    description: str
-    ok: bool
-    detail: str
+class ExpectationResult(Record):
+    _fields = ("description", "ok", "detail")
+
+    def __init__(self, description: str, ok: bool, detail: str):
+        fields = self.__dict__
+        fields["description"] = description
+        fields["ok"] = ok
+        fields["detail"] = detail
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +735,8 @@ def build_fixture(name: str, **params) -> Fixture:
         raise FixtureParameterError(
             f"unknown fixture {name!r}; available: {', '.join(fixture_names())}"
         ) from None
-    takes = inspect.signature(builder).parameters
+    code = builder.__code__  # every builder takes only named, positional parameters
+    takes = code.co_varnames[:code.co_argcount]
     for key in params:
         if key not in takes:
             raise FixtureParameterError(
@@ -867,16 +894,19 @@ def verify_fixture(fixture: Fixture) -> list[ExpectationResult]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
+class BipartiteGraph(Record):
     """A bipartite graph on vertex sets {0..left_size-1} and {0..right_size-1}."""
 
-    left_size: int
-    right_size: int
-    edges: frozenset[tuple[int, int]]
+    _fields = ("left_size", "right_size", "edges")
+
+    def __init__(self, left_size: int, right_size: int, edges: Iterable[tuple[int, int]]):
+        fields = self.__dict__
+        fields["left_size"] = left_size
+        fields["right_size"] = right_size
+        fields["edges"] = frozenset(edges)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset(self.edges))
         if self.left_size < 1 or self.right_size < 1:
             raise ValueError("both sides must be non-empty")
         for u, v in self.edges:
@@ -956,11 +986,14 @@ def reduce_biclique(graph: BipartiteGraph, ell: int) -> ReducedInstance:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UniformSubsets:
+class UniformSubsets(Record):
     """Each voter approves each candidate independently with probability p."""
 
-    p: float
+    _fields = ("p",)
+
+    def __init__(self, p: float):
+        self.__dict__["p"] = p
+        self.__post_init__()
 
     def __post_init__(self):
         if not 0 <= self.p <= 1:
@@ -970,11 +1003,14 @@ class UniformSubsets:
         return f"uniform:{self.p}"
 
 
-@dataclass(frozen=True)
-class FixedSize:
+class FixedSize(Record):
     """Each voter approves a uniform random subset of exactly `size` candidates."""
 
-    size: int
+    _fields = ("size",)
+
+    def __init__(self, size: int):
+        self.__dict__["size"] = size
+        self.__post_init__()
 
     def __post_init__(self):
         if self.size < 0:
@@ -984,16 +1020,20 @@ class FixedSize:
         return f"fixed:{self.size}"
 
 
-@dataclass(frozen=True)
-class UrnLike:
+class UrnLike(Record):
     """Voters mostly copy one of a few shared base ballots.
 
     With probability `cohesion` a voter copies a uniformly chosen base ballot,
     otherwise she draws a fresh uniform subset (p = 1/2).
     """
 
-    groups: int
-    cohesion: float
+    _fields = ("groups", "cohesion")
+
+    def __init__(self, groups: int, cohesion: float):
+        fields = self.__dict__
+        fields["groups"] = groups
+        fields["cohesion"] = cohesion
+        self.__post_init__()
 
     def __post_init__(self):
         if self.groups < 1:

@@ -31,7 +31,6 @@ runs, so a command that runs none never loads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -43,6 +42,7 @@ from .core import (
     BallotProfile,
     Committee,
     MAV,
+    Record,
     SAV,
     ScoringObjective,
     TieBreak,
@@ -66,8 +66,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class RuleSpec:
+class RuleSpec(Record):
     """A rule name plus, for the weight-parameterized rules, its weight vector.
 
     Named families expand to explicit weight vectors of length m at
@@ -77,9 +76,15 @@ class RuleSpec:
     budget).
     """
 
-    name: str
-    weights: Optional[WeightVector] = None
-    tiebreak: TieBreak = TieBreak.LEXICOGRAPHIC
+    _fields = ("name", "weights", "tiebreak")
+
+    def __init__(self, name: str, weights: Optional[WeightVector] = None,
+                 tiebreak: TieBreak = TieBreak.LEXICOGRAPHIC):
+        fields = self.__dict__
+        fields["name"] = name
+        fields["weights"] = weights
+        fields["tiebreak"] = tiebreak
+        self.__post_init__()
 
     def __post_init__(self):
         rule = _RULES.get(self.name)
@@ -99,8 +104,7 @@ def rule_weights(spec: RuleSpec, profile: BallotProfile) -> Optional[WeightVecto
     return spec.weights if family is None else family(profile)
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(Record):
     """One round of a sequential rule.
 
     ``weights`` maps every candidate that was still unelected at the start of
@@ -108,10 +112,15 @@ class RoundRecord:
     ``weight`` its (maximal) approval weight.
     """
 
-    index: int
-    candidate: int
-    weight: Fraction
-    weights: Mapping[int, Fraction]
+    _fields = ("index", "candidate", "weight", "weights")
+
+    def __init__(self, index: int, candidate: int, weight: Fraction,
+                 weights: Mapping[int, Fraction]):
+        fields = self.__dict__
+        fields["index"] = index
+        fields["candidate"] = candidate
+        fields["weight"] = weight
+        fields["weights"] = weights
 
 
 def _sequential_rows(
@@ -235,16 +244,26 @@ def compute_ejrav(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Rule:
-    # (profile, k, spec, budget) -> the committee, and a call that gives the
-    # score `report_score` reports for it from the same computation, so
-    # `compute_rule` pays nothing for a score it does not report
-    compute: Callable[..., tuple[Committee, Callable[[], Fraction]]]
-    score: Callable[..., Fraction]  # (profile, spec, committee)
-    family: Optional[Callable[[BallotProfile], WeightVector]] = None
-    explicit_weights: bool = False
-    searches: bool = True  # honours a search budget and the prefer-jr tie-break
+class _Rule(Record):
+    _fields = ("compute", "score", "family", "explicit_weights", "searches")
+
+    def __init__(
+        self,
+        # (profile, k, spec, budget) -> the committee, and a call that gives the
+        # score `report_score` reports for it from the same computation, so
+        # `compute_rule` pays nothing for a score it does not report
+        compute: Callable[..., tuple[Committee, Callable[[], Fraction]]],
+        score: Callable[..., Fraction],  # (profile, spec, committee)
+        family: Optional[Callable[[BallotProfile], WeightVector]] = None,
+        explicit_weights: bool = False,
+        searches: bool = True,  # honours a search budget and the prefer-jr tie-break
+    ):
+        fields = self.__dict__
+        fields["compute"] = compute
+        fields["score"] = score
+        fields["family"] = family
+        fields["explicit_weights"] = explicit_weights
+        fields["searches"] = searches
 
 
 def _score_rule(objective: ScoringObjective, family=None) -> _Rule:

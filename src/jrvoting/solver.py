@@ -85,7 +85,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable, Iterable, Optional, Sequence
@@ -96,21 +95,27 @@ from .core import (
     BallotProfile,
     BudgetExhausted,
     Committee,
+    Record,
     ScoringObjective,
     TieBreak,
     _gain_rows,
 )
 
 
-@dataclass(frozen=True)
-class OptimizationRequest:
+class OptimizationRequest(Record):
     """A fully specified exact committee-selection problem."""
 
-    profile: BallotProfile
-    k: int
-    objective: ScoringObjective
-    tiebreak: TieBreak = TieBreak.LEXICOGRAPHIC
-    budget: Optional[int] = None
+    _fields = ("profile", "k", "objective", "tiebreak", "budget")
+
+    def __init__(self, profile: BallotProfile, k: int, objective: ScoringObjective,
+                 tiebreak: TieBreak = TieBreak.LEXICOGRAPHIC, budget: Optional[int] = None):
+        fields = self.__dict__
+        fields["profile"] = profile
+        fields["k"] = k
+        fields["objective"] = objective
+        fields["tiebreak"] = tiebreak
+        fields["budget"] = budget
+        self.__post_init__()
 
     def __post_init__(self):
         if not 1 <= self.k <= self.profile.num_candidates:
@@ -125,12 +130,16 @@ class OptimizationRequest:
             )
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
-    committee: Committee
-    score: Fraction
-    co_optimal_count: Optional[int]
-    nodes_explored: int
+class OptimizationResult(Record):
+    _fields = ("committee", "score", "co_optimal_count", "nodes_explored")
+
+    def __init__(self, committee: Committee, score: Fraction,
+                 co_optimal_count: Optional[int], nodes_explored: int):
+        fields = self.__dict__
+        fields["committee"] = committee
+        fields["score"] = score
+        fields["co_optimal_count"] = co_optimal_count
+        fields["nodes_explored"] = nodes_explored
 
 
 class _Search:

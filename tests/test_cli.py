@@ -540,13 +540,13 @@ class TestCommands:
         assert flag in err and "randrange" not in err
 
     @pytest.mark.parametrize(
-        "name, takes", [("thm4", "k"), ("lemma1", "j, epsilon, k"), ("thm7", "no parameters")]
+        "name, takes",
+        [("thm4", "k"), ("lemma1", "j, epsilon, k"), ("thm7", "no parameters"), ("thm8", "s, w2")],
     )
     def test_unknown_fixture_param_names_the_ones_it_takes(self, run, name, takes):
         code, out, err = run("corpus", "--name", name, "--param", "q=1", "--emit")
-        assert code == EXIT_USAGE and out == "" and len(err.splitlines()) == 1
-        assert f"fixture {name}: unknown parameter q; it takes {takes}" in err
-        assert "keyword argument" not in err
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"fixture parameter error: fixture {name}: unknown parameter q; it takes {takes}\n"
 
 
 class TestExitCodes:

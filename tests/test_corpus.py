@@ -126,6 +126,23 @@ class TestParameterConstraints:
         with pytest.raises(FixtureParameterError):
             build_fixture("thm7", q=3)
 
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            ("thm8", {"z": 1}, "fixture thm8: unknown parameter z; it takes s, w2"),
+            ("thm7", {"z": 1}, "fixture thm7: unknown parameter z; it takes no parameters"),
+            # the first unknown name in the order given, the names taken in
+            # the builder's order
+            ("thm8", {"s": 8, "z": 1, "a": 2}, "fixture thm8: unknown parameter z; it takes s, w2"),
+            ("lemma1", {"k": 2, "jj": 2},
+             "fixture lemma1: unknown parameter jj; it takes j, epsilon, k"),
+        ],
+    )
+    def test_unknown_parameter_message_is_pinned(self, name, params, message):
+        with pytest.raises(FixtureParameterError) as excinfo:
+            build_fixture(name, **params)
+        assert str(excinfo.value) == message
+
 
 class TestExpectationReplay:
     @pytest.mark.parametrize("name", fixture_names())

@@ -98,9 +98,11 @@ class TestExports:
 _PROBE = """
 import contextlib, io, json, sys
 status = None
+before = set(sys.modules)
 {statement}
 layers = sorted(m for m in sys.modules if m.partition(".")[0] == "jrvoting")
-print(json.dumps({{"status": status, "layers": layers}}))
+added = sorted(set(sys.modules) - before)
+print(json.dumps({{"status": status, "layers": layers, "added": added}}))
 """
 
 _MAIN = """
@@ -110,17 +112,28 @@ with contextlib.redirect_stdout(io.StringIO()):
 """
 
 
-def _fresh(statement, *argv):
-    """The exit status and the `jrvoting` modules of a fresh interpreter after
-    it runs ``statement`` with ``argv``."""
+def _probe(statement, *argv) -> dict:
+    """What a fresh interpreter reports after it runs ``statement`` with
+    ``argv``: the exit status, its `jrvoting` modules and every module the
+    statement added."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", _PROBE.format(statement=statement), *argv],
         capture_output=True, text=True, timeout=60, check=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    result = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def _fresh(statement, *argv):
+    """The exit status and the `jrvoting` modules of a fresh interpreter after
+    it runs ``statement`` with ``argv``."""
+    result = _probe(statement, *argv)
     return result["status"], set(result["layers"])
+
+
+# `dataclasses` imports `inspect`, which imports the other three
+_INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 class TestWhatEachEntryPointLoads:
@@ -180,3 +193,20 @@ class TestWhatEachEntryPointLoads:
     def test_corpus_command_loads_the_corpus(self):
         code, layers = _fresh(_MAIN, "corpus", "--name", "example1", "--verify")
         assert code == 0 and "jrvoting.corpus" in layers
+
+    @pytest.mark.parametrize(
+        "statement, argv",
+        [
+            ("import jrvoting.cli", ()),
+            (_MAIN, ("compute", "--rule", "pav", "PROFILE")),
+            (_MAIN, ("check", "--axiom", "ejr", "--committee", "0,1,2", "PROFILE")),
+            (_MAIN, ("find", "--axiom", "jr", "PROFILE")),
+            (_MAIN, ("corpus", "--name", "example1", "--verify")),
+        ],
+        ids=["import", "compute", "check", "find", "corpus"],
+    )
+    def test_no_command_loads_dataclasses_or_inspect(self, intro_file, statement, argv):
+        result = _probe(statement, *[intro_file if arg == "PROFILE" else arg for arg in argv])
+        assert result["status"] in (None, 0)
+        assert "jrvoting.cli" in result["added"]
+        assert not _INTROSPECTION & set(result["added"])
