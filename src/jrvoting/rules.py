@@ -222,14 +222,18 @@ def compute_ejrav(
     committees providing justified representation; lexicographic on ties.
 
     The demand search (`solver._maximize_demands`, on one class holding
-    every ballot group) runs in two passes: over the candidates in
-    descending approval score it finds the best maximin of a justified
-    committee, then, in label order from that value, the first justified
-    committee worth it.  A voter with an empty ballot pins the
-    maximin at zero, in which case one label-order pass finds the
-    lexicographically first justified committee.  The budget counts search
-    nodes over both passes; one that runs out in the second reports the
-    first pass's committee, justified, as the best so far.
+    every ballot group) first asks a hitting-set certificate whether any k
+    candidates give every ballot a winner.  If none do, or a voter has an
+    empty ballot, the maximin is zero, and one label-order pass finds the
+    lexicographically first justified committee.  Otherwise it runs in two
+    passes: over the candidates in descending approval score, from the
+    maximin of the certificate's committee (justified, as it leaves no voter
+    unrepresented), it finds the best maximin of a justified committee,
+    then, in label order from that value, the first justified committee
+    worth it.  The budget counts search nodes
+    over the certificate and both passes; one that runs out in the
+    certificate has no best so far, and one that runs out in the second
+    pass reports the first pass's committee, justified, as the best so far.
     """
     from .solver import _best_accepted
 

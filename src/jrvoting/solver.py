@@ -56,30 +56,35 @@ target.  A node is hopeless once some group can no longer reach its demand,
 counting only its approved candidates still to come, or once the winners
 its groups still lack outnumber what its open seats can pay: one per open
 seat to each group still short that approves the seat's candidate, from the
-largest such offers among the candidates still to come.  It runs in two
-passes, since under a tie rule its wide plateaus of tied committees would
-all be entered: a strict search over the candidates in descending approval
-score, ties by label, finds the optimum's value, and a label-order search
-from that value ends at the first committee worth it.  One label-order pass
-serves when the approval order is label order or every committee is worth
-the ceiling.  In label order a leaf replaces the incumbent only when it is
-strictly better and passes the leaf requirement, if any, so ties go to the
-first committee visited.  Prefer-JR adds a pass: only if the plain search's
-optimum fails JR does a label-order search run from the optimum's value
-with "provides JR" as its leaf requirement.  Every search starts from a
-floor that every answer reaches, its target until it holds an incumbent, so
-its first nodes bound their children too: the greedy score, an optimum's
-value, the least value of any committee in a demand search's first pass,
-or 0.  Every search ends at an incumbent worth its objective's ceiling, the
-best value any committee could have; a search from an optimum's value takes
-that value as its ceiling, and the search for any committee passing a leaf
-requirement values every committee at 0, so both end at the first committee
-that passes.  A node budget counts visited nodes only, over every pass; a
-budget that runs out in a later pass reports the earlier pass's answer as
-the best so far, and the best so far is always in labels.  All bookkeeping
-is done in scaled integers, so results are exact and deterministic.  The
-search is sequential; since every input type is immutable, any number of
-searches may run concurrently on shared profiles.
+largest such offers among the candidates still to come.  Beating the least
+value any committee has means a winner of every group that pins it, so a
+hitting-set certificate (`_hitting_set`, on an explicit stack) decides that
+first; where no k candidates hit them all, the least value is the optimum.
+Otherwise the search runs in two passes, since under a tie rule its wide
+plateaus of tied committees would all be entered: a strict search over the
+candidates in descending approval score, ties by label, finds the
+optimum's value, and a label-order search from that value ends at the
+first committee worth it.  One label-order pass serves when the
+certificate settles the optimum, when the approval order is label order or
+when every committee is worth the ceiling.  In label order a leaf replaces
+the incumbent only when it is strictly better and passes the leaf
+requirement, if any, so ties go to the first committee visited.  Prefer-JR
+adds a pass: only if the plain search's optimum fails JR does a
+label-order search run from the optimum's value with "provides JR" as its
+leaf requirement.  Every search starts from a floor that every answer
+reaches, its target until it holds an incumbent, so its first nodes bound
+their children too: the greedy score, an optimum's value, in a demand search's first pass the value of the certificate's
+committee or else the least value of any committee, or 0.  Every search
+ends at an incumbent worth its objective's ceiling, the best value any
+committee could have; a search from an optimum's value takes that value as
+its ceiling, and the search for any committee passing a leaf requirement
+values every committee at 0, so both end at the first committee that
+passes.  A node budget counts visited nodes only, over every pass and the
+certificate; a budget that runs out in a later pass reports the earlier
+pass's answer as the best so far, and the best so far is always in
+labels.  All bookkeeping is done in scaled integers, so results are exact
+and deterministic.  The search is sequential; since every input type is
+immutable, any number of searches may run concurrently on shared profiles.
 """
 from __future__ import annotations
 
@@ -237,6 +242,19 @@ class _Search:
     def score(self, value: int) -> Fraction:
         return Fraction(value, self.denominator)
 
+    def visit(self) -> None:
+        """Count a visited node against the budget; past it, raise
+        `BudgetExhausted` with the incumbent, if any, as the best so far."""
+        self.nodes += 1
+        if self.budget is not None and self.nodes > self.budget:
+            best = self.best_members
+            raise BudgetExhausted(
+                f"node budget {self.budget} exhausted",
+                best_committee=Committee(best) if best else None,
+                best_score=self.score(self.best_value) if best else None,
+                nodes_explored=self.nodes,
+            )
+
     def run(self, add, undo, leaf, bound, ceiling: int, floor: int, strict: bool = False) -> None:
         """Visit the committees depth first, in the search's order, maximizing
         ``leaf()``.
@@ -293,15 +311,7 @@ class _Search:
             return tuple(sorted([labels[q] for q in chosen] + [labels[p]] + rest(p))) < self.best_members
 
         while True:
-            self.nodes += 1
-            if self.budget is not None and self.nodes > self.budget:
-                best = self.best_members
-                raise BudgetExhausted(
-                    f"node budget {self.budget} exhausted",
-                    best_committee=Committee(best) if best else None,
-                    best_score=self.score(self.best_value) if best else None,
-                    nodes_explored=self.nodes,
-                )
+            self.visit()
             depth = len(chosen)
             if depth == k:
                 value = leaf()
@@ -626,6 +636,86 @@ def _demand_state(search: _Search):
     return hits, add, undo, hopeless
 
 
+def _hitting_set(sets: Sequence[int], k: int, visit: Callable[[], None]) -> Optional[int]:
+    """At most ``k`` candidates, as a bitmask, that hit every candidate
+    bitmask in ``sets``, or None if no k candidates do.
+
+    A depth-first search with its open nodes on an explicit stack, calling
+    ``visit()`` at each node.  A node holds its seated candidates, the
+    candidates it excludes and the sets still unhit, cut to their free
+    candidates, neither seated nor excluded, fewest first.  It branches on
+    the free candidates of the first unhit set, in label order, and
+    excludes each from the branches after its own, so no seating is
+    visited twice (the most constrained first, as in Knuth's Dancing Links,
+    2000).  A node with no more unhit sets than open seats ends the search,
+    seating the lowest free candidate of each.  A node is pruned once more
+    of its unhit sets are pairwise disjoint than it has open seats, since
+    each of those needs a seat of its own; they are packed greedily, fewest
+    free candidates first.
+    """
+    # seated, excluded, the parent's unhit sets, open seats, the candidate to seat
+    stack = [(0, 0, sorted(sets, key=int.bit_count), k, 0)]
+    while stack:
+        seated, excluded, unhit, seats, bit = stack.pop()
+        visit()
+        if bit:
+            seated |= bit
+            allowed = ~excluded
+            unhit = sorted([s & allowed for s in unhit if not s & bit], key=int.bit_count)
+        if not unhit:
+            return seated
+        pivot = unhit[0]
+        if not seats or not pivot:
+            continue  # no seat left, or a set with no free candidate
+        if len(unhit) <= seats:
+            for s in unhit:  # a seat for each: its lowest free candidate
+                seated |= s & -s
+            return seated
+        packed = disjoint = 0
+        for s in unhit:
+            if not s & packed:
+                packed |= s
+                disjoint += 1
+                if disjoint > seats:
+                    break
+        if disjoint > seats:
+            continue
+        branches = []
+        while pivot:
+            bit = pivot & -pivot
+            branches.append((seated, excluded, unhit, seats - 1, bit))
+            excluded |= bit
+            pivot ^= bit
+        stack += reversed(branches)  # the lowest label first
+    return None
+
+
+def _certify(search: _Search, classes: Sequence[tuple[int, int, Callable[[int], int]]],
+             groups: int, least: int, ceiling: int) -> tuple[Optional[int], int]:
+    """Decide by `_hitting_set` whether some committee beats the floor
+    ``least`` by giving a winner to every group in the bitmask ``groups``.
+    Returns the optimum's value, if that settles it, and a floor every
+    answer reaches.  With no k candidates hitting those groups the optimum
+    is ``least``.  Otherwise the cover, filled with the lowest free labels,
+    is a committee worth more; its value is the floor if ``search.accept``,
+    if any, passes it, and the optimum if it is the ceiling.  (ejrav's
+    "provides JR" passes every maximin cover: it leaves no voter
+    unrepresented.)"""
+    masks = search.profile.index.masks
+    cover = _hitting_set([masks[g] for g in axioms._mask_bits(groups)], search.k, search.visit)
+    if cover is None:
+        return least, least
+    free = ~cover
+    for _ in range(search.k - cover.bit_count()):
+        cover |= free & -free
+        free &= free - 1
+    if search.accept is not None and not search.accept(Committee(axioms._mask_bits(cover))):
+        return None, least
+    winners = [(mask & cover).bit_count() for mask in masks]
+    floor = min(value(min(winners[g] for g in axioms._mask_bits(mask))) for mask, _, value in classes)
+    return (ceiling if floor >= ceiling else None), floor
+
+
 def _maximize_demands(search: _Search, classes: Sequence[tuple[int, int, Callable[[int], int]]],
                       optimum: Optional[int] = None) -> None:
     """Maximize the least value, over ``classes``, of a class's value of the
@@ -639,9 +729,19 @@ def _maximize_demands(search: _Search, classes: Sequence[tuple[int, int, Callabl
     committee, is given, one label-order pass from it ends at the first
     accepted committee worth it.
 
-    With no ``optimum`` there are two strict passes.  The first visits the
-    candidates in descending approval score, ties by label, from the floor
-    ``least``, a value every committee reaches: a committee of widely
+    With no ``optimum`` and a ceiling above ``least``, the value every
+    committee reaches, `_certify` first decides by a hitting-set search
+    whether any committee is worth more: that takes a winner of every group
+    the demands one step above ``least`` ask for one, and MAV and maximin
+    ask for no more.  If none is, the optimum is ``least``; if the cover's
+    committee is worth the ceiling, that is the optimum; either way one
+    label-order pass from it follows.  Otherwise that committee's value, if
+    ``accept`` passes it, is the floor.  The certificate's nodes count in
+    ``search.nodes`` and against the budget, and it holds no incumbent.
+
+    Otherwise there are two strict passes.  The first visits the candidates
+    in descending approval score, ties by label, from the floor, a value
+    every answer reaches: a committee of widely
     approved candidates meets the demands early, so later subtrees close
     sooner, but the first optimum it finds need not come first in label
     order, so it gives only the optimum's value.  The second runs in label
@@ -684,15 +784,22 @@ def _maximize_demands(search: _Search, classes: Sequence[tuple[int, int, Callabl
 
         search.run(add, undo, leaf, bound, top, floor, strict=True)
 
-    order = None
+    floor = least
     if optimum is None and ceiling > least:
+        # beating the floor takes one winner of every group that pins it:
+        # for MAV those of the largest size, for maximin every group
+        [(want, groups)] = demands(least + 1)
+        assert want == 1
+        optimum, floor = _certify(search, classes, groups, least, ceiling)
+    order = None
+    if optimum is None and ceiling > floor:
         # a stable sort keeps ties in label order
         order = sorted(range(search.m), key=search.profile.approval_scores.__getitem__, reverse=True)
         if order == list(range(search.m)):
             order = None
     search.reorder(order)
     if optimum is None:
-        solve(ceiling, least)
+        solve(ceiling, floor)
     else:
         solve(optimum, optimum)
     if order is not None and search.best_members is not None:
@@ -728,8 +835,11 @@ def optimize_committee(request: OptimizationRequest) -> OptimizationResult:
     optimum.  The Thiele searches start from the exact score of the greedy
     committee, which every optimum reaches; while it is below the ceiling,
     the search visits the candidates in descending root gain and still
-    returns the first optimum in label order (see `_maximize`).  MAV finds
-    the optimum's value in descending approval order and then the first
+    returns the first optimum in label order (see `_maximize`).  MAV first
+    asks a hitting-set certificate whether any committee gives a winner to
+    every ballot of the largest size; if none does, one label-order pass
+    returns the first committee, all tied.  Otherwise it finds the
+    optimum's value in descending approval order and then the first
     committee worth it in label order (see `_maximize_demands`).  Co-optima
     are not counted (``co_optimal_count`` is None).  Raises `BudgetExhausted`
     (carrying the best committee found so far, in labels, and its score)

@@ -762,6 +762,36 @@ class TestExitCodes:
         assert f"committee={','.join(map(str, range(1099)))}" in out.splitlines()
         assert f"score={score}" in out.splitlines()
 
+    @pytest.mark.parametrize("rule, score", [("mav", "999"), ("ejrav", "1")])
+    def test_1000_seat_demand_search_has_no_depth_limit(self, run, tmp_path, rule, score):
+        # a winner of every ballot takes all of candidates 0-999: the
+        # certificate's cover, and the committee the search ends at
+        path = tmp_path / "deep.profile"
+        path.write_text("m 1100\nk 1000\n" + "".join(f"1: {i}\n" for i in range(1000)))
+        code, out, _ = run("compute", "--rule", rule, "--format", "machine", str(path))
+        assert code == EXIT_OK
+        assert f"committee={','.join(map(str, range(1000)))}" in out.splitlines()
+        assert f"score={score}" in out.splitlines()
+
+    @pytest.mark.parametrize("rule", ["mav", "ejrav"])
+    def test_budget_runs_out_inside_the_certificate(self, run, tmp_path, rule):
+        # no two candidates reach all four ballots.  The certificate visits
+        # its root, which branches on {0, 1}; then seating 0, which leaves
+        # {1, 2} and {3, 4} disjoint for one seat, and seating 1 with 0
+        # excluded, which leaves {2} and {3, 4}: both pruned.  So the floor,
+        # distance 4 or maximin 0, is the optimum, and one label-order pass
+        # visits the root, {0} and {0, 1}: 6 nodes.  Budgets 1 and 2 run out
+        # inside the certificate, and no budget below 6 reaches a leaf
+        path = tmp_path / "triangle.profile"
+        path.write_text("m 5\nk 2\n1: 0 1\n1: 0 2\n1: 1 2\n1: 3 4\n")
+        for budget in range(1, 6):
+            code, out, err = run("compute", "--rule", rule, "--budget", str(budget), str(path))
+            assert code == EXIT_BUDGET and out == ""
+            assert err.strip() == f"budget exhausted after {budget + 1} nodes"
+        code, out, _ = run("compute", "--rule", rule, "--budget", "6", "--format", "machine", str(path))
+        assert code == EXIT_OK and "committee=0,1" in out.splitlines()
+        assert out == run("compute", "--rule", rule, "--format", "machine", str(path))[1]
+
     @pytest.mark.parametrize("rule", ["rav", "gav", "geometric-rav", "wrav"])
     def test_prefer_jr_rejected_for_sequential_rules(self, run, tmp_path, rule):
         path = tmp_path / "tie.profile"

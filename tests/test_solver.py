@@ -286,16 +286,19 @@ class TestGreedyFloorAndOnePassTies:
 
     def test_prefer_jr_stops_at_a_tie_on_the_ceiling(self):
         # MAV's ceiling is distance 3, set by the five-candidate ballot.  The
-        # plain search runs in two passes.  The first visits the candidates
-        # in descending approval score, 3 (two voters), then 1, 2, 4, 5 and
-        # 0: the root, {3} and its first leaf {1, 3}, at the ceiling: 3
-        # nodes.  The second runs in label order from distance 3: the root,
+        # certificate asks for a winner of the five-candidate ballot: one
+        # ballot for two seats, so its root seats 1, the lowest, and ends: 1
+        # node.  {0, 1}, the cover filled with the lowest free label, is at
+        # distance 5, the first pass's floor.  The plain search then runs in
+        # two passes.  The first visits the candidates in descending
+        # approval score, 3 (two voters), then 1, 2, 4, 5 and 0: the root,
+        # {3} and its first leaf {1, 3}, at the ceiling: 3 nodes.  The second runs in label order from distance 3: the root,
         # {0} (pruned: one seat cannot give the five-candidate ballot its two
         # winners), {1} and {1, 2}, the first committee at distance 3: 4
         # more.  {1, 2} leaves the voter on {3}, a quota at k = 2,
         # unrepresented, so prefer-JR's pass runs from distance 3: the root,
         # {0} (pruned), {1}, {1, 2} (fails JR) and the tie {1, 3}, which
-        # provides JR and ends the search: 5 more, 12 in all.  In label
+        # provides JR and ends the search: 5 more, 13 in all.  In label
         # order the plain search took 9 nodes, {0} opening its five leaves
         # (distance 5) before any incumbent
         profile = profile_of(6, {1, 2, 3, 4, 5}, {3})
@@ -304,30 +307,34 @@ class TestGreedyFloorAndOnePassTies:
         assert not oracle_check_jr(profile, 2, Committee(co[0]))
         result = _solve(profile, 2, MAV, TieBreak.PREFER_JR)
         assert (result.committee.members, result.score) == ((1, 3), score)
-        assert result.nodes_explored == 12
+        assert result.nodes_explored == 13
 
     def test_prefer_jr_second_pass_ends_at_its_first_accepted_leaf(self):
-        # MAV's ceiling is distance 1, which no committee reaches.  The first
-        # pass visits the root, {0} and its four leaves (the demand search
-        # bounds no children), the first, {0, 1}, at distance 3.  Distance 2
-        # needs two winners of the three-candidate ballot and one of the
-        # voter on {2}.  {1} can still reach both, but its one open seat
-        # pays at most one of the two winners they lack (2 and 3 each pay
-        # one, 4 none), so it is pruned, and {2} and {3} cannot give the
+        # MAV's ceiling is distance 1, which no committee reaches.  The
+        # certificate's root seats 0, a winner of the three-candidate ballot,
+        # and ends: 1 node.  Its cover filled with the lowest free label,
+        # {0, 1}, is at distance 3, the first pass's floor.  Every candidate
+        # but 4 has one voter, so approval order is label order and one pass
+        # serves.  It visits the root, {0} and its four leaves (the demand
+        # search bounds no children), the first, {0, 1}, at distance 3.
+        # Distance 2 needs two winners of the three-candidate ballot and one
+        # of the voter on {2}.  {1} can still reach both, but its one open
+        # seat pays at most one of the two winners they lack (2 and 3 each
+        # pay one, 4 none), so it is pruned, and {2} and {3} cannot give the
         # three-candidate ballot its two: 9 nodes.  Without the count {1}
         # opened its three leaves.
         # {0, 1} leaves the voter on {2}, a quota at k = 2, unrepresented, so
         # the second pass visits the root, {0}, {0, 1} (fails JR) and {0, 2},
         # which is worth the first optimum, provides JR and ends the search:
-        # 4 more, 13 in all
+        # 4 more, 14 in all
         profile = profile_of(5, {0, 1, 3}, {2})
         score, co = naive_optimize(profile, 2, MAV)
         assert (score, co[:2]) == (3, [(0, 1), (0, 2)])
         result = _solve(profile, 2, MAV, TieBreak.PREFER_JR)
         assert (result.committee.members, result.score) == ((0, 2), 3)
-        assert result.nodes_explored == 13
+        assert result.nodes_explored == 14
         with pytest.raises(BudgetExhausted) as excinfo:
-            _solve(profile, 2, MAV, TieBreak.PREFER_JR, budget=12)
+            _solve(profile, 2, MAV, TieBreak.PREFER_JR, budget=13)
         assert excinfo.value.best_committee == Committee((0, 1))
 
     def test_prefer_jr_costs_nothing_when_the_first_optimum_provides_jr(self):
@@ -846,12 +853,15 @@ class TestMinimaxBound:
     def test_mav_counts_only_the_approved_candidates_left(self):
         # {0, 1} is at distance 2 from both ballots.  Under {1} ballot {0} is
         # at distance 2 with one seat open but none of its candidates left,
-        # so the search prunes there instead of visiting {1, 2}
+        # so the search prunes there instead of visiting {1, 2}.  The
+        # certificate's root seats 1 for the two-candidate ballot and ends,
+        # and {0, 1}, its cover filled with the lowest free label, makes
+        # distance 2 the floor
         profile = profile_of(3, {0}, {1, 2})
         result = _solve(profile, 2, MAV)
         assert result.committee.members == (0, 1)
         assert result.score == 2
-        assert result.nodes_explored == 5  # root, {0}, {0, 1}, {0, 2}, {1}
+        assert result.nodes_explored == 6  # the certificate's root; root, {0}, {0, 1}, {0, 2}, {1}
 
 
 class TestDemandCountingBound:
@@ -876,10 +886,40 @@ class TestDemandCountingBound:
                         lambda budget: _solve(profile, k, MAV, tiebreak, budget).committee.members,
                         result.nodes_explored, expected, MAV, profile)
 
-    def test_open_seats_that_cannot_pay_the_deficit_prune_a_reachable_node(self):
+    def test_open_seats_that_cannot_pay_the_deficit_prune_a_reachable_node(self, monkeypatch):
         # one voter on each of {0, 1}, {1, 2}, {2, 3} and {4, 5}, k = 2: no
         # two candidates hit all four ballots, so every committee leaves one
         # ballot without a winner: MAV distance 4, maximin 0.
+        # Beating that needs a winner of every ballot, and the certificate
+        # settles it at its root: {0, 1}, {2, 3} and {4, 5} are pairwise
+        # disjoint, three ballots for two seats.  So the optimum is distance
+        # 4, and one label-order pass from it, which asks no winners, visits
+        # the root, {0} and {0, 1}, the first committee worth it: 4 nodes
+        profile = profile_of(6, {0, 1}, {1, 2}, {2, 3}, {4, 5})
+        k = 2
+        score, co = naive_optimize(profile, k, MAV)
+        assert score == 4 and len(co) == math.comb(6, 2)
+
+        def maximin_search():
+            search = solver._Search(profile, k, None, accept=lambda w: check_jr(profile, k, w).passed)
+            solver._run_search(search, "maximin")
+            return search.best_members, search.best_value, search.nodes
+
+        for tiebreak in TieBreak:
+            result = _solve(profile, k, MAV, tiebreak)
+            assert (result.committee.members, result.score, result.nodes_explored) == ((0, 1), 4, 4)
+        # a budget that runs out before the pass's first leaf has no best so
+        # far
+        for budget, nodes in ((1, 2), (2, 3), (3, 4)):
+            with pytest.raises(BudgetExhausted) as excinfo:
+                _solve(profile, k, MAV, budget=budget)
+            err = excinfo.value
+            assert (err.best_committee, err.best_score, err.nodes_explored) == (None, None, nodes)
+        # the maximin search behind ejrav visits the same nodes: {0, 1}
+        # provides JR (no unrepresented candidate has the quota of two)
+        assert maximin_search() == ((0, 1), 0, 4)
+
+        # Without the certificate the two passes must show it.
         # The first pass visits the candidates in descending approval
         # score: 1 and 2 (two voters each), then 0, 3, 4 and 5.  The root
         # and {1} are opened before any incumbent and bound no children, so
@@ -897,10 +937,7 @@ class TestDemandCountingBound:
         # The second pass runs in label order from distance 4, which asks
         # no winners: the root, {0} and {0, 1}, the first committee worth
         # it: 3 more, 14 in all
-        profile = profile_of(6, {0, 1}, {1, 2}, {2, 3}, {4, 5})
-        k = 2
-        score, co = naive_optimize(profile, k, MAV)
-        assert score == 4 and len(co) == math.comb(6, 2)
+        monkeypatch.setattr(solver, "_certify", lambda search, classes, groups, least, ceiling: (None, least))
         for tiebreak in TieBreak:
             result = _solve(profile, k, MAV, tiebreak)
             assert (result.committee.members, result.score, result.nodes_explored) == ((0, 1), 4, 14)
@@ -911,10 +948,7 @@ class TestDemandCountingBound:
                 _solve(profile, k, MAV, budget=budget)
             err = excinfo.value
             assert (err.best_committee, err.best_score, err.nodes_explored) == (Committee((1, 2)), 4, nodes)
-        # the maximin search behind ejrav visits the same nodes
-        search = solver._Search(profile, k, None, accept=lambda w: check_jr(profile, k, w).passed)
-        solver._run_search(search, "maximin")
-        assert (search.best_members, search.best_value, search.nodes) == ((0, 1), 0, 14)
+        assert maximin_search() == ((0, 1), 0, 14)
 
     def test_the_label_order_pass_prunes_by_the_count(self):
         # the profile above at k = 3: {1, 2, 4} hits every ballot, and no
@@ -964,9 +998,12 @@ class TestOrderedDemandSearch:
 
     def test_the_second_pass_picks_the_first_optimum_in_label_order(self, monkeypatch):
         # one voter on {1, 2, 3, 4, 5} and one on {3}, k = 2: distance 3 is
-        # the ceiling, and {1, 2} and {1, 3} reach it.  The first pass visits
-        # 3 first (two voters), then 1, 2, 4, 5 and 0, from distance 7, which
-        # every committee reaches: the root, {3} and its first leaf {1, 3},
+        # the ceiling, and {1, 2} and {1, 3} reach it.  The certificate's
+        # root seats 1 for the five-candidate ballot and ends: 1 node; its
+        # cover filled with the lowest free label, {0, 1}, is at distance 5.
+        # The first pass visits
+        # 3 first (two voters), then 1, 2, 4, 5 and 0, from distance 5, which
+        # every answer reaches: the root, {3} and its first leaf {1, 3},
         # at the ceiling.  The second pass, in label order
         # from distance 3, visits the root, {0} (pruned: one seat cannot give
         # the five-candidate ballot its two winners), {1} and {1, 2}
@@ -974,25 +1011,25 @@ class TestOrderedDemandSearch:
         assert naive_optimize(profile, 2, MAV)[1][:2] == [(1, 2), (1, 3)]
         runs = self._passes(monkeypatch)
         result = _solve(profile, 2, MAV)
-        assert (result.committee.members, result.score, result.nodes_explored) == ((1, 2), 3, 7)
-        assert runs == [([3, 1, 2, 4, 5, 0], -7, -3, (1, 3), 3), (None, -3, -3, (1, 2), 7)]
+        assert (result.committee.members, result.score, result.nodes_explored) == ((1, 2), 3, 8)
+        assert runs == [([3, 1, 2, 4, 5, 0], -5, -3, (1, 3), 4), (None, -3, -3, (1, 2), 8)]
         # the first pass's incumbent is the best so far, in labels, until
-        # the second pass ends
+        # the second pass ends; the certificate holds none
         reported = {}
-        for budget in range(1, 7):
+        for budget in range(1, 8):
             with pytest.raises(BudgetExhausted) as excinfo:
                 _solve(profile, 2, MAV, budget=budget)
             err = excinfo.value
             assert err.nodes_explored == budget + 1
             reported[budget] = err.best_committee and (err.best_committee.members, err.best_score)
-        assert reported == {1: None, 2: None, 3: ((1, 3), 3), 4: ((1, 3), 3), 5: ((1, 3), 3),
-                            6: ((1, 3), 3)}
-        assert _solve(profile, 2, MAV, budget=7).committee.members == (1, 2)
+        assert reported == {1: None, 2: None, 3: None, 4: ((1, 3), 3), 5: ((1, 3), 3),
+                            6: ((1, 3), 3), 7: ((1, 3), 3)}
+        assert _solve(profile, 2, MAV, budget=8).committee.members == (1, 2)
 
     def test_sizes_sharing_a_demand_prune_what_one_demand_per_size_prunes(self):
-        # the same two passes with one demand per ballot size, as before
-        # sizes asking for the same number of winners shared one, visit the
-        # same nodes and end at the same committee
+        # the same certificate and passes with one demand per ballot size,
+        # as before sizes asking for the same number of winners shared one,
+        # visit the same nodes and end at the same committee
         shared = 0
         for profile, k in self._instances():
             classes = {}  # ballot size -> its groups
@@ -1020,18 +1057,34 @@ class TestOrderedDemandSearch:
                 search.run(add, undo, leaf, bound, top, floor, strict=True)
 
             ceiling = -max(abs(k - size) for size in classes)
-            least = -k - max(classes)
+            least = floor = -k - max(classes)
+            optimum = None
+            if ceiling > least:
+                # beating the floor needs a winner of every largest ballot
+                largest = [mask for mask, members in zip(profile.index.masks, profile.index.members)
+                           if len(members) == max(classes)]
+                cover = solver._hitting_set(largest, k, search.visit)
+                if cover is None:
+                    optimum = least
+                else:
+                    # the cover filled with the lowest free labels
+                    chosen = [c for c in range(profile.m) if cover >> c & 1]
+                    chosen += [c for c in range(profile.m) if not cover >> c & 1][:k - len(chosen)]
+                    floor = -score_committee(profile, Committee.of(chosen), MAV)
+                    optimum = ceiling if floor == ceiling else None
             order = sorted(range(profile.num_candidates), key=lambda c: -profile.approval_scores[c])
-            if ceiling > least and order != sorted(order):
+            if optimum is not None:
+                solve(optimum, optimum)
+            elif ceiling > floor and order != sorted(order):
                 # a strict pass in descending approval score finds the value,
                 # then a label-order pass the first committee worth it
                 search.reorder(order)
-                solve(ceiling, least)
+                solve(ceiling, floor)
                 value, search.best_members = search.best_value, None
                 search.reorder(None)
                 solve(value, value)
             else:
-                solve(ceiling, least)
+                solve(ceiling, floor)
             result = _solve(profile, k, MAV)
             assert (search.best_members, search.nodes) == (result.committee.members, result.nodes_explored)
             # only sizes one apart ever ask for the same number
@@ -1084,6 +1137,161 @@ class TestOrderedDemandSearch:
                     assert err.best_score == group_maximin(profile, err.best_committee)
             assert compute_ejrav(profile, k, budget=nodes) == expected
         assert moved > 50 and with_incumbent > 100
+
+
+class TestHittingSetCertificate:
+    """Before its first pass the demand search behind MAV and ejrav asks
+    `solver._hitting_set` whether some k candidates give a winner to every
+    ballot that pins the floor: every ballot of the largest size for MAV,
+    every ballot for maximin.  If none do, the floor is the optimum and one
+    label-order pass from it returns the first committee worth it."""
+
+    @staticmethod
+    def _check(sets, m, k):
+        # the certificate against every k of the m candidates; its cover,
+        # if any, has at most k of them and hits every set
+        visits = []
+        cover = solver._hitting_set(sets, k, lambda: visits.append(None))
+        masks = (sum(1 << c for c in chosen) for chosen in itertools.combinations(range(m), k))
+        assert (cover is not None) == any(all(s & mask for s in sets) for mask in masks)
+        if cover is not None:
+            assert cover.bit_count() <= k and cover >> m == 0 and all(s & cover for s in sets)
+        assert visits  # the root at least
+        return cover
+
+    def test_agrees_with_enumeration_on_every_small_family(self):
+        # every family of up to five distinct nonempty ballots over m <= 5
+        # candidates, at every k.  A relabelling of the candidates changes
+        # no answer, and every family has one whose candidates are approved
+        # by non-increasing numbers of its ballots: only those are tried
+        tried = 0
+        for m in range(1, 6):
+            # a family's degrees packed three bits a candidate: the sum of
+            # its ballots' codes, and the packings that do not increase
+            code = [sum(1 << 3 * c for c in range(m) if s >> c & 1) for s in range(1 << m)]
+            sorted_degrees = {sum(d << 3 * c for c, d in enumerate(degrees))
+                              for degrees in itertools.combinations_with_replacement(range(5, -1, -1), m)}
+            for size in range(6):
+                for sets in itertools.combinations(range(1, 1 << m), size):
+                    if sum(code[s] for s in sets) in sorted_degrees:
+                        tried += 1
+                        for k in range(m + 1):
+                            self._check(sets, m, k)
+        assert tried > 5000
+
+    def test_agrees_with_enumeration_on_seeded_families(self):
+        # up to m 10, with small ballots so that covers are scarce
+        rng = random.Random("hitting set")
+        covered = 0
+        for _ in range(300):
+            m = rng.randint(6, 10)
+            sets = [sum(1 << c for c in rng.sample(range(m), rng.randint(1, 4)))
+                    for _ in range(rng.randint(1, 14))]
+            for k in range(m + 1):
+                covered += self._check(sets, m, k) is not None
+        assert covered > 1000
+
+    def test_an_empty_ballot_duplicates_and_no_more_ballots_than_seats(self):
+        sets = [0b011, 0b110, 0b101]
+        for k in range(4):
+            # an empty ballot is never hit, and repeated ballots change nothing
+            assert self._check(sets + [0], 3, k) is None
+            assert (self._check(sets * 3, 3, k) is None) == (self._check(sets, 3, k) is None) == (k < 2)
+        # no more unhit ballots than open seats: the root seats the lowest
+        # candidate of each, ballots with fewest candidates first, and ends
+        nodes = []
+        assert solver._hitting_set([0b1100, 0b0011, 0b1110], 3, lambda: nodes.append(None)) == 0b0111
+        assert len(nodes) == 1
+        assert solver._hitting_set([], 0, lambda: None) == 0
+
+    def test_each_branch_excludes_the_candidates_branched_on_before_it(self):
+        # the six pairs of 0-3 at k = 2, which no two candidates hit.  The
+        # root branches on {0, 1}.  Seating 0 (node 2) leaves {1, 2}, {1, 3}
+        # and {2, 3} for one seat: seating 1 (node 3) or, with 1 excluded, 2
+        # (node 4) leaves a pair and no seat.  Seating 1 with 0 excluded
+        # (node 5) leaves {0, 2}, {0, 3} and {2, 3} cut to {2}, {3} and
+        # {2, 3}: two disjoint for one seat, pruned.  Without the exclusion
+        # {0, 2}, {0, 3} and {2, 3} share candidates and the node branches
+        # again
+        pairs = [1 << a | 1 << b for a, b in itertools.combinations(range(4), 2)]
+        nodes = []
+        assert solver._hitting_set(pairs, 2, lambda: nodes.append(None)) is None
+        assert len(nodes) == 5
+
+    def test_a_cover_the_leaf_requirement_rejects_sets_no_floor(self, monkeypatch):
+        # the maximin search under a requirement that the cover, filled with
+        # the lowest free labels, often fails: holding the last candidate.
+        # A rejected cover's value is no floor, and the answer is still the
+        # first of the best accepted committees
+        real = solver._certify
+        verdicts = []
+        monkeypatch.setattr(solver, "_certify", lambda *args: verdicts.append(real(*args)) or verdicts[-1])
+        rejected = 0
+        for profile, k in random_instances(seed=3232, count=120, max_n=10, min_m=4, max_m=8,
+                                           cultures=["uniform", "fixed"]):
+            last = profile.m - 1
+            held = [Committee(w) for w in itertools.combinations(range(profile.m), k) if last in w]
+            best = max(group_maximin(profile, w) for w in held)
+            expected = next(w for w in held if group_maximin(profile, w) == best)
+            verdicts.clear()
+            search = solver._Search(profile, k, None, accept=lambda w: last in w)
+            solver._run_search(search, "maximin")
+            assert (search.best_members, search.best_value) == (expected.members, best)
+            rejected += verdicts == [(None, 0)]
+        assert rejected > 40
+
+    def test_a_thousand_seats_deep_on_an_explicit_stack(self):
+        # each i < 1000 on a ballot with 1000 and on one with 1001: every
+        # node has more unhit ballots than open seats, and at most two of
+        # them pairwise disjoint, so the search seats 0, 1, ..., 999 in
+        # turn: the root and a node per seat
+        sets = [1 << i | 1 << 1000 for i in range(1000)] + [1 << i | 1 << 1001 for i in range(1000)]
+        nodes = []
+        assert solver._hitting_set(sets, 1000, lambda: nodes.append(None)) == (1 << 1000) - 1
+        assert len(nodes) == 1001
+
+    def test_mav_and_ejrav_agree_with_naive_enumeration_under_every_budget(self):
+        # ballots of two or three candidates and at most m / 2 seats, where
+        # many optima are the floor: no k candidates reach every ballot.
+        # Every budget is tried on every third profile: a search of N nodes
+        # runs out one node past every budget below N, and not at N
+        rng = random.Random("certificate")
+        floors = 0
+        for i in range(150):
+            m, size = rng.randint(4, 9), rng.randint(2, 3)
+            k = rng.randint(1, m // 2)
+            profile = BallotProfile.from_groups(m, [(rng.sample(range(m), size), rng.randint(1, 2))
+                                                    for _ in range(rng.randint(2, 10))])
+            score, co = naive_optimize(profile, k, MAV)
+            passing = next((w for w in co if group_jr(profile, k, Committee(w))), co[0])
+            for tiebreak, expected in ((TieBreak.LEXICOGRAPHIC, co[0]), (TieBreak.PREFER_JR, passing)):
+                result = _solve(profile, k, MAV, tiebreak)
+                assert (result.committee.members, result.score) == (expected, score)
+                if i % 3 == 0:
+                    TestExactChildBound._check_budgets(
+                        lambda budget: _solve(profile, k, MAV, tiebreak, budget).committee.members,
+                        result.nodes_explored, expected, MAV, profile)
+            floors += score == k + size
+            justified = [Committee(w) for w in itertools.combinations(range(profile.m), k)
+                         if group_jr(profile, k, Committee(w))]
+            best = max(group_maximin(profile, w) for w in justified)
+            expected = next(w for w in justified if group_maximin(profile, w) == best)
+            search = solver._Search(profile, k, None, accept=lambda w: check_jr(profile, k, w).passed)
+            solver._run_search(search, "maximin")
+            assert (search.best_members, search.best_value) == (expected.members, best)
+            assert compute_ejrav(profile, k) == expected
+            floors += best == 0
+            if i % 3 == 0:
+                for budget in range(1, search.nodes):
+                    with pytest.raises(BudgetExhausted) as excinfo:
+                        compute_ejrav(profile, k, budget=budget)
+                    err = excinfo.value
+                    assert err.nodes_explored == budget + 1
+                    if err.best_committee is not None:
+                        assert group_jr(profile, k, err.best_committee)
+                        assert err.best_score == group_maximin(profile, err.best_committee)
+                assert compute_ejrav(profile, k, budget=search.nodes) == expected
+        assert floors > 60
 
 
 class TestBudget:
@@ -1189,7 +1397,9 @@ class TestOneSetUpPerSearch:
 
         monkeypatch.setattr(solver._Search, "run", run_spy)
         rng = random.Random("one set-up")
-        for profile, k in itertools.islice(TestRootGainOrder._instances(), 0, None, 7):
+        # every fourth profile: the certificate settles many demand searches
+        # in one pass, and every seventh left too few searches in two orders
+        for profile, k in itertools.islice(TestRootGainOrder._instances(), 0, None, 4):
             for objective in TestRootGainOrder._objectives(profile.m, rng) + (MAV,):
                 for tiebreak in TieBreak:
                     # a budget keeps approval voting off its separable fast path
@@ -1199,7 +1409,8 @@ class TestOneSetUpPerSearch:
         assert max(built.values()) == 1
         again = [search for search, passes in runs.items() if passes > 1]
         # passes in two orders: the Thiele search handing over to label
-        # order, the demand search's two passes, and the prefer-JR pass
+        # order, the demand search's two passes when the certificate leaves
+        # them both, and the prefer-JR pass
         assert sum(len(orders[search]) > 1 for search in again) > 150
         assert {view for _, view in built} == {"columns", "label_bits", "spans"}
         # every search on a profile, and its JR checks, share one build
